@@ -48,7 +48,6 @@ from .metrics import (
 from .chain import (
     ChainState,
     ChainTrace,
-    TraceEntry,
     adjacent_district_pairs,
     random_tree_plan,
     recom_step,

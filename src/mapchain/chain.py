@@ -13,7 +13,7 @@ rng streams, which makes it the natural mixing baseline for the chain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,34 +45,41 @@ class ChainState:
         )
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    step: int
-    accepted: bool
-    report: MetricsReport
+# One trace row: the step's accept flag, then every MetricsReport field
+# (int64 for int fields, float64 for the rest). A row's step is its index.
+TRACE_DTYPE = np.dtype(
+    [("accepted", np.bool_)]
+    + [
+        (f.name, np.int64 if f.type in ("int", int) else np.float64)
+        for f in fields(MetricsReport)
+    ]
+)
 
 
 @dataclass
 class ChainTrace:
-    """Ordered per-step metric reports plus acceptance bookkeeping."""
+    """Per-step rows (a ``TRACE_DTYPE`` array) plus acceptance bookkeeping."""
 
-    entries: list = field(default_factory=list)
+    rows: np.ndarray
     proposed: int = 0
     accepted: int = 0
     rejected_by_constraint: int = 0
     rejected_no_cut: int = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.rows.size
+
+    def record(self, t: int, accepted: bool, report: MetricsReport) -> None:
+        """Write step ``t``'s row in place."""
+        metrics = tuple(getattr(report, name) for name in TRACE_DTYPE.names[1:])
+        self.rows[t] = (accepted,) + metrics
 
     def series(self, metric: str) -> np.ndarray:
         """Metric values per step; ``metric`` is a MetricsReport field name."""
-        return np.array(
-            [getattr(e.report, metric) for e in self.entries], dtype=np.float64
-        )
+        return self.rows[metric].astype(np.float64)
 
     def accept_flags(self) -> np.ndarray:
-        return np.array([e.accepted for e in self.entries], dtype=bool)
+        return self.rows["accepted"].copy()
 
 
 def adjacent_district_pairs(graph: PrecinctGraph, plan: Plan) -> np.ndarray:
@@ -212,15 +219,16 @@ def run_chain(
 ) -> ChainTrace:
     """Run a recombination chain and score every step.
 
-    The trace has exactly ``steps`` entries (steps=0 gives an empty trace);
+    The trace has exactly ``steps`` rows (steps=0 gives an empty trace);
     rejected steps repeat the current plan. Contiguity and balance are
     re-checked every ``validate_every`` steps (plans are valid by
-    construction; this is a sampled belt-and-braces assertion — set 1 for
-    every step, 0 to disable). Deterministic given the rng seed.
+    construction; this is a sampled belt-and-braces check that raises
+    ``ChainInvariantViolated`` — set 1 for every step, 0 to disable).
+    Deterministic given the rng seed.
     """
     check_seed_plan(graph, seed_plan, tolerance, constraint_gate, rng)
     state = ChainState(plan=seed_plan, rng=rng)
-    trace = ChainTrace()
+    trace = ChainTrace(np.empty(steps, dtype=TRACE_DTYPE))
     for t in range(steps):
         before = state.accepted
         recom_step(
@@ -233,16 +241,14 @@ def run_chain(
             pair_selection=pair_selection,
         )
         report = score_plan(graph, state.plan, metrics_config)
-        trace.entries.append(
-            TraceEntry(step=t, accepted=state.accepted > before, report=report)
-        )
+        trace.record(t, state.accepted > before, report)
         if validate_every and (t + 1) % validate_every == 0:
-            assert all(is_contiguous(graph, state.plan)), "chain produced a split district"
+            if not all(is_contiguous(graph, state.plan)):
+                raise errors.ChainInvariantViolated(f"step {t}: chain produced a split district")
             ideal = graph.total_population / state.plan.k
             pops = district_populations(graph, state.plan)
-            assert (np.abs(pops - ideal) <= tolerance * ideal + 1e-9).all(), (
-                "chain left the population window"
-            )
+            if (np.abs(pops - ideal) > tolerance * ideal + 1e-9).any():
+                raise errors.ChainInvariantViolated(f"step {t}: chain left the population window")
     trace.proposed = state.proposed
     trace.accepted = state.accepted
     trace.rejected_by_constraint = state.rejected_by_constraint
@@ -316,9 +322,10 @@ def tree_ensemble(
     """
     if n_plans < 1:
         raise ValueError("n_plans must be >= 1")
-    trace = ChainTrace()
+    trace = ChainTrace(np.empty(n_plans, dtype=TRACE_DTYPE))
     failures = 0
-    while len(trace.entries) < n_plans:
+    t = 0
+    while t < n_plans:
         plan = random_tree_plan(
             graph, k, tolerance, rng, retry_budget=retry_budget, tree_method=tree_method
         )
@@ -329,10 +336,8 @@ def tree_ensemble(
                     f"{failures} failed tree draws exceeds cap {global_retry_cap}"
                 )
             continue
-        report = score_plan(graph, plan, metrics_config)
-        trace.entries.append(
-            TraceEntry(step=len(trace.entries), accepted=True, report=report)
-        )
+        trace.record(t, True, score_plan(graph, plan, metrics_config))
+        t += 1
     trace.proposed = n_plans + failures
     trace.accepted = n_plans
     trace.rejected_no_cut = failures

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .chain import ChainTrace, TraceEntry, run_chain, tree_ensemble
+from .chain import ChainTrace, run_chain, tree_ensemble
 from .constraints import ConstraintGate
 from .diagnostics import autocorrelation, estimate_burn_in, burn_thin, SweepConfig, constraint_sweep
 from .io import (
@@ -36,26 +36,6 @@ from .io import (
 )
 from .metrics import MetricsConfig, score_plan
 from .oracle import enumerate_partitions
-
-_DATA_ERRORS = (
-    errors.IngestError,
-    errors.DuplicatePrecinctId,
-    errors.DanglingEdge,
-    errors.DuplicateEdge,
-    errors.InvalidEdge,
-    errors.InvalidNodeData,
-    errors.MissingVoteColumn,
-    errors.DuplicateContest,
-    errors.DisconnectedGraph,
-    errors.DisconnectedSubset,
-    errors.NegativePerimeter,
-    errors.UnknownContest,
-    errors.ZeroVotesDistrict,
-    errors.InvalidSeedPlan,
-    errors.TooLarge,
-    FileNotFoundError,
-)
-
 
 def _gate_from_config(cfg: RunConfig) -> ConstraintGate:
     if cfg.mode == "permissive":
@@ -112,19 +92,12 @@ def _run_chains(graph, plan, cfg: RunConfig, gate, mcfg):
 
 
 def _concat_post_burn(traces, burn: int, thin: int) -> ChainTrace:
-    combined = ChainTrace()
-    for trace in traces:
-        kept = burn_thin(trace, burn, thin)
-        for entry in kept.entries:
-            combined.entries.append(
-                TraceEntry(step=len(combined.entries), accepted=entry.accepted,
-                           report=entry.report)
-            )
-        combined.proposed += trace.proposed
-        combined.accepted += trace.accepted
-        combined.rejected_by_constraint += trace.rejected_by_constraint
-        combined.rejected_no_cut += trace.rejected_no_cut
-    return combined
+    kept = [burn_thin(trace, burn, thin) for trace in traces]
+    counters = ("proposed", "accepted", "rejected_by_constraint", "rejected_no_cut")
+    return ChainTrace(
+        np.concatenate([trace.rows for trace in kept]),
+        **{name: sum(getattr(trace, name) for trace in traces) for name in counters},
+    )
 
 
 def _write_ensemble_outputs(cfg, combined, raw_trace, reference, out_dir):
@@ -174,16 +147,24 @@ def cmd_chain(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_tree(cfg: RunConfig) -> int:
-    graph, mcfg = _load(cfg)
-    reference = None
+def _district_count(cfg: RunConfig, graph):
+    """``(k, plan)``: k from ``districts``, else from the assignment's plan."""
+    plan = None
     if cfg.districts > 0:
         k = cfg.districts
     else:
         _require(cfg, "assignment")
         plan, _ = read_assignment(cfg.assignment, graph)
         k = plan.k
-        reference = score_plan(graph, plan, mcfg)
+    if not 1 <= k <= graph.n:
+        raise errors.ConfigError(f"districts must lie in 1..{graph.n}, got {k}")
+    return k, plan
+
+
+def cmd_tree(cfg: RunConfig) -> int:
+    graph, mcfg = _load(cfg)
+    k, plan = _district_count(cfg, graph)
+    reference = score_plan(graph, plan, mcfg) if plan is not None else None
     rng = np.random.default_rng(cfg.seed)
     trace = tree_ensemble(
         graph, k, cfg.pop_tolerance, cfg.n_plans, mcfg, rng,
@@ -325,12 +306,7 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 def cmd_enumerate(cfg: RunConfig) -> int:
     graph, _ = _load(cfg)
-    if cfg.districts > 0:
-        k = cfg.districts
-    else:
-        _require(cfg, "assignment")
-        plan, _ = read_assignment(cfg.assignment, graph)
-        k = plan.k
+    k, _ = _district_count(cfg, graph)
     tolerance = cfg.pop_tolerance
     catalog = enumerate_partitions(graph, k, tolerance)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -396,7 +372,7 @@ def main(argv=None) -> int:
     except errors.ConfigError as e:
         print(f"ERROR ConfigError: {e}", file=sys.stderr)
         return 2
-    except _DATA_ERRORS as e:
+    except errors.DataError as e:
         print(f"ERROR {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     except (errors.MapchainError, OSError) as e:

@@ -94,18 +94,21 @@ def split_report(graph: PrecinctGraph, plan: Plan) -> SplitReport:
     )
 
 
+GATE_MODES = ("permissive", "reject", "gibbs")
+
+
 @dataclass(frozen=True)
 class ConstraintGate:
     """Acceptance rule applied to each proposal; see module docstring."""
 
-    mode: str = "permissive"  # permissive | reject | gibbs
+    mode: str = "permissive"  # one of GATE_MODES
     county_cap: int = 0
     muni_cap: int = 0
     weights: tuple = ()  # ((SplitReport field, weight), ...)
 
     def __post_init__(self):
-        if self.mode not in ("permissive", "reject", "gibbs"):
-            raise ValueError(f"unknown gate mode {self.mode!r}")
+        if self.mode not in GATE_MODES:
+            raise ValueError(f"unknown gate mode {self.mode!r}; use {GATE_MODES}")
         if self.county_cap < 0 or self.muni_cap < 0:
             raise ValueError("caps must be >= 0")
         for term, weight in self.weights:

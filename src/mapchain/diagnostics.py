@@ -8,7 +8,7 @@ length: the smallest lag at which rho drops below 0.05.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,28 +80,20 @@ def estimate_burn_in(
 
 
 def burn_thin(trace: ChainTrace, burn: int, thin: int) -> ChainTrace:
-    """Drop the first ``burn`` entries, keep every ``thin``-th thereafter.
+    """Drop the first ``burn`` rows, keep every ``thin``-th thereafter.
 
-    Thinning starts at the first surviving entry: burn=4, thin=2 on a
-    10-entry trace keeps original entries 5, 7, 9 (1-indexed). Raises
-    ``EmptyResult`` when nothing survives.
+    Thinning starts at the first surviving row: burn=4, thin=2 on a
+    10-row trace keeps original rows 5, 7, 9 (1-indexed). The kept rows are
+    a view of ``trace.rows``. Raises ``EmptyResult`` when nothing survives.
     """
     if thin < 1:
         raise ValueError("thin must be >= 1")
     if burn < 0:
         raise ValueError("burn must be >= 0")
-    kept = trace.entries[burn:][::thin]
-    if not kept:
-        raise errors.EmptyResult(
-            f"burn={burn} leaves no entries of {len(trace.entries)}"
-        )
-    return ChainTrace(
-        entries=list(kept),
-        proposed=trace.proposed,
-        accepted=trace.accepted,
-        rejected_by_constraint=trace.rejected_by_constraint,
-        rejected_no_cut=trace.rejected_no_cut,
-    )
+    kept = replace(trace, rows=trace.rows[burn::thin])
+    if not len(kept):
+        raise errors.EmptyResult(f"burn={burn} leaves no rows of {len(trace)}")
+    return kept
 
 
 @dataclass(frozen=True)

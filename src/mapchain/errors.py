@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every error raised by mapchain derives from :class:`MapchainError`; the CLI
-maps subtrees of this hierarchy onto its exit codes.
+maps subtrees of this hierarchy onto its exit codes: :class:`ConfigError`
+exits 2, :class:`DataError` (bad input data) exits 3, and every other
+mapchain error exits 4.
 """
 
 
@@ -13,38 +15,42 @@ class ConfigError(MapchainError):
     """Invalid, out-of-range, or unknown run configuration."""
 
 
+class DataError(MapchainError):
+    """Input data (graph, votes, assignment, seed plan) unusable for the run."""
+
+
 # --- graph construction and structure ---------------------------------------
 
 
-class DuplicatePrecinctId(MapchainError):
+class DuplicatePrecinctId(DataError):
     pass
 
 
-class DanglingEdge(MapchainError):
+class DanglingEdge(DataError):
     """Edge endpoint does not name a known precinct."""
 
 
-class DuplicateEdge(MapchainError):
+class DuplicateEdge(DataError):
     """More than one edge for the same unordered node pair."""
 
 
-class InvalidEdge(MapchainError):
+class InvalidEdge(DataError):
     """Self-loop or negative shared perimeter."""
 
 
-class InvalidNodeData(MapchainError):
+class InvalidNodeData(DataError):
     """Node scalar out of range (population < 0, area or perimeter <= 0)."""
 
 
-class MissingVoteColumn(MapchainError):
+class MissingVoteColumn(DataError):
     """A contest lacks a vote entry for some node."""
 
 
-class DuplicateContest(MapchainError):
+class DuplicateContest(DataError):
     pass
 
 
-class DisconnectedGraph(MapchainError):
+class DisconnectedGraph(DataError):
     """Input graph is not a single connected component."""
 
     def __init__(self, components):
@@ -56,19 +62,23 @@ class DisconnectedGraph(MapchainError):
         )
 
 
-class DisconnectedSubset(MapchainError):
+class DisconnectedSubset(DataError):
     """Node subset does not induce a connected subgraph."""
 
 
-class NegativePerimeter(MapchainError):
+class NegativePerimeter(DataError):
     """A district perimeter came out <= 0; shared_perimeter inputs are bad."""
 
 
 # --- ingestion ---------------------------------------------------------------
 
 
-class IngestError(MapchainError):
+class IngestError(DataError):
     pass
+
+
+class MissingFile(IngestError):
+    """An input CSV does not exist."""
 
 
 class EmptyFile(IngestError):
@@ -104,7 +114,7 @@ class EmptyInput(MapchainError):
 # --- metrics -----------------------------------------------------------------
 
 
-class ZeroVotesDistrict(MapchainError):
+class ZeroVotesDistrict(DataError):
     """A district recorded zero two-party votes in some contest."""
 
     def __init__(self, district, contest):
@@ -115,7 +125,7 @@ class ZeroVotesDistrict(MapchainError):
         )
 
 
-class UnknownContest(MapchainError):
+class UnknownContest(DataError):
     def __init__(self, name, available):
         self.name = name
         super().__init__(
@@ -130,12 +140,16 @@ class NoAdjacentDistrictPair(MapchainError):
     """Plan has no pair of adjacent districts (k=1 degenerate input)."""
 
 
-class InvalidSeedPlan(MapchainError):
+class InvalidSeedPlan(DataError):
     """Seed plan failed a chain precondition; message names the check."""
 
 
 class RetryBudgetExhausted(MapchainError):
     pass
+
+
+class ChainInvariantViolated(MapchainError):
+    """A chain plan failed the periodic contiguity or population check."""
 
 
 # --- diagnostics -------------------------------------------------------------
@@ -160,5 +174,5 @@ class FitUndefined(MapchainError):
 # --- oracle ------------------------------------------------------------------
 
 
-class TooLarge(MapchainError):
+class TooLarge(DataError):
     """Instance exceeds the exhaustive-enumeration guard."""

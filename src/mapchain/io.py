@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .chain import ChainTrace
+from .chain import PAIR_SELECTION, ChainTrace
+from .constraints import GATE_MODES
 from .diagnostics import AcfSeries, SweepResult
 from .graph import (
     AdjacencyEdge,
@@ -36,7 +37,8 @@ from .graph import (
     PrecinctNode,
     build_graph,
 )
-from .metrics import TRACE_METRIC_FIELDS
+from .metrics import TRACE_METRIC_FIELDS, MetricsReport
+from .trees import TREE_METHODS
 
 NODE_COLUMNS = ("precinct_id", "population", "county_id", "muni_id", "area", "perimeter")
 
@@ -49,7 +51,7 @@ def _read_rows(path) -> tuple:
             reader = csv.reader(fh)
             rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     except FileNotFoundError:
-        raise
+        raise errors.MissingFile(f"{path}: no such file") from None
     if not rows:
         raise errors.EmptyFile(f"{path}: no header row")
     header = [h.strip() for h in rows[0]]
@@ -262,30 +264,21 @@ def write_assignment(plan: Plan, graph: PrecinctGraph, path, names=None) -> None
             writer.writerow([node.precinct_id, names[label] if names else str(label)])
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_trace(trace: ChainTrace, path) -> None:
     """One row per recorded step with the fixed ``TRACE_COLUMNS`` header.
 
-    Floats use shortest-roundtrip repr, so identical runs produce
-    byte-identical files.
+    ``csv`` writes ints with ``str`` and floats with shortest-roundtrip
+    ``repr``, so identical runs produce byte-identical files.
     """
-    if not trace.entries:
+    if not len(trace):
         raise errors.EmptyInput("refusing to write an empty trace")
+    rows = trace.rows
+    columns = [rows["accepted"].astype(np.int64).tolist()]
+    columns += [rows[field_name].tolist() for _, field_name in TRACE_METRIC_FIELDS]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for entry in trace.entries:
-            row = [str(entry.step), str(int(entry.accepted))]
-            for _, field_name in TRACE_METRIC_FIELDS:
-                row.append(_format_cell(getattr(entry.report, field_name)))
-            writer.writerow(row)
+        writer.writerows(zip(range(len(trace)), *columns))
 
 
 def write_summary(trace: ChainTrace, path) -> None:
@@ -465,7 +458,7 @@ class RunConfig:
     seed: int = 0
     burn_in: int = -1  # -1 means auto (one estimated correlation length)
     thinning: int = 1
-    mode: str = "permissive"  # permissive | reject | gibbs
+    mode: str = "permissive"  # one of constraints.GATE_MODES
     county_cap: int = 0
     muni_cap: int = 0
     gibbs_weight_county: float = 0.0
@@ -500,8 +493,18 @@ class RunConfig:
             )
         if self.county_cap < 0 or self.muni_cap < 0:
             raise errors.ConfigError("caps must be >= 0")
-        if self.mode not in ("permissive", "reject", "gibbs"):
-            raise errors.ConfigError(f"unknown mode {self.mode!r}")
+        if self.seed < 0:
+            raise errors.ConfigError(f"seed must be >= 0, got {self.seed}")
+        for key, allowed in (
+            ("mode", GATE_MODES),
+            ("tree_method", TREE_METHODS),
+            ("pair_selection", PAIR_SELECTION),
+            ("sweep_metric", tuple(f.name for f in fields(MetricsReport))),
+        ):
+            if getattr(self, key) not in allowed:
+                raise errors.ConfigError(
+                    f"unknown {key} {getattr(self, key)!r}; use one of {allowed}"
+                )
         for key in (
             "gibbs_weight_county",
             "gibbs_weight_muni",
@@ -519,10 +522,6 @@ class RunConfig:
             raise errors.ConfigError("hist_bins must be >= 1")
         if not 0.0 < self.fractional_sigma < 0.5:
             raise errors.ConfigError("fractional_sigma must lie in (0, 0.5)")
-        if self.tree_method not in ("uniform", "mst"):
-            raise errors.ConfigError(f"unknown tree_method {self.tree_method!r}")
-        if self.pair_selection not in ("uniform", "edges"):
-            raise errors.ConfigError(f"unknown pair_selection {self.pair_selection!r}")
 
     def validate_contests(self, graph: PrecinctGraph) -> tuple:
         """Resolve the contest sample against the graph; empty means all."""
@@ -563,7 +562,7 @@ def _parse_config_value(key: str, raw: str):
 def read_config(path, overrides: Optional[dict] = None) -> RunConfig:
     """Parse a key=value config file. Unknown keys fail fast; ``overrides``
     (e.g. CLI flags) win over file values."""
-    values = {}
+    raw_values = {}  # key -> (where it was set, raw value)
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -578,20 +577,21 @@ def read_config(path, overrides: Optional[dict] = None) -> RunConfig:
                 key = key.strip()
                 if key not in _CONFIG_FIELDS:
                     raise errors.ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
-                try:
-                    values[key] = _parse_config_value(key, raw)
-                except ValueError:
-                    raise errors.ConfigError(
-                        f"{path}: line {line_no}: bad value for {key!r}: {raw.strip()!r}"
-                    ) from None
+                raw_values[key] = (f"{path}: line {line_no}", raw)
     except FileNotFoundError:
         raise errors.ConfigError(f"config file not found: {path}") from None
     for key, raw in (overrides or {}).items():
         if key not in _CONFIG_FIELDS:
             raise errors.ConfigError(f"unknown config key {key!r}")
-        values[key] = (
-            _parse_config_value(key, raw) if isinstance(raw, str) else raw
-        )
+        raw_values[key] = ("override", raw)
+    values = {}
+    for key, (where, raw) in raw_values.items():
+        try:
+            values[key] = _parse_config_value(key, raw) if isinstance(raw, str) else raw
+        except ValueError:
+            raise errors.ConfigError(
+                f"{where}: bad value for {key!r}: {raw.strip()!r}"
+            ) from None
     config = RunConfig(**values)
     config.validate()
     return config

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -79,7 +83,7 @@ def test_run_chain_zero_steps(grid4, band4, mcfg2):
 def test_run_chain_deterministic(grid4, band4, mcfg2):
     a = run_chain(grid4, band4, 100, 0.01, PERMISSIVE, mcfg2, np.random.default_rng(7))
     b = run_chain(grid4, band4, 100, 0.01, PERMISSIVE, mcfg2, np.random.default_rng(7))
-    assert a.entries == b.entries
+    assert a.rows.tobytes() == b.rows.tobytes()
     assert (a.proposed, a.accepted) == (b.proposed, b.accepted)
 
 
@@ -100,6 +104,53 @@ def test_chain_plans_stay_valid(grid4, band4, mcfg2):
         grid4, band4, 150, 0.01, PERMISSIVE, mcfg2,
         np.random.default_rng(11), validate_every=1,
     )
+
+
+def _unbalanced_split(graph, subset, targets, tolerance, rng, **kwargs):
+    return subset[:1], subset[1:]
+
+
+def test_invariant_check_raises(grid4, band4, mcfg2, monkeypatch):
+    monkeypatch.setattr("mapchain.chain.bipartition_region", _unbalanced_split)
+    with pytest.raises(errors.ChainInvariantViolated, match="population window"):
+        run_chain(
+            grid4, band4, 1, 0.01, PERMISSIVE, mcfg2,
+            np.random.default_rng(0), validate_every=1,
+        )
+
+
+_OPTIMISED_CHECK = """
+import sys
+import numpy as np
+import mapchain.chain
+from mapchain import errors
+from mapchain.constraints import ConstraintGate
+from mapchain.metrics import MetricsConfig
+from mapchain.synth import band_plan, grid4_graph
+
+if not sys.flags.optimize:
+    sys.exit("interpreter is not running with -O")
+mapchain.chain.bipartition_region = lambda graph, subset, *a, **kw: (subset[:1], subset[1:])
+try:
+    mapchain.chain.run_chain(
+        grid4_graph(), band_plan(4, 4, 4), 1, 0.01, ConstraintGate.permissive(),
+        MetricsConfig(("PRES", "SEN")), np.random.default_rng(0), validate_every=1,
+    )
+except errors.ChainInvariantViolated:
+    sys.exit(0)
+sys.exit("run_chain accepted an unbalanced plan")
+"""
+
+
+def test_invariant_check_survives_python_O():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMISED_CHECK],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_proposal_locality(grid4, band4):
@@ -187,13 +238,13 @@ def test_tree_ensemble_basics(grid4, mcfg2):
     trace = tree_ensemble(grid4, 4, 0.0, 5, mcfg2, np.random.default_rng(1))
     assert len(trace) == 5
     assert trace.accepted == 5
-    assert all(e.accepted for e in trace.entries)
+    assert trace.accept_flags().all()
 
 
 def test_tree_ensemble_distinct_seeds_differ(grid4, mcfg2):
     a = tree_ensemble(grid4, 4, 0.0, 8, mcfg2, np.random.default_rng(1))
     b = tree_ensemble(grid4, 4, 0.0, 8, mcfg2, np.random.default_rng(2))
-    assert a.entries != b.entries  # >2 valid plans exist, collision unlikely
+    assert a.rows.tobytes() != b.rows.tobytes()  # >2 valid plans exist, collision unlikely
 
 
 def test_tree_ensemble_retry_cap():

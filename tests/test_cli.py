@@ -1,9 +1,11 @@
 import os
 import shutil
+from dataclasses import fields
 
 import pytest
 
 from mapchain.cli import main
+from mapchain.io import RunConfig
 
 GRID4 = os.path.join(os.path.dirname(__file__), "fixtures", "grid4")
 
@@ -184,3 +186,38 @@ def test_missing_nodes_file_exits_3(workdir, capsys):
 
 def test_missing_config_exits_2(workdir, capsys):
     assert main(["chain", "--config", "nope.cfg"]) == 2
+
+
+_NUMERIC_KEYS = [
+    f.name for f in fields(RunConfig)
+    if isinstance(f.default, (int, float)) and not isinstance(f.default, bool)
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tree", "--set", "districts=40"],
+        ["enumerate", "--set", "districts=40"],
+        ["sweep", "--set", "sweep_metric=foo"],
+        ["chain", "--set", "seed=-1"],
+    ]
+    + [["chain", "--set", f"{key}=abc"] for key in _NUMERIC_KEYS],
+    ids=lambda argv: " ".join([argv[0]] + argv[2:]),
+)
+def test_bad_config_exits_2_with_one_error_line(workdir, capsys, argv):
+    assert main([argv[0], "--config", CFG] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ConfigError:")
+    assert err.count("\n") == 1
+
+
+def test_chain_invariant_violation_exits_4(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "mapchain.chain.bipartition_region",
+        lambda graph, subset, *args, **kwargs: (subset[:1], subset[1:]),
+    )
+    assert main(["chain", "--config", CFG, "--set", "steps=101"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ChainInvariantViolated:")
+    assert err.count("\n") == 1

@@ -81,6 +81,11 @@ def test_read_nodes_empty_file(tmp_path):
         read_nodes(path)
 
 
+def test_read_missing_file_is_ingest_error(tmp_path):
+    with pytest.raises(errors.MissingFile, match="nodes.csv"):
+        read_nodes(tmp_path / "nodes.csv")
+
+
 def test_read_grid4_fixture():
     nodes, elections = read_nodes(os.path.join(GRID4, "nodes.csv"))
     assert len(nodes) == 16
