@@ -220,7 +220,8 @@ def run_chain(
     """Run a recombination chain and score every step.
 
     The trace has exactly ``steps`` rows (steps=0 gives an empty trace);
-    rejected steps repeat the current plan. Contiguity and balance are
+    rejected steps repeat the current plan and its report, which is
+    computed once per plan. Contiguity and balance are
     re-checked every ``validate_every`` steps (plans are valid by
     construction; this is a sampled belt-and-braces check that raises
     ``ChainInvariantViolated`` — set 1 for every step, 0 to disable).
@@ -229,6 +230,7 @@ def run_chain(
     check_seed_plan(graph, seed_plan, tolerance, constraint_gate, rng)
     state = ChainState(plan=seed_plan, rng=rng)
     trace = ChainTrace(np.empty(steps, dtype=TRACE_DTYPE))
+    scored, report = None, None
     for t in range(steps):
         before = state.accepted
         recom_step(
@@ -240,7 +242,8 @@ def run_chain(
             tree_method=tree_method,
             pair_selection=pair_selection,
         )
-        report = score_plan(graph, state.plan, metrics_config)
+        if state.plan is not scored:  # rejected steps repeat the last report
+            scored, report = state.plan, score_plan(graph, state.plan, metrics_config)
         trace.record(t, state.accepted > before, report)
         if validate_every and (t + 1) % validate_every == 0:
             if not all(is_contiguous(graph, state.plan)):

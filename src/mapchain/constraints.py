@@ -84,13 +84,15 @@ def per_district_split_penalty(graph: PrecinctGraph, plan: Plan, unit: str = "co
 
 
 def split_report(graph: PrecinctGraph, plan: Plan) -> SplitReport:
-    county_splits, county_pieces = count_splits(graph, plan, "county")
-    muni_splits, _ = count_splits(graph, plan, "municipality")
+    """Every split count of one plan, from one count pass per unit type."""
+    county, _ = _district_counts_per_unit(graph, plan, "county")
+    muni, _ = _district_counts_per_unit(graph, plan, "municipality")
+    split = county >= 2
     return SplitReport(
-        county_splits=county_splits,
-        muni_splits=muni_splits,
-        per_district_county_penalty=per_district_split_penalty(graph, plan, "county"),
-        pieces_count=county_pieces,
+        county_splits=int(split.sum()),
+        muni_splits=int((muni >= 2).sum()),
+        per_district_county_penalty=int(county[split].sum()),
+        pieces_count=int(county.sum()),
     )
 
 

@@ -155,17 +155,16 @@ class PrecinctGraph:
 
     Construct with :func:`build_graph`; all fields, including the numpy
     arrays, are treated as immutable and are safe to share across workers.
+    Adjacency is stored once, as edge arrays sorted by ``(edge_a, edge_b)``
+    with ``edge_a < edge_b``; ``edge_shared`` is each edge's shared boundary.
     """
 
     nodes: tuple
-    edges: tuple
     node_index: dict
     elections: ElectionSet
     populations: np.ndarray
     areas: np.ndarray
     perimeters: np.ndarray
-    county_of: tuple
-    muni_of: tuple
     county_codes: np.ndarray
     muni_codes: np.ndarray
     n_counties: int
@@ -173,7 +172,6 @@ class PrecinctGraph:
     edge_a: np.ndarray
     edge_b: np.ndarray
     edge_shared: np.ndarray
-    neighbors: tuple
 
     @property
     def n(self) -> int:
@@ -181,7 +179,7 @@ class PrecinctGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return int(self.edge_a.size)
 
     @property
     def total_population(self) -> int:
@@ -198,26 +196,34 @@ class PrecinctGraph:
         )
 
 
-def _components(n: int, neighbors: Sequence[np.ndarray]) -> list:
-    """Connected components by iterative flood fill over adjacency lists."""
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
+def neighbor_arrays(n: int, edge_a: np.ndarray, edge_b: np.ndarray) -> list:
+    """Each node's neighbours over an undirected edge list, in ascending order."""
+    src = np.concatenate([edge_a, edge_b])
+    dst = np.concatenate([edge_b, edge_a])
+    dst = dst[np.lexsort((dst, src))]
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    return [dst[i:j] for i, j in zip([0] + ends[:-1], ends)]
+
+
+def component_labels(neighbors: Sequence[np.ndarray]) -> np.ndarray:
+    """Connected-component id of every node, by iterative flood fill.
+
+    Components are numbered 0, 1, ... in the order of their smallest node.
+    """
+    label = [-1] * len(neighbors)
+    comp = 0
+    for start in range(len(neighbors)):
+        if label[start] >= 0:
             continue
+        label[start] = comp
         stack = [start]
-        seen[start] = True
-        comp = []
         while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in neighbors[u]:
-                v = int(v)
-                if not seen[v]:
-                    seen[v] = True
+            for v in neighbors[stack.pop()].tolist():
+                if label[v] < 0:
+                    label[v] = comp
                     stack.append(v)
-        comps.append(comp)
-    return comps
+        comp += 1
+    return np.array(label, dtype=np.int64)
 
 
 def build_graph(
@@ -252,7 +258,7 @@ def build_graph(
         if not node.perimeter > 0:
             raise errors.InvalidNodeData(f"{node.precinct_id}: perimeter must be > 0")
 
-    resolved = []
+    ends_a, ends_b, shared = [], [], []
     seen_pairs = set()
     for edge in edges:
         a, b = edge.a, edge.b
@@ -278,8 +284,14 @@ def build_graph(
         if (a, b) in seen_pairs:
             raise errors.DuplicateEdge(f"duplicate edge for node pair ({a}, {b})")
         seen_pairs.add((a, b))
-        resolved.append(AdjacencyEdge(a, b, float(edge.shared_perimeter)))
-    resolved.sort(key=lambda e: (e.a, e.b))
+        ends_a.append(a)
+        ends_b.append(b)
+        shared.append(float(edge.shared_perimeter))
+    edge_a = np.array(ends_a, dtype=np.int64)
+    edge_b = np.array(ends_b, dtype=np.int64)
+    order = np.lexsort((edge_b, edge_a))
+    edge_a, edge_b = edge_a[order], edge_b[order]
+    edge_shared = np.array(shared, dtype=np.float64)[order]
 
     for contest in elections:
         for side, arr in (("D", contest.dem), ("R", contest.rep)):
@@ -304,43 +316,29 @@ def build_graph(
         ]
     )
 
-    edge_a = np.array([e.a for e in resolved], dtype=np.int64)
-    edge_b = np.array([e.b for e in resolved], dtype=np.int64)
-    edge_shared = np.array([e.shared_perimeter for e in resolved], dtype=np.float64)
+    labels = component_labels(neighbor_arrays(n, edge_a, edge_b))
+    if labels.max() > 0:
+        raise errors.DisconnectedGraph(
+            [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
+        )
 
-    nbr_lists: list = [[] for _ in range(n)]
-    for e in resolved:
-        nbr_lists[e.a].append(e.b)
-        nbr_lists[e.b].append(e.a)
-    neighbors = tuple(np.array(sorted(lst), dtype=np.int64) for lst in nbr_lists)
-
-    comps = _components(n, neighbors)
-    if len(comps) > 1:
-        raise errors.DisconnectedGraph(comps)
-
-    county_ids = [node.county_id for node in nodes]
-    muni_ids = [node.muni_id for node in nodes]
-    _, county_codes = np.unique(county_ids, return_inverse=True)
-    _, muni_codes = np.unique(muni_ids, return_inverse=True)
+    counties, county_codes = np.unique([nd.county_id for nd in nodes], return_inverse=True)
+    munis, muni_codes = np.unique([nd.muni_id for nd in nodes], return_inverse=True)
 
     return PrecinctGraph(
         nodes=nodes,
-        edges=tuple(resolved),
         node_index=node_index,
         elections=elections,
         populations=np.array([nd.population for nd in nodes], dtype=np.int64),
         areas=np.array([nd.area for nd in nodes], dtype=np.float64),
         perimeters=np.array([nd.perimeter for nd in nodes], dtype=np.float64),
-        county_of=tuple(county_ids),
-        muni_of=tuple(muni_ids),
         county_codes=county_codes.astype(np.int64),
         muni_codes=muni_codes.astype(np.int64),
-        n_counties=len(set(county_ids)),
-        n_munis=len(set(muni_ids)),
+        n_counties=len(counties),
+        n_munis=len(munis),
         edge_a=edge_a,
         edge_b=edge_b,
         edge_shared=edge_shared,
-        neighbors=neighbors,
     )
 
 
@@ -352,29 +350,19 @@ def district_populations(graph: PrecinctGraph, plan: Plan) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def _district_connected(graph: PrecinctGraph, members: np.ndarray, label_of, d) -> bool:
-    if members.size == 0:
-        return False
-    seen = set()
-    stack = [int(members[0])]
-    seen.add(int(members[0]))
-    while stack:
-        u = stack.pop()
-        for v in graph.neighbors[u]:
-            v = int(v)
-            if label_of[v] == d and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == members.size
-
-
 def is_contiguous(graph: PrecinctGraph, plan: Plan) -> list:
-    """Per-district flag: does the district induce a connected subgraph?"""
-    assignment = plan.assignment
-    return [
-        _district_connected(graph, plan.district_nodes(d), assignment, d)
-        for d in range(plan.k)
-    ]
+    """Per-district flag: does the district induce a connected subgraph?
+
+    One flood fill over the edges internal to districts; a district is
+    contiguous when its nodes form exactly one component.
+    """
+    assign = plan.assignment
+    internal = assign[graph.edge_a] == assign[graph.edge_b]
+    labels = component_labels(
+        neighbor_arrays(graph.n, graph.edge_a[internal], graph.edge_b[internal])
+    )
+    _, first = np.unique(labels, return_index=True)
+    return (np.bincount(assign[first], minlength=plan.k) == 1).tolist()
 
 
 def district_perimeter_area(graph: PrecinctGraph, plan: Plan):
@@ -389,15 +377,14 @@ def district_perimeter_area(graph: PrecinctGraph, plan: Plan):
     k = plan.k
     areas = np.bincount(assign, weights=graph.areas, minlength=k)
     perims = np.bincount(assign, weights=graph.perimeters, minlength=k)
-    if graph.n_edges:
-        internal = assign[graph.edge_a] == assign[graph.edge_b]
-        if internal.any():
-            shared = np.bincount(
-                assign[graph.edge_a[internal]],
-                weights=graph.edge_shared[internal],
-                minlength=k,
-            )
-            perims = perims - 2.0 * shared
+    internal = assign[graph.edge_a] == assign[graph.edge_b]
+    if internal.any():
+        shared = np.bincount(
+            assign[graph.edge_a[internal]],
+            weights=graph.edge_shared[internal],
+            minlength=k,
+        )
+        perims = perims - 2.0 * shared
     if (perims <= 0).any():
         bad = np.flatnonzero(perims <= 0).tolist()
         raise errors.NegativePerimeter(

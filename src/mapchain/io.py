@@ -55,6 +55,11 @@ def _read_rows(path) -> tuple:
     if not rows:
         raise errors.EmptyFile(f"{path}: no header row")
     header = [h.strip() for h in rows[0]]
+    for row_no, row in enumerate(rows[1:], start=2):
+        if len(row) < len(header):
+            raise errors.BadNumericField(
+                f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
+            )
     return header, rows[1:]
 
 
@@ -101,10 +106,6 @@ def read_nodes(path):
     nodes = []
     votes = {name: ([], []) for name in contest_names}
     for row_no, row in enumerate(rows, start=2):
-        if len(row) < len(header):
-            raise errors.BadNumericField(
-                f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
-            )
         nodes.append(
             PrecinctNode(
                 precinct_id=row[col["precinct_id"]].strip(),
@@ -245,13 +246,11 @@ def write_edges(graph: PrecinctGraph, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "shared_perimeter"])
-        for edge in graph.edges:
+        for a, b, shared in zip(
+            graph.edge_a.tolist(), graph.edge_b.tolist(), graph.edge_shared.tolist()
+        ):
             writer.writerow(
-                [
-                    graph.nodes[edge.a].precinct_id,
-                    graph.nodes[edge.b].precinct_id,
-                    repr(float(edge.shared_perimeter)),
-                ]
+                [graph.nodes[a].precinct_id, graph.nodes[b].precinct_id, repr(shared)]
             )
 
 
@@ -485,16 +484,42 @@ class RunConfig:
     bench_tree_plans: int = 20
 
     def validate(self) -> None:
-        if self.steps < 1:
-            raise errors.ConfigError(f"steps must be >= 1, got {self.steps}")
+        for key, low in (
+            ("steps", 1),
+            ("seed", 0),
+            ("thinning", 1),
+            ("county_cap", 0),
+            ("muni_cap", 0),
+            ("gibbs_weight_county", 0),
+            ("gibbs_weight_muni", 0),
+            ("gibbs_weight_district_county", 0),
+            ("n_chains", 1),
+            ("workers", 1),
+            ("n_plans", 1),
+            ("max_tree_retries", 1),
+            ("tree_retry_cap", 0),
+            ("hist_bins", 1),
+            ("acf_max_lag", 0),
+            ("sweep_replicates", 1),
+            ("bench_iterations", 1),
+            ("bench_tree_plans", 1),
+        ):
+            if getattr(self, key) < low:
+                raise errors.ConfigError(
+                    f"{key} must be >= {low}, got {getattr(self, key)}"
+                )
+        if any(cap < 0 for cap in self.sweep_caps):
+            raise errors.ConfigError(
+                f"sweep_caps must all be >= 0, got {list(self.sweep_caps)}"
+            )
+        if self.burn_in < -1:
+            raise errors.ConfigError("burn_in must be >= 0, or -1 for auto")
         if not 0.0 < self.pop_tolerance < 1.0:
             raise errors.ConfigError(
                 f"pop_tolerance must lie in (0, 1), got {self.pop_tolerance}"
             )
-        if self.county_cap < 0 or self.muni_cap < 0:
-            raise errors.ConfigError("caps must be >= 0")
-        if self.seed < 0:
-            raise errors.ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.fractional_sigma < 0.5:
+            raise errors.ConfigError("fractional_sigma must lie in (0, 0.5)")
         for key, allowed in (
             ("mode", GATE_MODES),
             ("tree_method", TREE_METHODS),
@@ -505,23 +530,6 @@ class RunConfig:
                 raise errors.ConfigError(
                     f"unknown {key} {getattr(self, key)!r}; use one of {allowed}"
                 )
-        for key in (
-            "gibbs_weight_county",
-            "gibbs_weight_muni",
-            "gibbs_weight_district_county",
-        ):
-            if getattr(self, key) < 0:
-                raise errors.ConfigError(f"{key} must be >= 0")
-        if self.thinning < 1:
-            raise errors.ConfigError("thinning must be >= 1")
-        if self.burn_in < -1:
-            raise errors.ConfigError("burn_in must be >= 0, or -1 for auto")
-        if self.n_chains < 1 or self.n_plans < 1 or self.workers < 1:
-            raise errors.ConfigError("n_chains, n_plans, workers must be >= 1")
-        if self.hist_bins < 1:
-            raise errors.ConfigError("hist_bins must be >= 1")
-        if not 0.0 < self.fractional_sigma < 0.5:
-            raise errors.ConfigError("fractional_sigma must lie in (0, 0.5)")
 
     def validate_contests(self, graph: PrecinctGraph) -> tuple:
         """Resolve the contest sample against the graph; empty means all."""

@@ -39,12 +39,10 @@ class PartitionCatalog:
 
 
 def _adj_masks(graph: PrecinctGraph):
-    masks = []
-    for u in range(graph.n):
-        m = 0
-        for v in graph.neighbors[u]:
-            m |= 1 << int(v)
-        masks.append(m)
+    masks = [0] * graph.n
+    for a, b in zip(graph.edge_a.tolist(), graph.edge_b.tolist()):
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
     return masks
 
 
@@ -250,16 +248,18 @@ def naive_score(graph: PrecinctGraph, plan: Plan, config: MetricsConfig) -> Metr
     for i, d in enumerate(assign):
         areas[d] += graph.nodes[i].area
         perims[d] += graph.nodes[i].perimeter
-    for e in graph.edges:
-        if assign[e.a] == assign[e.b]:
-            perims[assign[e.a]] -= 2.0 * e.shared_perimeter
+    for a, b, shared in zip(
+        graph.edge_a.tolist(), graph.edge_b.tolist(), graph.edge_shared.tolist()
+    ):
+        if assign[a] == assign[b]:
+            perims[assign[a]] -= 2.0 * shared
     pp = statistics.fmean(4.0 * math.pi * areas[d] / perims[d] ** 2 for d in range(k))
 
     county_districts = {}
     muni_districts = {}
     for i, d in enumerate(assign):
-        county_districts.setdefault(graph.county_of[i], set()).add(d)
-        muni_districts.setdefault(graph.muni_of[i], set()).add(d)
+        county_districts.setdefault(graph.nodes[i].county_id, set()).add(d)
+        muni_districts.setdefault(graph.nodes[i].muni_id, set()).add(d)
     county_splits = sum(1 for s in county_districts.values() if len(s) >= 2)
     muni_splits = sum(1 for s in muni_districts.values() if len(s) >= 2)
     pieces = sum(len(s) for s in county_districts.values())

@@ -17,13 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .graph import PrecinctGraph
+from .graph import PrecinctGraph, component_labels, neighbor_arrays
 
 TREE_METHODS = ("uniform", "mst")
 
 
 class _Induced:
-    """Induced subgraph on a node subset, with local 0..m-1 indexing."""
+    """Induced subgraph on a node subset, with local 0..m-1 indexing.
+
+    ``adj[i]`` lists local node i's neighbours in ascending local order.
+    """
 
     __slots__ = ("nodes", "m", "adj", "edge_a", "edge_b")
 
@@ -35,35 +38,15 @@ class _Induced:
         self.m = int(nodes.size)
         local_of = np.full(graph.n, -1, dtype=np.int64)
         local_of[nodes] = np.arange(self.m)
-        adj = []
-        for g in nodes:
-            loc = local_of[graph.neighbors[int(g)]]
-            adj.append(loc[loc >= 0])
-        self.adj = adj
-        if graph.n_edges:
-            la = local_of[graph.edge_a]
-            lb = local_of[graph.edge_b]
-            mask = (la >= 0) & (lb >= 0)
-            self.edge_a = la[mask]
-            self.edge_b = lb[mask]
-        else:
-            self.edge_a = np.empty(0, dtype=np.int64)
-            self.edge_b = np.empty(0, dtype=np.int64)
+        la = local_of[graph.edge_a]
+        lb = local_of[graph.edge_b]
+        mask = (la >= 0) & (lb >= 0)
+        self.edge_a = la[mask]
+        self.edge_b = lb[mask]
+        self.adj = neighbor_arrays(self.m, self.edge_a, self.edge_b)
 
     def connected(self) -> bool:
-        seen = np.zeros(self.m, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in self.adj[u]:
-                v = int(v)
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == self.m
+        return not component_labels(self.adj).any()
 
 
 @dataclass

@@ -17,6 +17,16 @@ from mapchain.synth import band_plan, grid4_graph, grid_graph
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
+def edges_of(graph):
+    """The graph's adjacency as ``AdjacencyEdge`` records, to rebuild it."""
+    return [
+        AdjacencyEdge(a, b, s)
+        for a, b, s in zip(
+            graph.edge_a.tolist(), graph.edge_b.tolist(), graph.edge_shared.tolist()
+        )
+    ]
+
+
 def make_path_graph(n, pops=None, contests=None):
     pops = pops or [1] * n
     nodes = [

@@ -5,9 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+import mapchain.chain
 from mapchain import errors
 from mapchain.chain import (
+    TRACE_DTYPE,
     ChainState,
+    ChainTrace,
     adjacent_district_pairs,
     random_tree_plan,
     recom_step,
@@ -96,6 +99,37 @@ def test_run_chain_counters_reconcile_with_flags(grid4, band4, mcfg2):
     assert trace.proposed == (
         trace.accepted + trace.rejected_by_constraint + trace.rejected_no_cut
     )
+
+
+def test_run_chain_scores_each_new_plan_once(grid4, band4, mcfg2, monkeypatch):
+    real_step, real_score = mapchain.chain.recom_step, mapchain.chain.score_plan
+    stepped, scored = [], []
+
+    def step(state, *args, **kwargs):
+        real_step(state, *args, **kwargs)
+        stepped.append(state.plan)
+        return state
+
+    def score(graph, plan, config):
+        scored.append(plan)
+        return real_score(graph, plan, config)
+
+    monkeypatch.setattr(mapchain.chain, "recom_step", step)
+    monkeypatch.setattr(mapchain.chain, "score_plan", score)
+    gate = ConstraintGate.gibbs({"county_splits": 2.0})
+    trace = run_chain(
+        grid4, band4, 150, 0.01, gate, mcfg2, np.random.default_rng(5), max_tree_retries=1
+    )
+    assert trace.rejected_by_constraint > 0 and trace.rejected_no_cut > 0
+    # scored: the first row's plan, then each row's plan that differs from the last row's
+    expected = [stepped[0]] + [b for a, b in zip(stepped, stepped[1:]) if b is not a]
+    assert len(scored) == len(expected) < len(trace)
+    assert all(a is b for a, b in zip(scored, expected))
+    # every row, repeated or not, holds its own plan's report
+    rescored = ChainTrace(np.empty(len(trace), dtype=TRACE_DTYPE))
+    for t, plan in enumerate(stepped):
+        rescored.record(t, trace.rows["accepted"][t], real_score(grid4, plan, mcfg2))
+    assert rescored.rows.tobytes() == trace.rows.tobytes()
 
 
 def test_chain_plans_stay_valid(grid4, band4, mcfg2):

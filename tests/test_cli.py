@@ -201,6 +201,13 @@ _NUMERIC_KEYS = [
         ["enumerate", "--set", "districts=40"],
         ["sweep", "--set", "sweep_metric=foo"],
         ["chain", "--set", "seed=-1"],
+        ["sweep", "--set", "sweep_replicates=0"],
+        ["sweep", "--set", "sweep_caps=-1,2"],
+        ["chain", "--set", "max_tree_retries=0"],
+        ["tree", "--set", "tree_retry_cap=-1"],
+        ["chain", "--set", "acf_max_lag=-1"],
+        ["bench", "--set", "bench_iterations=0"],
+        ["bench", "--set", "bench_tree_plans=0"],
     ]
     + [["chain", "--set", f"{key}=abc"] for key in _NUMERIC_KEYS],
     ids=lambda argv: " ".join([argv[0]] + argv[2:]),
@@ -209,6 +216,19 @@ def test_bad_config_exits_2_with_one_error_line(workdir, capsys, argv):
     assert main([argv[0], "--config", CFG] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR ConfigError:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["nodes.csv", "edges.csv", "assignment.csv"])
+def test_short_csv_row_exits_3_with_one_error_line(workdir, capsys, name):
+    path = workdir / "tests" / "fixtures" / "grid4" / name
+    n_lines = len(path.read_text().splitlines())
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("p0\n")
+    assert main(["chain", "--config", CFG]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR BadNumericField:")
+    assert f"{name}: row {n_lines + 1}: expected " in err
     assert err.count("\n") == 1
 
 

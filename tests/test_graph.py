@@ -17,6 +17,7 @@ from mapchain.graph import (
     is_contiguous,
 )
 from mapchain.synth import grid_graph, grid_nodes_edges
+from mapchain.trees import _Induced
 
 from conftest import make_path_graph
 
@@ -204,13 +205,16 @@ def _flood_fill_connected(g, members):
     members = set(int(m) for m in members)
     if not members:
         return False
+    neighbors = {u: set() for u in range(g.n)}
+    for a, b in zip(g.edge_a.tolist(), g.edge_b.tolist()):
+        neighbors[a].add(b)
+        neighbors[b].add(a)
     start = next(iter(members))
     seen = {start}
     stack = [start]
     while stack:
         u = stack.pop()
-        for v in g.neighbors[u]:
-            v = int(v)
+        for v in neighbors[u]:
             if v in members and v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -232,3 +236,65 @@ def test_contiguity_matches_flood_fill_oracle(case):
 def test_canonical_form_first_appearance():
     plan = Plan([2, 2, 0, 1], 3)
     assert canonical_form(plan) == (0, 0, 1, 2)
+
+
+def unit_nodes(n):
+    return [PrecinctNode(f"p{i}", 1, "C0", "M0", 1.0, 4.0) for i in range(n)]
+
+
+@st.composite
+def irregular_edges(draw, n):
+    """Node pairs of a random connected graph on ``n`` nodes: a random tree
+    plus extra edges, with node ids shuffled so no grid or id order shows."""
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    perm = draw(st.permutations(range(n)))
+    return [(perm[a], perm[b]) for a, b in pairs]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_induced_adjacency_on_irregular_graphs(data):
+    n = data.draw(st.integers(1, 16))
+    pairs = data.draw(irregular_edges(n))
+    g = build_graph(unit_nodes(n), [AdjacencyEdge(a, b) for a, b in pairs], small_election(n))
+    subset = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    induced = _Induced(g, subset)
+    local = {v: i for i, v in enumerate(subset)}
+    for i, v in enumerate(subset):
+        inside = {a if b == v else b for a, b in pairs if v in (a, b)} & local.keys()
+        assert induced.adj[i].tolist() == sorted(local[u] for u in inside)
+    assert induced.connected() == _flood_fill_connected(g, subset)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_contiguity_on_irregular_graphs(data):
+    n = data.draw(st.integers(1, 16))
+    pairs = data.draw(irregular_edges(n))
+    g = build_graph(unit_nodes(n), [AdjacencyEdge(a, b) for a, b in pairs], small_election(n))
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    _, dense = np.unique(labels, return_inverse=True)
+    plan = Plan(dense, int(dense.max()) + 1)
+    expected = [_flood_fill_connected(g, plan.district_nodes(d)) for d in range(plan.k)]
+    assert is_contiguous(g, plan) == expected
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_disconnected_irregular_graph_lists_its_components(data):
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    n = sum(sizes)
+    perm = data.draw(st.permutations(range(n)))
+    components, edges, offset = [], [], 0
+    for size in sizes:
+        for a, b in data.draw(irregular_edges(size)):
+            edges.append(AdjacencyEdge(perm[offset + a], perm[offset + b]))
+        components.append(sorted(perm[offset:offset + size]))
+        offset += size
+    with pytest.raises(errors.DisconnectedGraph) as err:
+        build_graph(unit_nodes(n), edges, small_election(n))
+    assert err.value.components == sorted(components)
