@@ -196,16 +196,17 @@ class PrecinctGraph:
         )
 
 
-def neighbor_arrays(n: int, edge_a: np.ndarray, edge_b: np.ndarray) -> list:
-    """Each node's neighbours over an undirected edge list, in ascending order."""
+def neighbor_lists(n: int, edge_a: np.ndarray, edge_b: np.ndarray) -> list:
+    """Each node's neighbours over an undirected edge list, as Python lists in
+    ascending order."""
     src = np.concatenate([edge_a, edge_b])
     dst = np.concatenate([edge_b, edge_a])
-    dst = dst[np.lexsort((dst, src))]
+    flat = dst[np.lexsort((dst, src))].tolist()
     ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-    return [dst[i:j] for i, j in zip([0] + ends[:-1], ends)]
+    return [flat[i:j] for i, j in zip([0] + ends[:-1], ends)]
 
 
-def component_labels(neighbors: Sequence[np.ndarray]) -> np.ndarray:
+def component_labels(neighbors: Sequence[list]) -> np.ndarray:
     """Connected-component id of every node, by iterative flood fill.
 
     Components are numbered 0, 1, ... in the order of their smallest node.
@@ -218,7 +219,7 @@ def component_labels(neighbors: Sequence[np.ndarray]) -> np.ndarray:
         label[start] = comp
         stack = [start]
         while stack:
-            for v in neighbors[stack.pop()].tolist():
+            for v in neighbors[stack.pop()]:
                 if label[v] < 0:
                     label[v] = comp
                     stack.append(v)
@@ -231,11 +232,67 @@ def build_graph(
     edges: Iterable[AdjacencyEdge],
     elections: ElectionSet,
 ) -> PrecinctGraph:
-    """Validate inputs and assemble an immutable :class:`PrecinctGraph`.
+    """Validate inputs and assemble an immutable :class:`PrecinctGraph` from
+    edge records whose endpoints are ordinals or precinct ids.
 
-    Raises :class:`~mapchain.errors.DisconnectedGraph` (listing components),
-    ``DuplicatePrecinctId``, ``DanglingEdge``, ``DuplicateEdge``,
-    ``InvalidEdge``, ``InvalidNodeData``, or ``MissingVoteColumn``.
+    Raises ``DanglingEdge`` and ``DuplicateEdge`` for the records, then what
+    :func:`build_graph_from_arrays` raises.
+    """
+    nodes = tuple(nodes)
+    node_index = {node.precinct_id: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+    ends_a, ends_b, shared = [], [], []
+    for edge in edges:
+        a, b = edge.a, edge.b
+        if isinstance(a, str):
+            if a not in node_index:
+                raise errors.DanglingEdge(f"edge endpoint {a!r} is not a precinct")
+            a = node_index[a]
+        if isinstance(b, str):
+            if b not in node_index:
+                raise errors.DanglingEdge(f"edge endpoint {b!r} is not a precinct")
+            b = node_index[b]
+        a, b = int(a), int(b)
+        if not (0 <= a < n and 0 <= b < n):
+            raise errors.DanglingEdge(f"edge ordinal out of range: ({a}, {b})")
+        ends_a.append(a)
+        ends_b.append(b)
+        shared.append(float(edge.shared_perimeter))
+    edge_a = np.array(ends_a, dtype=np.int64)
+    edge_b = np.array(ends_b, dtype=np.int64)
+    repeated = repeated_pairs(edge_a, edge_b)
+    if repeated.size:
+        a, b = sorted((int(edge_a[repeated[0]]), int(edge_b[repeated[0]])))
+        raise errors.DuplicateEdge(f"duplicate edge for node pair ({a}, {b})")
+    return build_graph_from_arrays(
+        nodes, edge_a, edge_b, np.array(shared, dtype=np.float64), elections
+    )
+
+
+def repeated_pairs(edge_a: np.ndarray, edge_b: np.ndarray) -> np.ndarray:
+    """Positions of the edges whose unordered pair occurs at an earlier position."""
+    lo = np.minimum(edge_a, edge_b)
+    hi = np.maximum(edge_a, edge_b)
+    order = np.lexsort((hi, lo))  # stable: equal pairs keep their input order
+    same = (lo[order][1:] == lo[order][:-1]) & (hi[order][1:] == hi[order][:-1])
+    return np.sort(order[1:][same])
+
+
+def build_graph_from_arrays(
+    nodes: Sequence[PrecinctNode],
+    edge_a: np.ndarray,
+    edge_b: np.ndarray,
+    edge_shared: np.ndarray,
+    elections: ElectionSet,
+) -> PrecinctGraph:
+    """Validate inputs and assemble an immutable :class:`PrecinctGraph` from
+    edge ordinal arrays, one entry per edge.
+
+    The caller guarantees that the ordinals lie in ``0..n-1`` and that no
+    unordered pair repeats (:func:`build_graph` and ``io.read_edges`` check
+    both with their own messages). Raises :class:`~mapchain.errors.DisconnectedGraph`
+    (listing components), ``DuplicatePrecinctId``, ``InvalidEdge``,
+    ``InvalidNodeData``, or ``MissingVoteColumn``.
     """
     nodes = tuple(nodes)
     if not nodes:
@@ -258,40 +315,17 @@ def build_graph(
         if not node.perimeter > 0:
             raise errors.InvalidNodeData(f"{node.precinct_id}: perimeter must be > 0")
 
-    ends_a, ends_b, shared = [], [], []
-    seen_pairs = set()
-    for edge in edges:
-        a, b = edge.a, edge.b
-        if isinstance(a, str):
-            if a not in node_index:
-                raise errors.DanglingEdge(f"edge endpoint {a!r} is not a precinct")
-            a = node_index[a]
-        if isinstance(b, str):
-            if b not in node_index:
-                raise errors.DanglingEdge(f"edge endpoint {b!r} is not a precinct")
-            b = node_index[b]
-        a, b = int(a), int(b)
-        if not (0 <= a < n and 0 <= b < n):
-            raise errors.DanglingEdge(f"edge ordinal out of range: ({a}, {b})")
+    bad = np.flatnonzero((edge_a == edge_b) | (edge_shared < 0))
+    if bad.size:
+        a, b, shared = int(edge_a[bad[0]]), int(edge_b[bad[0]]), float(edge_shared[bad[0]])
         if a == b:
             raise errors.InvalidEdge(f"self-loop at node {a}")
-        if edge.shared_perimeter < 0:
-            raise errors.InvalidEdge(
-                f"edge ({a}, {b}): shared_perimeter {edge.shared_perimeter} < 0"
-            )
-        if a > b:
-            a, b = b, a
-        if (a, b) in seen_pairs:
-            raise errors.DuplicateEdge(f"duplicate edge for node pair ({a}, {b})")
-        seen_pairs.add((a, b))
-        ends_a.append(a)
-        ends_b.append(b)
-        shared.append(float(edge.shared_perimeter))
-    edge_a = np.array(ends_a, dtype=np.int64)
-    edge_b = np.array(ends_b, dtype=np.int64)
-    order = np.lexsort((edge_b, edge_a))
-    edge_a, edge_b = edge_a[order], edge_b[order]
-    edge_shared = np.array(shared, dtype=np.float64)[order]
+        raise errors.InvalidEdge(f"edge ({a}, {b}): shared_perimeter {shared} < 0")
+    lo = np.minimum(edge_a, edge_b)
+    hi = np.maximum(edge_a, edge_b)
+    order = np.lexsort((hi, lo))
+    edge_a, edge_b = lo[order], hi[order]
+    edge_shared = np.asarray(edge_shared, dtype=np.float64)[order]
 
     for contest in elections:
         for side, arr in (("D", contest.dem), ("R", contest.rep)):
@@ -316,7 +350,7 @@ def build_graph(
         ]
     )
 
-    labels = component_labels(neighbor_arrays(n, edge_a, edge_b))
+    labels = component_labels(neighbor_lists(n, edge_a, edge_b))
     if labels.max() > 0:
         raise errors.DisconnectedGraph(
             [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
@@ -359,7 +393,7 @@ def is_contiguous(graph: PrecinctGraph, plan: Plan) -> list:
     assign = plan.assignment
     internal = assign[graph.edge_a] == assign[graph.edge_b]
     labels = component_labels(
-        neighbor_arrays(graph.n, graph.edge_a[internal], graph.edge_b[internal])
+        neighbor_lists(graph.n, graph.edge_a[internal], graph.edge_b[internal])
     )
     _, first = np.unique(labels, return_index=True)
     return (np.bincount(assign[first], minlength=plan.k) == 1).tolist()

@@ -29,13 +29,13 @@ from .chain import PAIR_SELECTION, ChainTrace
 from .constraints import GATE_MODES
 from .diagnostics import AcfSeries, SweepResult
 from .graph import (
-    AdjacencyEdge,
     Contest,
     ElectionSet,
     Plan,
     PrecinctGraph,
     PrecinctNode,
-    build_graph,
+    build_graph_from_arrays,
+    repeated_pairs,
 )
 from .metrics import TRACE_METRIC_FIELDS, MetricsReport
 from .trees import TREE_METHODS
@@ -49,7 +49,7 @@ def _read_rows(path) -> tuple:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+            rows = [row for row in reader if "".join(row).strip()]
     except FileNotFoundError:
         raise errors.MissingFile(f"{path}: no such file") from None
     if not rows:
@@ -133,53 +133,59 @@ def read_nodes(path):
     return nodes, ElectionSet(contests)
 
 
-def read_edges(path, node_index=None):
-    """Parse edges.csv; endpoints stay precinct-id strings unless
-    ``node_index`` is given, in which case they resolve to ordinals and an
-    unknown id raises ``DanglingEdge`` here rather than at build time."""
+def read_edges(path, node_index: dict) -> tuple:
+    """Parse edges.csv into ``(edge_a, edge_b, edge_shared)`` arrays in file
+    order, with endpoints resolved to ordinals through ``node_index``.
+
+    The first bad row raises: a non-numeric shared_perimeter
+    (``BadNumericField``), an unordered pair an earlier row already has
+    (``DuplicateEdge``) or an unknown precinct (``DanglingEdge``), checked
+    in that order within a row.
+    """
     header, rows = _read_rows(path)
     col = {name: i for i, name in enumerate(header)}
     for required in ("src", "dst"):
         if required not in col:
             raise errors.MissingColumn(required)
-    has_shared = "shared_perimeter" in col
-
-    edges = []
-    seen = set()
-    for row_no, row in enumerate(rows, start=2):
-        src = row[col["src"]].strip()
-        dst = row[col["dst"]].strip()
-        if has_shared and row[col["shared_perimeter"]].strip():
-            raw = row[col["shared_perimeter"]].strip()
-            try:
-                shared = float(raw)
-            except ValueError:
-                raise errors.BadNumericField(
-                    f"{path}: row {row_no}, column 'shared_perimeter': "
-                    f"not numeric: {raw!r}"
-                ) from None
-        else:
-            shared = 1.0
-        pair = (src, dst) if src <= dst else (dst, src)
-        if pair in seen:
-            raise errors.DuplicateEdge(f"{path}: row {row_no}: duplicate edge {pair}")
-        seen.add(pair)
-        if node_index is not None:
-            if src not in node_index:
-                raise errors.DanglingEdge(f"{path}: row {row_no}: unknown precinct {src!r}")
-            if dst not in node_index:
-                raise errors.DanglingEdge(f"{path}: row {row_no}: unknown precinct {dst!r}")
-            edges.append(AdjacencyEdge(node_index[src], node_index[dst], shared))
-        else:
-            edges.append(AdjacencyEdge(src, dst, shared))
-    return edges
+    src = [row[col["src"]].strip() for row in rows]
+    dst = [row[col["dst"]].strip() for row in rows]
+    raw_shared = (
+        [row[col["shared_perimeter"]].strip() for row in rows]
+        if "shared_perimeter" in col
+        else [""] * len(rows)
+    )
+    shared, bad_number = [], len(rows)
+    for i, raw in enumerate(raw_shared):
+        try:
+            shared.append(float(raw) if raw else 1.0)
+        except ValueError:
+            bad_number = i
+            break
+    edge_a = np.array([node_index.get(s, -1) for s in src[:bad_number]], dtype=np.int64)
+    edge_b = np.array([node_index.get(d, -1) for d in dst[:bad_number]], dtype=np.int64)
+    dangling = np.flatnonzero((edge_a < 0) | (edge_b < 0))
+    first_bad = int(dangling[0]) if dangling.size else bad_number
+    repeated = repeated_pairs(edge_a[:first_bad], edge_b[:first_bad])
+    if repeated.size:
+        i = int(repeated[0])
+        pair = (src[i], dst[i]) if src[i] <= dst[i] else (dst[i], src[i])
+        raise errors.DuplicateEdge(f"{path}: row {i + 2}: duplicate edge {pair}")
+    if first_bad < bad_number:
+        unknown = src[first_bad] if src[first_bad] not in node_index else dst[first_bad]
+        raise errors.DanglingEdge(f"{path}: row {first_bad + 2}: unknown precinct {unknown!r}")
+    if bad_number < len(rows):
+        raise errors.BadNumericField(
+            f"{path}: row {bad_number + 2}, column 'shared_perimeter': "
+            f"not numeric: {raw_shared[bad_number]!r}"
+        )
+    return edge_a, edge_b, np.array(shared, dtype=np.float64)
 
 
 def read_graph(nodes_path, edges_path) -> PrecinctGraph:
     nodes, elections = read_nodes(nodes_path)
     node_index = {node.precinct_id: i for i, node in enumerate(nodes)}
-    edges = read_edges(edges_path, node_index=node_index)
-    return build_graph(nodes, edges, elections)
+    edge_a, edge_b, edge_shared = read_edges(edges_path, node_index)
+    return build_graph_from_arrays(nodes, edge_a, edge_b, edge_shared, elections)
 
 
 def read_assignment(path, graph: PrecinctGraph):

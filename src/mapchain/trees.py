@@ -15,20 +15,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from . import errors
-from .graph import PrecinctGraph, component_labels, neighbor_arrays
+from .graph import PrecinctGraph, component_labels, neighbor_lists
 
 TREE_METHODS = ("uniform", "mst")
+
+_WORD = 1 << 32  # Generator.integers(n) for n < 2**32 draws uint32 words
+_MASK = _WORD - 1
 
 
 class _Induced:
     """Induced subgraph on a node subset, with local 0..m-1 indexing.
 
-    ``adj[i]`` lists local node i's neighbours in ascending local order.
+    ``adj[i]`` lists local node i's neighbours in ascending local order and
+    ``deg[i]`` is its length; ``pops[i]`` is local node i's population.
     """
 
-    __slots__ = ("nodes", "m", "adj", "edge_a", "edge_b")
+    __slots__ = ("nodes", "m", "adj", "deg", "pops", "edge_a", "edge_b")
 
     def __init__(self, graph: PrecinctGraph, subset):
         nodes = np.unique(np.asarray(subset, dtype=np.int64))
@@ -43,7 +49,9 @@ class _Induced:
         mask = (la >= 0) & (lb >= 0)
         self.edge_a = la[mask]
         self.edge_b = lb[mask]
-        self.adj = neighbor_arrays(self.m, self.edge_a, self.edge_b)
+        self.adj = neighbor_lists(self.m, self.edge_a, self.edge_b)
+        self.deg = [len(nbrs) for nbrs in self.adj]
+        self.pops = graph.populations[nodes].tolist()
 
     def connected(self) -> bool:
         return not component_labels(self.adj).any()
@@ -92,40 +100,39 @@ class SpanningTree:
             raise KeyError(f"node {node} not in tree")
         return i
 
+    def subtree_mask(self, child: int) -> np.ndarray:
+        """Local mask of the subtree rooted at graph ordinal ``child``.
+
+        Pointer doubling: after round k, ``inside[i]`` tells whether ``child``
+        is ``i`` or one of its first 2**k - 1 ancestors, and ``up[i]`` is its
+        2**k-th ancestor (the root stands in for ancestors above it).
+        """
+        inside = np.zeros(self.m, dtype=bool)
+        inside[self.local_index(child)] = True
+        up = self.parent.copy()
+        up[self.root] = self.root
+        for _ in range((self.m - 1).bit_length()):
+            inside |= inside[up]
+            up = up[up]
+        return inside
+
     def subtree_nodes(self, child: int) -> np.ndarray:
-        """Graph ordinals of the subtree rooted at ``child``."""
-        mark = np.zeros(self.m, dtype=bool)
-        mark[self.local_index(child)] = True
-        for i in self.order:
-            p = self.parent[i]
-            if p >= 0 and mark[p] and not mark[i]:
-                mark[i] = True
-        return self.nodes[mark]
+        """Graph ordinals of the subtree rooted at ``child``, ascending."""
+        return self.nodes[self.subtree_mask(child)]
 
 
-def _finish_tree(induced: _Induced, parent: np.ndarray, root: int, pops) -> SpanningTree:
-    """Topologically order the tree and accumulate subtree populations."""
-    m = induced.m
-    children: list = [[] for _ in range(m)]
-    for i in range(m):
-        p = parent[i]
-        if p >= 0:
-            children[p].append(i)
-    order = np.empty(m, dtype=np.int64)
-    stack = [root]
-    pos = 0
-    while stack:
-        u = stack.pop()
-        order[pos] = u
-        pos += 1
-        stack.extend(children[u])
-    subtree = np.asarray(pops, dtype=np.int64)[induced.nodes].copy()
-    for i in order[::-1]:
-        p = parent[i]
-        if p >= 0:
-            subtree[p] += subtree[i]
+def _finish_tree(induced: _Induced, parent: list, order: list) -> SpanningTree:
+    """Accumulate subtree populations; ``order`` starts at the root and lists
+    every parent before its children."""
+    subtree = induced.pops.copy()
+    for i in reversed(order[1:]):
+        subtree[parent[i]] += subtree[i]
     return SpanningTree(
-        nodes=induced.nodes, parent=parent, order=order, subtree_pop=subtree, root=int(root)
+        nodes=induced.nodes,
+        parent=np.array(parent, dtype=np.int64),
+        order=np.array(order, dtype=np.int64),
+        subtree_pop=np.array(subtree, dtype=np.int64),
+        root=int(order[0]),
     )
 
 
@@ -134,65 +141,73 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
 
     Walk from each untouched node until the current tree is hit; overwriting
     ``succ`` along the way erases loops automatically.
+
+    Each step takes neighbour ``rng.integers(degree)`` exactly as numpy's
+    scalar call would pick it: 32-bit Lemire over the generator's uint32
+    words, redrawing while the low half of ``word * degree`` falls below
+    ``2**32 % degree``, and drawing nothing at a degree-1 node. The words
+    are drawn in chunks ahead of need, one chunk held at a time; at the end
+    the generator is reset and advanced by exactly the words used, so it
+    ends where the scalar calls would have left it.
     """
     m = induced.m
-    in_tree = np.zeros(m, dtype=bool)
-    succ = np.full(m, -1, dtype=np.int64)
+    adj = induced.adj
+    deg = induced.deg
     root = int(rng.integers(m))
+    in_tree = [False] * m
     in_tree[root] = True
+    succ = [-1] * m
+    order = [root]
+    saved = rng.bit_generator.state
+    chunk = 2 * m + 64
+    words: list = []
+    pos = chunk  # index of the next unused word in ``words``
+    drawn = 0
     for start in range(m):
+        if in_tree[start]:
+            continue
         u = start
         while not in_tree[u]:
-            nbrs = induced.adj[u]
-            succ[u] = int(nbrs[int(rng.integers(nbrs.size))])
-            u = int(succ[u])
+            d = deg[u]
+            if d == 1:
+                succ[u] = u = adj[u][0]
+                continue
+            if pos == chunk:
+                words = rng.integers(0, _WORD, size=chunk, dtype=np.uint32).tolist()
+                drawn += chunk
+                pos = 0
+            x = words[pos] * d
+            pos += 1
+            # rejected: redraw at the same node (x & _MASK < d is the cheap precheck)
+            if x & _MASK < d and x & _MASK < _WORD % d:
+                continue
+            succ[u] = u = adj[u][x >> 32]
+        # the new branch runs from start to the tree: add it tree end first
         u = start
+        branch = []
         while not in_tree[u]:
             in_tree[u] = True
-            u = int(succ[u])
-    parent = np.where(in_tree, succ, -1)
-    parent[root] = -1
-    return parent, root
+            branch.append(u)
+            u = succ[u]
+        order += reversed(branch)
+    if drawn:
+        rng.bit_generator.state = saved
+        rng.integers(0, _WORD, size=drawn - chunk + pos, dtype=np.uint32)
+    return succ, order
 
 
 def _random_mst(induced: _Induced, rng: np.random.Generator):
-    """Kruskal over i.i.d. uniform edge weights, then root at local 0."""
+    """Minimum spanning tree under i.i.d. uniform edge weights, rooted at local 0."""
     m = induced.m
     weights = rng.random(induced.edge_a.size)
-    order = np.argsort(weights, kind="stable")
-    uf = np.arange(m, dtype=np.int64)
-
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = int(uf[x])
-        return x
-
-    adj: list = [[] for _ in range(m)]
-    taken = 0
-    for idx in order:
-        a, b = int(induced.edge_a[idx]), int(induced.edge_b[idx])
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            uf[ra] = rb
-            adj[a].append(b)
-            adj[b].append(a)
-            taken += 1
-            if taken == m - 1:
-                break
-    parent = np.full(m, -1, dtype=np.int64)
-    root = 0
-    seen = np.zeros(m, dtype=bool)
-    seen[root] = True
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                stack.append(v)
-    return parent, root
+    # csgraph drops zero entries; the smallest positive double keeps the order
+    weights[weights == 0.0] = np.nextafter(0.0, 1.0)
+    tree = minimum_spanning_tree(
+        coo_matrix((weights, (induced.edge_a, induced.edge_b)), shape=(m, m))
+    )
+    order, parent = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
+    parent[0] = -1
+    return parent.tolist(), order.tolist()
 
 
 def random_spanning_tree(
@@ -211,17 +226,17 @@ def random_spanning_tree(
         raise errors.DisconnectedSubset(
             f"subset of {induced.m} nodes does not induce a connected subgraph"
         )
-    return _draw_tree(graph, induced, rng, method)
+    return _draw_tree(induced, rng, method)
 
 
-def _draw_tree(graph, induced, rng, method) -> SpanningTree:
+def _draw_tree(induced, rng, method) -> SpanningTree:
     if method == "uniform":
-        parent, root = _wilson(induced, rng)
+        parent, order = _wilson(induced, rng)
     elif method == "mst":
-        parent, root = _random_mst(induced, rng)
+        parent, order = _random_mst(induced, rng)
     else:
         raise ValueError(f"unknown tree method {method!r}; use one of {TREE_METHODS}")
-    return _finish_tree(induced, parent, root, graph.populations)
+    return _finish_tree(induced, parent, order)
 
 
 @dataclass(frozen=True)
@@ -252,24 +267,20 @@ def find_balanced_cut(
     no edge qualifies; absence is a value, not an error.
     """
     p1, p2 = float(target_pops[0]), float(target_pops[1])
-    total = tree.total_population
-    qualifiers = []
-    for i in range(tree.m):
-        if tree.parent[i] < 0:
-            continue
-        s = int(tree.subtree_pop[i])
-        c = total - s
-        first = abs(s - p1) <= tolerance * p1 and abs(c - p2) <= tolerance * p2
-        second = abs(s - p2) <= tolerance * p2 and abs(c - p1) <= tolerance * p1
-        if first or second:
-            qualifiers.append((i, first))
-    if not qualifiers:
+    s = tree.subtree_pop
+    c = tree.total_population - s
+    first = (np.abs(s - p1) <= tolerance * p1) & (np.abs(c - p2) <= tolerance * p2)
+    second = (np.abs(s - p2) <= tolerance * p2) & (np.abs(c - p1) <= tolerance * p1)
+    ok = first | second
+    ok[tree.root] = False
+    qualifiers = np.flatnonzero(ok)
+    if not qualifiers.size:
         return None
-    i, first = qualifiers[int(rng.integers(len(qualifiers)))]
+    i = int(qualifiers[int(rng.integers(qualifiers.size))])
     return Cut(
         child=int(tree.nodes[i]),
         parent=int(tree.nodes[tree.parent[i]]),
-        subtree_is_first=bool(first),
+        subtree_is_first=bool(first[i]),
     )
 
 
@@ -295,15 +306,12 @@ def bipartition_region(
             f"subset of {induced.m} nodes does not induce a connected subgraph"
         )
     for _ in range(max_tree_retries):
-        tree = _draw_tree(graph, induced, rng, method)
+        tree = _draw_tree(induced, rng, method)
         cut = find_balanced_cut(tree, target_pops, tolerance, rng)
         if cut is None:
             continue
-        sub = tree.subtree_nodes(cut.child)
-        mask = np.zeros(graph.n, dtype=bool)
-        mask[induced.nodes] = True
-        mask[sub] = False
-        rest = np.flatnonzero(mask)
+        inside = tree.subtree_mask(cut.child)
+        sub, rest = induced.nodes[inside], induced.nodes[~inside]
         if cut.subtree_is_first:
             return sub, rest
         return rest, sub

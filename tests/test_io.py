@@ -97,21 +97,44 @@ def test_read_grid4_fixture():
 
 
 def test_read_edges_cases(tmp_path):
+    index = {"p1": 0, "p2": 1}
     path = tmp_path / "edges.csv"
     path.write_text("src,dst,shared_perimeter\np1,p2,1.0\n")
-    edges = read_edges(path)
-    assert edges[0].shared_perimeter == 1.0
+    edge_a, edge_b, shared = read_edges(path, index)
+    assert (edge_a.tolist(), edge_b.tolist(), shared.tolist()) == ([0], [1], [1.0])
     # default shared perimeter
     path.write_text("src,dst\np1,p2\n")
-    assert read_edges(path)[0].shared_perimeter == 1.0
+    assert read_edges(path, index)[2][0] == 1.0
     # duplicate unordered pair
     path.write_text("src,dst\np1,p2\np2,p1\n")
     with pytest.raises(errors.DuplicateEdge):
-        read_edges(path)
-    # unknown precinct with a node index supplied
+        read_edges(path, index)
+    # unknown precinct
     path.write_text("src,dst\np1,p9\n")
     with pytest.raises(errors.DanglingEdge):
-        read_edges(path, node_index={"p1": 0, "p2": 1})
+        read_edges(path, index)
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    # the first bad row wins, whatever its kind
+    (["p0,p1,1", "p1,p0,1", "p0,p9,1", "p1,p2,x"], errors.DuplicateEdge,
+     "row 3: duplicate edge ('p0', 'p1')"),
+    (["p0,p1,1", "p9,p1,1", "p1,p0,1", "p1,p2,x"], errors.DanglingEdge,
+     "row 3: unknown precinct 'p9'"),
+    (["p0,p1,1", "p1,p8,1", "p9,p1,1"], errors.DanglingEdge,
+     "row 3: unknown precinct 'p8'"),
+    (["p0,p1,1", "p1,p2,x", "p1,p0,1", "p0,p9,1"], errors.BadNumericField,
+     "row 3, column 'shared_perimeter': not numeric: 'x'"),
+    # within one row: the number, then the duplicate, then the precinct
+    (["p0,p1,1", "p9,p1,x"], errors.BadNumericField, "row 3, column"),
+    (["p2,p1,1", "p1,p2,y"], errors.BadNumericField, "row 3, column"),
+])
+def test_read_edges_reports_the_first_bad_row(tmp_path, rows, error, message):
+    path = tmp_path / "edges.csv"
+    path.write_text("src,dst,shared_perimeter\n" + "\n".join(rows) + "\n")
+    with pytest.raises(error) as err:
+        read_edges(path, {"p0": 0, "p1": 1, "p2": 2})
+    assert str(err.value).startswith(f"{path}: {message}")
 
 
 def test_read_assignment_roundtrip_and_relabel(tmp_path):

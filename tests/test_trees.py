@@ -5,16 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tree_reference as ref
 from mapchain import errors
-from mapchain.graph import Plan, is_contiguous
+from mapchain.graph import AdjacencyEdge, Plan, PrecinctNode, build_graph, is_contiguous
 from mapchain.synth import grid_graph
 from mapchain.trees import (
+    _Induced,
+    _random_mst,
+    _wilson,
     bipartition_region,
     find_balanced_cut,
     random_spanning_tree,
 )
 
 from conftest import make_path_graph, make_star_graph
+from test_graph import irregular_edges, small_election
 
 
 def edge_set(tree):
@@ -166,3 +171,154 @@ def test_bipartition_aligns_unequal_targets():
         assert parts is not None
         assert g.populations[parts[0]].sum() == 2
         assert g.populations[parts[1]].sum() == 4
+
+
+# --- the list-and-batch kernel against the scalar references (tree_reference.py)
+
+
+def _graph(n, pairs, pops):
+    nodes = [PrecinctNode(f"p{i}", pops[i], "C0", "M0", 1.0, 4.0) for i in range(n)]
+    return build_graph(nodes, [AdjacencyEdge(a, b) for a, b in pairs], small_election(n))
+
+
+@st.composite
+def connected_subset(draw, n, pairs):
+    """A connected node set grown from a random start, one neighbour at a time."""
+    size = draw(st.integers(1, n))
+    subset = {draw(st.integers(0, n - 1))}
+    while len(subset) < size:
+        touching = {b for a, b in pairs if a in subset} | {a for a, b in pairs if b in subset}
+        frontier = sorted(touching - subset)
+        if not frontier:
+            break
+        subset.add(frontier[draw(st.integers(0, len(frontier) - 1))])
+    return sorted(subset)
+
+
+def _assert_same_tree(tree, expected):
+    assert tree.root == expected.root
+    assert tree.parent.tolist() == expected.parent.tolist()
+    assert tree.subtree_pop.tolist() == expected.subtree_pop.tolist()
+    assert sorted(tree.order.tolist()) == list(range(tree.m))
+    position = np.argsort(tree.order)
+    children = tree.parent >= 0
+    assert (position[tree.parent[children]] < position[children]).all()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_scalar_reference_on_irregular_graphs(data):
+    n = data.draw(st.integers(1, 18))
+    pairs = data.draw(irregular_edges(n))
+    pops = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    g = _graph(n, pairs, pops)
+    subset = data.draw(connected_subset(n, pairs))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    tolerance = data.draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+    method = data.draw(st.sampled_from(["uniform", "mst"]))
+    induced = _Induced(g, subset)
+    draw_ref = ref.wilson if method == "uniform" else ref.kruskal
+
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    tree = random_spanning_tree(g, subset, rng, method=method)
+    expected = ref.finish_tree(induced, *draw_ref(induced, rng_ref), g.populations)
+    _assert_same_tree(tree, expected)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    pop = int(g.populations[subset].sum())
+    kk = data.draw(st.integers(2, 3))
+    targets = (pop * ((kk + 1) // 2) / kk, pop * (kk // 2) / kk)
+    cut = find_balanced_cut(tree, targets, tolerance, rng)
+    assert cut == ref.find_balanced_cut(expected, targets, tolerance, rng_ref)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    for node in subset:
+        assert tree.subtree_nodes(node).tolist() == ref.subtree_nodes(expected, node).tolist()
+
+    parts = bipartition_region(g, subset, targets, tolerance, rng, 5, method)
+    expected_parts = ref.bipartition_region(g, induced, targets, tolerance, rng_ref, 5, method)
+    if expected_parts is None:
+        assert parts is None
+    else:
+        assert [p.tolist() for p in parts] == [p.tolist() for p in expected_parts]
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _lollipop():
+    """A 4-cycle with a pendant path and a pendant star: several degree-1 nodes,
+    where a scalar ``rng.integers(1)`` draws no random word."""
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (1, 7), (7, 8), (7, 9)]
+    return _graph(10, pairs, [1] * 10)
+
+
+@pytest.mark.parametrize("subset", [range(10), [3, 4, 5, 6], [5, 6], [6], [1, 7, 8, 9]])
+def test_wilson_matches_reference_at_leaves(subset):
+    g = _lollipop()
+    induced = _Induced(g, list(subset))
+    for seed in range(40):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        parent, order = _wilson(induced, rng)
+        expected, expected_root = ref.wilson(induced, rng_ref)
+        assert (parent, order[0]) == (expected.tolist(), expected_root)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_wilson_matches_reference_across_word_chunks():
+    # a 144-node walk takes several chunks of 2 * 144 + 64 pre-drawn words
+    g = grid_graph(12, 12)
+    induced = _Induced(g, np.arange(g.n))
+    for seed in range(10):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        parent, order = _wilson(induced, rng)
+        expected, expected_root = ref.wilson(induced, rng_ref)
+        assert (parent, order[0]) == (expected.tolist(), expected_root)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _rng_next_output_zero(seed):
+    """A PCG64 generator whose next 64-bit output is 0: its next two uint32
+    words are 0 and its next ``random()`` is exactly 0.0."""
+    mult = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    target = (12345 << 64) | 12345  # XSL-RR output of this state is 0
+    state["state"]["state"] = (target - state["state"]["inc"]) * pow(mult, -1, 1 << 128) % (1 << 128)
+    state["has_uint32"] = 0
+    rng.bit_generator.state = state
+    check = np.random.default_rng(0)
+    check.bit_generator.state = state
+    assert check.integers(0, 2**32, size=2, dtype=np.uint32).tolist() == [0, 0]
+    return rng
+
+
+def test_wilson_redraws_rejected_words_as_numpy_does():
+    # On K4 every degree is 3 and 2**32 % 3 == 1, so a zero word is rejected.
+    # The root draw (m = 4, no rejection possible) takes the first zero word
+    # and the first walk step the second, which numpy discards and redraws.
+    g = _graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], [1] * 4)
+    induced = _Induced(g, range(4))
+    for seed in range(10):
+        rng, rng_ref = _rng_next_output_zero(seed), _rng_next_output_zero(seed)
+        parent, order = _wilson(induced, rng)
+        expected, expected_root = ref.wilson(induced, rng_ref)
+        assert (parent, order[0]) == (expected.tolist(), expected_root)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_mst_matches_kruskal_on_grid():
+    g = grid_graph(48, 48)
+    induced = _Induced(g, np.arange(g.n))
+    for seed in range(30):
+        parent, order = _random_mst(induced, np.random.default_rng(seed))
+        expected, expected_root = ref.kruskal(induced, np.random.default_rng(seed))
+        assert (parent, order[0]) == (expected.tolist(), expected_root)
+
+
+def test_mst_keeps_a_zero_weight_edge():
+    # the first edge (0, 1) draws weight exactly 0.0 and must stay in the tree
+    g = grid_graph(3, 3)
+    induced = _Induced(g, np.arange(g.n))
+    for seed in range(5):
+        parent, _ = _random_mst(induced, _rng_next_output_zero(seed))
+        expected, _ = ref.kruskal(induced, _rng_next_output_zero(seed))
+        assert parent == expected.tolist()
+        assert parent[1] == 0

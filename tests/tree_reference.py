@@ -1,0 +1,147 @@
+"""Scalar reference kernels for ``mapchain.trees``.
+
+These are the straightforward versions of the tree kernel: Wilson's walk
+with one ``rng.integers(degree)`` call per step, Kruskal over union-find for
+``mst``, a per-edge loop for the balanced cut and mark propagation for cut
+subtrees. The library's list-and-batch kernel must draw the same trees, pick
+the same cuts and leave the generator in the same state.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from mapchain.trees import Cut, SpanningTree
+
+
+def finish_tree(induced, parent, root, pops) -> SpanningTree:
+    m = induced.m
+    parent = np.asarray(parent, dtype=np.int64)
+    children: list = [[] for _ in range(m)]
+    for i in range(m):
+        p = parent[i]
+        if p >= 0:
+            children[p].append(i)
+    order = np.empty(m, dtype=np.int64)
+    stack = [root]
+    pos = 0
+    while stack:
+        u = stack.pop()
+        order[pos] = u
+        pos += 1
+        stack.extend(children[u])
+    subtree = np.asarray(pops, dtype=np.int64)[induced.nodes].copy()
+    for i in order[::-1]:
+        p = parent[i]
+        if p >= 0:
+            subtree[p] += subtree[i]
+    return SpanningTree(
+        nodes=induced.nodes, parent=parent, order=order, subtree_pop=subtree, root=int(root)
+    )
+
+
+def wilson(induced, rng):
+    m = induced.m
+    in_tree = np.zeros(m, dtype=bool)
+    succ = np.full(m, -1, dtype=np.int64)
+    root = int(rng.integers(m))
+    in_tree[root] = True
+    for start in range(m):
+        u = start
+        while not in_tree[u]:
+            nbrs = induced.adj[u]
+            succ[u] = int(nbrs[int(rng.integers(len(nbrs)))])
+            u = int(succ[u])
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = True
+            u = int(succ[u])
+    parent = np.where(in_tree, succ, -1)
+    parent[root] = -1
+    return parent, root
+
+
+def kruskal(induced, rng):
+    m = induced.m
+    weights = rng.random(induced.edge_a.size)
+    order = np.argsort(weights, kind="stable")
+    uf = np.arange(m, dtype=np.int64)
+
+    def find(x: int) -> int:
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = int(uf[x])
+        return x
+
+    adj: list = [[] for _ in range(m)]
+    taken = 0
+    for idx in order:
+        a, b = int(induced.edge_a[idx]), int(induced.edge_b[idx])
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            uf[ra] = rb
+            adj[a].append(b)
+            adj[b].append(a)
+            taken += 1
+            if taken == m - 1:
+                break
+    parent = np.full(m, -1, dtype=np.int64)
+    seen = np.zeros(m, dtype=bool)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                stack.append(v)
+    return parent, 0
+
+
+def find_balanced_cut(tree, target_pops, tolerance, rng):
+    p1, p2 = float(target_pops[0]), float(target_pops[1])
+    total = tree.total_population
+    qualifiers = []
+    for i in range(tree.m):
+        if tree.parent[i] < 0:
+            continue
+        s = int(tree.subtree_pop[i])
+        c = total - s
+        first = abs(s - p1) <= tolerance * p1 and abs(c - p2) <= tolerance * p2
+        second = abs(s - p2) <= tolerance * p2 and abs(c - p1) <= tolerance * p1
+        if first or second:
+            qualifiers.append((i, first))
+    if not qualifiers:
+        return None
+    i, first = qualifiers[int(rng.integers(len(qualifiers)))]
+    return Cut(
+        child=int(tree.nodes[i]),
+        parent=int(tree.nodes[tree.parent[i]]),
+        subtree_is_first=bool(first),
+    )
+
+
+def subtree_nodes(tree, child):
+    mark = np.zeros(tree.m, dtype=bool)
+    mark[tree.local_index(child)] = True
+    for i in tree.order:
+        p = tree.parent[i]
+        if p >= 0 and mark[p] and not mark[i]:
+            mark[i] = True
+    return tree.nodes[mark]
+
+
+def bipartition_region(graph, induced, target_pops, tolerance, rng, max_tree_retries, method):
+    draw = wilson if method == "uniform" else kruskal
+    for _ in range(max_tree_retries):
+        parent, root = draw(induced, rng)
+        tree = finish_tree(induced, parent, root, graph.populations)
+        cut = find_balanced_cut(tree, target_pops, tolerance, rng)
+        if cut is None:
+            continue
+        sub = subtree_nodes(tree, cut.child)
+        rest = np.setdiff1d(induced.nodes, sub)
+        if cut.subtree_is_first:
+            return sub, rest
+        return rest, sub
+    return None
