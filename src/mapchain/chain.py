@@ -18,9 +18,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import errors
-from .constraints import ConstraintGate, SplitReport, gate_accept, split_report
+from .constraints import ConstraintGate, gate_accept, split_report
 from .graph import Plan, PrecinctGraph, district_populations, is_contiguous
-from .metrics import MetricsConfig, MetricsReport, score_plan
+from .metrics import MetricsConfig, MetricsReport, PlanTally, score_plan
 from .trees import bipartition_region
 
 PAIR_SELECTION = ("uniform", "edges")
@@ -37,7 +37,9 @@ class ChainState:
     accepted: int = 0
     rejected_by_constraint: int = 0
     rejected_no_cut: int = 0
-    _current_splits: "SplitReport | None" = None
+    # PlanTally of ``plan``, kept in step by recom_step once set: run_chain
+    # sets it for scoring, and a gated step builds it for its split counts
+    tally: "PlanTally | None" = None
 
     def counters_consistent(self) -> bool:
         return self.proposed == (
@@ -112,6 +114,8 @@ def recom_step(
     """
     plan = state.plan
     rng = state.rng
+    if state.tally is None and constraint_gate.mode != "permissive":
+        state.tally = PlanTally(graph, plan)
     state.step += 1
     state.proposed += 1
 
@@ -152,21 +156,16 @@ def recom_step(
     assignment[parts[0]] = d1
     assignment[parts[1]] = d2
     proposal = Plan(assignment, plan.k)
-
-    if constraint_gate.mode == "permissive":
-        state.plan = proposal
-        state.accepted += 1
-        return state
-
-    if state._current_splits is None:
-        state._current_splits = split_report(graph, plan)
-    proposal_splits = split_report(graph, proposal)
-    if gate_accept(constraint_gate, state._current_splits, proposal_splits, rng):
-        state.plan = proposal
-        state._current_splits = proposal_splits
-        state.accepted += 1
-    else:
-        state.rejected_by_constraint += 1
+    if state.tally is not None:
+        move = state.tally.propose(proposal, np.sort([d1, d2]), subset)
+        if constraint_gate.mode != "permissive" and not gate_accept(
+            constraint_gate, state.tally.splits, move.splits, rng
+        ):
+            state.rejected_by_constraint += 1
+            return state
+        state.tally.apply(move)
+    state.plan = proposal
+    state.accepted += 1
     return state
 
 
@@ -220,15 +219,16 @@ def run_chain(
     """Run a recombination chain and score every step.
 
     The trace has exactly ``steps`` rows (steps=0 gives an empty trace);
-    rejected steps repeat the current plan and its report, which is
-    computed once per plan. Contiguity and balance are
-    re-checked every ``validate_every`` steps (plans are valid by
+    rejected steps repeat the current plan and its report, which is read
+    once per plan off the chain's ``PlanTally``. Every ``validate_every``
+    steps, contiguity, balance and the report (against a from-scratch
+    ``score_plan``) are re-checked (plans and tallies are right by
     construction; this is a sampled belt-and-braces check that raises
     ``ChainInvariantViolated`` — set 1 for every step, 0 to disable).
     Deterministic given the rng seed.
     """
     check_seed_plan(graph, seed_plan, tolerance, constraint_gate, rng)
-    state = ChainState(plan=seed_plan, rng=rng)
+    state = ChainState(plan=seed_plan, rng=rng, tally=PlanTally(graph, seed_plan))
     trace = ChainTrace(np.empty(steps, dtype=TRACE_DTYPE))
     scored, report = None, None
     for t in range(steps):
@@ -243,7 +243,8 @@ def run_chain(
             pair_selection=pair_selection,
         )
         if state.plan is not scored:  # rejected steps repeat the last report
-            scored, report = state.plan, score_plan(graph, state.plan, metrics_config)
+            scored = state.plan
+            report = score_plan(graph, state.plan, metrics_config, state.tally)
         trace.record(t, state.accepted > before, report)
         if validate_every and (t + 1) % validate_every == 0:
             if not all(is_contiguous(graph, state.plan)):
@@ -252,6 +253,10 @@ def run_chain(
             pops = district_populations(graph, state.plan)
             if (np.abs(pops - ideal) > tolerance * ideal + 1e-9).any():
                 raise errors.ChainInvariantViolated(f"step {t}: chain left the population window")
+            if score_plan(graph, state.plan, metrics_config) != report:
+                raise errors.ChainInvariantViolated(
+                    f"step {t}: the tally's report differs from a from-scratch score"
+                )
     trace.proposed = state.proposed
     trace.accepted = state.accepted
     trace.rejected_by_constraint = state.rejected_by_constraint

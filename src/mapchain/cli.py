@@ -26,6 +26,7 @@ from .io import (
     read_assignment,
     read_config,
     read_graph,
+    replacing,
     write_acf_csv,
     write_assignment,
     write_histogram_svg,
@@ -189,7 +190,7 @@ def cmd_score(cfg: RunConfig, assignment=None) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     out = os.path.join(cfg.out_dir, "report.csv")
     items = list(report.as_dict().items())
-    with open(out, "w", encoding="utf-8") as fh:
+    with replacing(out) as fh:
         fh.write(",".join(key for key, _ in items) + "\n")
         fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for _, v in items) + "\n")
     print(f"wrote {out}")
@@ -218,7 +219,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         thin=cfg.thinning,
         replicates=cfg.sweep_replicates,
         seed=cfg.seed,
-        muni_cap=cfg.muni_cap if cfg.muni_cap > 0 else 10**9,
+        muni_cap=cfg.muni_cap,
         max_tree_retries=cfg.max_tree_retries,
         tree_method=cfg.tree_method,
         pair_selection=cfg.pair_selection,
@@ -292,7 +293,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     report = run_bench(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out = os.path.join(cfg.out_dir, "bench.csv")
-    with open(out, "w", encoding="utf-8") as fh:
+    with replacing(out) as fh:
         fh.write("configuration,read_in_sec,iterations,seconds\n")
         for i, (name, iterations, seconds) in enumerate(report.rows):
             read_in = f"{report.read_in_sec:.4f}" if i == 0 else ""

@@ -43,12 +43,22 @@ def _unit_codes(graph: PrecinctGraph, unit: str):
     raise ValueError(f"unknown unit {unit!r}; use one of {UNITS}")
 
 
-def _district_counts_per_unit(graph: PrecinctGraph, plan: Plan, unit: str):
+def unit_district_counts(graph: PrecinctGraph, unit: str, nodes, labels, size: int):
+    """Dense int32 ``(units, size)`` matrix counting the ``nodes`` of each unit
+    per label, where ``labels`` gives each of ``nodes`` a label in ``0..size-1``.
+
+    Its cost is O(len(nodes) + units * size), so a chain step can count the
+    merged region's two districts alone.
+    """
     codes, n_units = _unit_codes(graph, unit)
-    key = codes * plan.k + plan.assignment
-    uniq = np.unique(key)
-    counts = np.bincount(uniq // plan.k, minlength=n_units)
-    return counts, n_units
+    counts = np.bincount(codes[nodes] * size + labels, minlength=n_units * size)
+    return counts.astype(np.int32).reshape(n_units, size)
+
+
+def _pieces_per_unit(graph: PrecinctGraph, plan: Plan, unit: str) -> np.ndarray:
+    """How many districts each unit of the given type touches."""
+    counts = unit_district_counts(graph, unit, slice(None), plan.assignment, plan.k)
+    return (counts > 0).sum(axis=1)
 
 
 def count_splits(graph: PrecinctGraph, plan: Plan, unit: str):
@@ -59,7 +69,7 @@ def count_splits(graph: PrecinctGraph, plan: Plan, unit: str):
     pieces-excess convention is ``pieces - unit_count``
     (see :func:`pieces_excess`).
     """
-    counts, _ = _district_counts_per_unit(graph, plan, unit)
+    counts = _pieces_per_unit(graph, plan, unit)
     splits = int((counts >= 2).sum())
     pieces = int(counts.sum())
     return splits, pieces
@@ -79,14 +89,19 @@ def per_district_split_penalty(graph: PrecinctGraph, plan: Plan, unit: str = "co
     them, hence always >= 2 * splits, with equality iff every split unit
     touches exactly two districts.
     """
-    counts, _ = _district_counts_per_unit(graph, plan, unit)
+    counts = _pieces_per_unit(graph, plan, unit)
     return int(counts[counts >= 2].sum())
 
 
-def split_report(graph: PrecinctGraph, plan: Plan) -> SplitReport:
-    """Every split count of one plan, from one count pass per unit type."""
-    county, _ = _district_counts_per_unit(graph, plan, "county")
-    muni, _ = _district_counts_per_unit(graph, plan, "municipality")
+def split_report(graph: PrecinctGraph, plan: Plan, pieces=None) -> SplitReport:
+    """Every split count of one plan, read off ``pieces``: the number of
+    districts each county and each municipality touches, as a pair of arrays
+    in ``UNITS`` order (a ``PlanTally`` keeps them). Counted from the plan
+    when not given.
+    """
+    if pieces is None:
+        pieces = [_pieces_per_unit(graph, plan, unit) for unit in UNITS]
+    county, muni = pieces
     split = county >= 2
     return SplitReport(
         county_splits=int(split.sum()),

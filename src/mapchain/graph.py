@@ -55,8 +55,8 @@ class ElectionSet:
 
     def __init__(self, contests: Sequence[Contest]):
         self.contests = tuple(contests)
-        self._by_name = {c.name: c for c in self.contests}
-        if len(self._by_name) != len(self.contests):
+        self._index = {c.name: i for i, c in enumerate(self.contests)}
+        if len(self._index) != len(self.contests):
             names = [c.name for c in self.contests]
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise errors.DuplicateContest(f"duplicate contest names: {dupes}")
@@ -64,14 +64,18 @@ class ElectionSet:
     def names(self) -> tuple:
         return tuple(c.name for c in self.contests)
 
-    def get(self, name: str) -> Contest:
+    def index(self, name: str) -> int:
+        """Position of the named contest in ``contests``."""
         try:
-            return self._by_name[name]
+            return self._index[name]
         except KeyError:
             raise errors.UnknownContest(name, self.names()) from None
 
+    def get(self, name: str) -> Contest:
+        return self.contests[self.index(name)]
+
     def __contains__(self, name) -> bool:
-        return name in self._by_name
+        return name in self._index
 
     def __iter__(self):
         return iter(self.contests)
@@ -419,10 +423,16 @@ def district_perimeter_area(graph: PrecinctGraph, plan: Plan):
             minlength=k,
         )
         perims = perims - 2.0 * shared
+    require_positive_perimeters(perims)
+    return perims, areas
+
+
+def require_positive_perimeters(perims: np.ndarray) -> None:
+    """Raise ``NegativePerimeter`` naming every district whose perimeter is
+    not strictly positive."""
     if (perims <= 0).any():
         bad = np.flatnonzero(perims <= 0).tolist()
         raise errors.NegativePerimeter(
             f"districts {bad} have non-positive perimeter; "
             "check shared_perimeter inputs"
         )
-    return perims, areas

@@ -18,7 +18,10 @@ The run configuration is a flat ``key = value`` text file whose keys match
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import math
+import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -89,48 +92,79 @@ def read_nodes(path):
             if f"{base}_D" not in col:
                 raise errors.MissingColumn(f"{base}_D")
 
-    def number(row_no, row, column, kind):
-        raw = row[col[column]].strip()
-        try:
-            return kind(raw)
-        except ValueError:
-            cls = (
-                errors.NonNumericVotes
-                if column.endswith(("_D", "_R"))
-                else errors.BadNumericField
-            )
-            raise cls(
-                f"{path}: row {row_no}, column {column!r}: not numeric: {raw!r}"
-            ) from None
+    columns = list(zip(*rows))
 
-    nodes = []
-    votes = {name: ([], []) for name in contest_names}
-    for row_no, row in enumerate(rows, start=2):
-        nodes.append(
-            PrecinctNode(
-                precinct_id=row[col["precinct_id"]].strip(),
-                population=number(row_no, row, "population", int),
-                county_id=row[col["county_id"]].strip(),
-                muni_id=row[col["muni_id"]].strip(),
-                area=number(row_no, row, "area", float),
-                perimeter=number(row_no, row, "perimeter", float),
-            )
+    def cells(column):
+        return list(map(str.strip, columns[col[column]]))
+
+    # every numeric check, in the order a row's cells are checked: the first
+    # bad row fails, and within it the first check
+    checks = [("population", int), ("area", float), ("perimeter", float)]
+    for name in contest_names:
+        checks += [(f"{name}_D", int), (f"{name}_R", int), (name, None)]
+    values, faults = {}, []  # faults: (row index, check index, error)
+    for order, (column, kind) in enumerate(checks):
+        if kind is None:  # nonnegative votes in contest ``column``, where both cells parsed
+            dem, rep = values[f"{column}_D"], values[f"{column}_R"]
+            if min(dem, default=0) < 0 or min(rep, default=0) < 0:
+                negative = (i for i, (d, r) in enumerate(zip(dem, rep)) if d < 0 or r < 0)
+                i = next(negative, None)
+                if i is not None:
+                    faults.append((i, order, errors.NonNumericVotes(
+                        f"{path}: row {i + 2}: negative votes in contest {column!r}"
+                    )))
+            continue
+        raw = columns[col[column]]  # int and float ignore surrounding whitespace
+        values[column] = parsed = _parse_column(raw, kind)
+        cls = errors.NonNumericVotes if column.endswith(("_D", "_R")) else errors.BadNumericField
+        if len(parsed) < len(raw):
+            i = len(parsed)
+            faults.append((i, order, cls(
+                f"{path}: row {i + 2}, column {column!r}: not numeric: {raw[i].strip()!r}"
+            )))
+        if kind is int and parsed and not _INT64_MIN <= min(parsed) <= max(parsed) <= _INT64_MAX:
+            i = next(i for i, v in enumerate(parsed) if not _INT64_MIN <= v <= _INT64_MAX)
+            faults.append((i, order, cls(
+                f"{path}: row {i + 2}, column {column!r}: out of the 64-bit integer range: "
+                f"{raw[i].strip()!r}"
+            )))
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
+
+    nodes = [
+        PrecinctNode(*fields)
+        for fields in zip(
+            cells("precinct_id"), values["population"], cells("county_id"),
+            cells("muni_id"), values["area"], values["perimeter"],
         )
-        for name in contest_names:
-            d = number(row_no, row, f"{name}_D", int)
-            r = number(row_no, row, f"{name}_R", int)
-            if d < 0 or r < 0:
-                raise errors.NonNumericVotes(
-                    f"{path}: row {row_no}: negative votes in contest {name!r}"
-                )
-            votes[name][0].append(d)
-            votes[name][1].append(r)
-
+    ]
     contests = [
-        Contest(name, np.array(dem, dtype=np.int64), np.array(rep, dtype=np.int64))
-        for name, (dem, rep) in votes.items()
+        Contest(
+            name,
+            np.array(values[f"{name}_D"], dtype=np.int64),
+            np.array(values[f"{name}_R"], dtype=np.int64),
+        )
+        for name in contest_names
     ]
     return nodes, ElectionSet(contests)
+
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def _parse_column(raw, kind) -> list:
+    """The cells of one column converted by ``kind`` in one pass; when a cell
+    does not convert, the converted cells before it."""
+    try:
+        return list(map(kind, raw))
+    except ValueError:
+        parsed = []
+        for cell in raw:
+            try:
+                parsed.append(kind(cell))
+            except ValueError:
+                break
+        return parsed
 
 
 def read_edges(path, node_index: dict) -> tuple:
@@ -227,11 +261,28 @@ def read_assignment(path, graph: PrecinctGraph):
     return Plan(assignment, len(label_of)), names
 
 
+@contextlib.contextmanager
+def replacing(path):
+    """A text file to write ``path``'s new contents to. It is a temporary file
+    in the same directory, renamed over ``path`` once written, so a reader
+    sees the old file or the whole new one; on failure it is deleted and
+    ``path`` is left as it was."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
+
+
 def write_nodes(graph: PrecinctGraph, path) -> None:
     header = list(NODE_COLUMNS)
     for contest in graph.elections:
         header += [f"{contest.name}_D", f"{contest.name}_R"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, node in enumerate(graph.nodes):
@@ -249,7 +300,7 @@ def write_nodes(graph: PrecinctGraph, path) -> None:
 
 
 def write_edges(graph: PrecinctGraph, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "shared_perimeter"])
         for a, b, shared in zip(
@@ -261,7 +312,7 @@ def write_edges(graph: PrecinctGraph, path) -> None:
 
 
 def write_assignment(plan: Plan, graph: PrecinctGraph, path, names=None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["precinct_id", "district"])
         for i, node in enumerate(graph.nodes):
@@ -280,7 +331,7 @@ def write_trace(trace: ChainTrace, path) -> None:
     rows = trace.rows
     columns = [rows["accepted"].astype(np.int64).tolist()]
     columns += [rows[field_name].tolist() for _, field_name in TRACE_METRIC_FIELDS]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         writer.writerows(zip(range(len(trace)), *columns))
@@ -288,7 +339,7 @@ def write_trace(trace: ChainTrace, path) -> None:
 
 def write_summary(trace: ChainTrace, path) -> None:
     """Per-metric mean/std/min/max rows for a trace."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "mean", "std", "min", "max"])
         for column, field_name in TRACE_METRIC_FIELDS:
@@ -306,7 +357,7 @@ def write_summary(trace: ChainTrace, path) -> None:
 
 
 def write_acf_csv(acf: AcfSeries, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["lag", "rho"])
         for lag, rho in zip(acf.lags, acf.rho):
@@ -315,7 +366,7 @@ def write_acf_csv(acf: AcfSeries, path) -> None:
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Observed points get fitted=0; the extrapolated point gets fitted=1."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["cap", "mean", "std", "n", "fitted"])
         for p in result.points:
@@ -394,7 +445,7 @@ def write_histogram_svg(values, bins: int, path, reference_line=None) -> None:
         f'text-anchor="end">{hi:.4g}</text>'
     )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -444,7 +495,7 @@ def write_sweep_svg(result: SweepResult, path) -> None:
         f'cy="{y_of(result.extrapolated_value):.2f}" r="4" fill="crimson"/>'
     )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -499,6 +550,7 @@ class RunConfig:
             ("gibbs_weight_county", 0),
             ("gibbs_weight_muni", 0),
             ("gibbs_weight_district_county", 0),
+            ("districts", 0),
             ("n_chains", 1),
             ("workers", 1),
             ("n_plans", 1),
@@ -510,10 +562,14 @@ class RunConfig:
             ("bench_iterations", 1),
             ("bench_tree_plans", 1),
         ):
-            if getattr(self, key) < low:
+            if not getattr(self, key) >= low:  # NaN fails too
                 raise errors.ConfigError(
                     f"{key} must be >= {low}, got {getattr(self, key)}"
                 )
+        for key in ("gibbs_weight_county", "gibbs_weight_muni",
+                    "gibbs_weight_district_county", "sweep_extrapolate_cap"):
+            if math.isinf(getattr(self, key)):
+                raise errors.ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if any(cap < 0 for cap in self.sweep_caps):
             raise errors.ConfigError(
                 f"sweep_caps must all be >= 0, got {list(self.sweep_caps)}"

@@ -1,9 +1,12 @@
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mapchain.chain
 from mapchain import errors
@@ -17,13 +20,25 @@ from mapchain.chain import (
     run_chain,
     tree_ensemble,
 )
-from mapchain.constraints import ConstraintGate
-from mapchain.graph import Plan, canonical_form, district_populations, is_contiguous
-from mapchain.metrics import MetricsConfig
+from mapchain.constraints import ConstraintGate, split_report
+from mapchain.graph import (
+    AdjacencyEdge,
+    Contest,
+    ElectionSet,
+    Plan,
+    PrecinctNode,
+    build_graph,
+    canonical_form,
+    district_populations,
+    is_contiguous,
+)
+from mapchain.metrics import MetricsConfig, PlanTally, score_plan
 from mapchain.oracle import enumerate_partitions
 from mapchain.synth import band_plan, grid_graph
 
+import score_reference
 from conftest import make_star_graph
+from test_graph import irregular_edges
 
 PERMISSIVE = ConstraintGate.permissive()
 
@@ -103,16 +118,16 @@ def test_run_chain_counters_reconcile_with_flags(grid4, band4, mcfg2):
 
 def test_run_chain_scores_each_new_plan_once(grid4, band4, mcfg2, monkeypatch):
     real_step, real_score = mapchain.chain.recom_step, mapchain.chain.score_plan
-    stepped, scored = [], []
+    stepped, scored, from_scratch = [], [], []
 
     def step(state, *args, **kwargs):
         real_step(state, *args, **kwargs)
         stepped.append(state.plan)
         return state
 
-    def score(graph, plan, config):
-        scored.append(plan)
-        return real_score(graph, plan, config)
+    def score(graph, plan, config, tally=None):
+        (scored if tally is not None else from_scratch).append(plan)
+        return real_score(graph, plan, config, tally)
 
     monkeypatch.setattr(mapchain.chain, "recom_step", step)
     monkeypatch.setattr(mapchain.chain, "score_plan", score)
@@ -125,6 +140,8 @@ def test_run_chain_scores_each_new_plan_once(grid4, band4, mcfg2, monkeypatch):
     expected = [stepped[0]] + [b for a, b in zip(stepped, stepped[1:]) if b is not a]
     assert len(scored) == len(expected) < len(trace)
     assert all(a is b for a, b in zip(scored, expected))
+    # the invariant check rescores the current plan from scratch every validate_every steps
+    assert len(from_scratch) == 1 and from_scratch[0] is stepped[100]
     # every row, repeated or not, holds its own plan's report
     rescored = ChainTrace(np.empty(len(trace), dtype=TRACE_DTYPE))
     for t, plan in enumerate(stepped):
@@ -176,15 +193,157 @@ sys.exit("run_chain accepted an unbalanced plan")
 """
 
 
-def test_invariant_check_survives_python_O():
+_OPTIMISED_TALLY_CHECK = """
+import sys
+import numpy as np
+from mapchain import errors
+from mapchain.chain import run_chain
+from mapchain.constraints import ConstraintGate
+from mapchain.metrics import MetricsConfig, PlanTally
+from mapchain.synth import band_plan, grid4_graph
+
+if not sys.flags.optimize:
+    sys.exit("interpreter is not running with -O")
+apply = PlanTally.apply
+
+def corrupted(tally, move):
+    apply(tally, move)
+    tally.dem[0, move.districts[0]] += 1
+
+PlanTally.apply = corrupted
+try:
+    run_chain(
+        grid4_graph(), band_plan(4, 4, 4), 10, 0.01, ConstraintGate.permissive(),
+        MetricsConfig(("PRES", "SEN")), np.random.default_rng(0), validate_every=5,
+    )
+except errors.ChainInvariantViolated:
+    sys.exit(0)
+sys.exit("run_chain kept scoring off a corrupted tally")
+"""
+
+
+def _run_optimised(script):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", _OPTIMISED_CHECK],
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def test_invariant_check_survives_python_O():
+    result = _run_optimised(_OPTIMISED_CHECK)
     assert result.returncode == 0, result.stderr
+
+
+def test_tally_check_survives_python_O():
+    result = _run_optimised(_OPTIMISED_TALLY_CHECK)
+    assert result.returncode == 0, result.stderr
+
+
+@st.composite
+def irregular_chain_case(draw):
+    """A random connected graph with random units, votes and float geometry,
+    a seed plan from the tree generator, and a gate."""
+    n = draw(st.integers(6, 22))
+    pairs = draw(irregular_edges(n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # floats with full mantissas, so that sums depend on the order of their terms
+    shared = rng.uniform(0.05, 2.0, len(pairs))
+    touching = np.zeros(n)
+    for (a, b), s in zip(pairs, shared):
+        touching[a] += s
+        touching[b] += s
+    # a node's perimeter exceeds its shared boundary, so no district's is <= 0
+    nodes = [
+        PrecinctNode(
+            f"p{i}", 1,
+            f"C{draw(st.integers(0, 3))}", f"M{draw(st.integers(0, 5))}",
+            rng.uniform(0.1, 3.0), touching[i] + rng.uniform(0.1, 3.0),
+        )
+        for i in range(n)
+    ]
+    votes = st.lists(st.integers(0, 6), min_size=n, max_size=n)
+    contests = [
+        Contest(name, np.array(draw(votes)), np.array(draw(votes)) + 1) for name in ("A", "B")
+    ]
+    graph = build_graph(
+        nodes, [AdjacencyEdge(a, b, s) for (a, b), s in zip(pairs, shared)], ElectionSet(contests)
+    )
+    k = draw(st.integers(2, 4))
+    # stage tolerances compound over the splits, so the plan is within the
+    # chain's tolerance of 0.5 for k <= 4
+    for _ in range(20):
+        plan = random_tree_plan(graph, k, 0.2, rng)
+        if plan is not None:
+            break
+    assume(plan is not None)
+    splits = split_report(graph, plan)
+    gate = draw(st.sampled_from(["permissive", "reject", "gibbs"]))
+    if gate == "reject":
+        gate = ConstraintGate.reject(splits.county_splits + draw(st.integers(0, 1)),
+                                     splits.muni_splits + draw(st.integers(0, 1)))
+    elif gate == "gibbs":
+        weight = st.floats(0.0, 2.0)
+        gate = ConstraintGate.gibbs({"county_splits": draw(weight), "muni_splits": draw(weight),
+                                     "per_district_county_penalty": draw(weight)})
+    else:
+        gate = PERMISSIVE
+    return graph, plan, gate, seed, draw(st.integers(1, 3))
+
+
+@given(irregular_chain_case())
+@settings(max_examples=60, deadline=None)
+def test_tally_matches_scoring_from_scratch_on_irregular_graphs(case):
+    graph, seed_plan, gate, seed, retries = case
+    mcfg = MetricsConfig(("A", "B"), 0.3)
+    real_step, real_propose = mapchain.chain.recom_step, PlanTally.propose
+    stepped, proposals = [], []
+
+    def step(state, *args, **kwargs):
+        real_step(state, *args, **kwargs)
+        stepped.append(state.plan)
+        return state
+
+    def propose(tally, plan, districts, nodes):
+        move = real_propose(tally, plan, districts, nodes)
+        if tally.splits is not None:  # not the tally's own construction
+            proposals.append((move.splits, plan, tally.splits, tally.plan))
+        return move
+
+    with mock.patch.object(mapchain.chain, "recom_step", step), \
+            mock.patch.object(PlanTally, "propose", propose):
+        trace = run_chain(graph, seed_plan, 40, 0.5, gate, mcfg, np.random.default_rng(seed),
+                          max_tree_retries=retries, validate_every=0)
+    rescored = ChainTrace(np.empty(len(trace), dtype=TRACE_DTYPE))
+    reference = ChainTrace(np.empty(len(trace), dtype=TRACE_DTYPE))
+    for t, plan in enumerate(stepped):
+        rescored.record(t, trace.rows["accepted"][t], score_plan(graph, plan, mcfg))
+        reference.record(t, trace.rows["accepted"][t], score_reference.score_plan(graph, plan, mcfg))
+    assert rescored.rows.tobytes() == trace.rows.tobytes()
+    assert reference.rows.tobytes() == trace.rows.tobytes()
+    # the gate saw the proposal's and the current plan's own split counts
+    assert len(proposals) == trace.accepted + trace.rejected_by_constraint
+    for splits, plan, current_splits, current in proposals:
+        assert splits == split_report(graph, plan) == score_reference.split_report(graph, plan)
+        assert current_splits == score_reference.split_report(graph, current)
+
+
+def test_corrupt_tally_raises_at_the_next_check(grid4, band4, mcfg2, monkeypatch):
+    apply = PlanTally.apply
+
+    def corrupted(tally, move):
+        apply(tally, move)
+        tally.dem[0, move.districts[0]] += 1
+
+    monkeypatch.setattr(PlanTally, "apply", corrupted)
+    with pytest.raises(errors.ChainInvariantViolated, match="step 4: the tally"):
+        run_chain(
+            grid4, band4, 10, 0.01, PERMISSIVE, mcfg2,
+            np.random.default_rng(0), validate_every=5,
+        )
 
 
 def test_proposal_locality(grid4, band4):

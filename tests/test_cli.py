@@ -2,7 +2,12 @@ import os
 import shutil
 from dataclasses import fields
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapchain.cli import main
 from mapchain.io import RunConfig
@@ -74,6 +79,18 @@ def test_chain_reject_mode_runs_with_loose_caps(workdir):
                  "--set", "county_cap=4", "--set", "muni_cap=6",
                  "--set", "out_dir=out/rej"]) == 0
     assert (workdir / "out/rej/trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["chain", "sweep"])
+def test_muni_cap_zero_allows_no_split_municipality(workdir, capsys, command):
+    # the grid4 seed plan splits 4 municipalities
+    args = [command, "--config", CFG, "--set", "mode=reject", "--set", "steps=20",
+            "--set", "n_plans=4", "--set", "sweep_replicates=1", "--set", "out_dir=out/cap"]
+    assert main(args + ["--set", "muni_cap=0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR InvalidSeedPlan: constraint gate:")
+    assert "muni_splits=4" in err and err.count("\n") == 1
+    assert main(args + ["--set", "muni_cap=4"]) == 0
 
 
 def test_chain_gibbs_mode_runs(workdir):
@@ -217,6 +234,49 @@ def test_bad_config_exits_2_with_one_error_line(workdir, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("ERROR ConfigError:")
     assert err.count("\n") == 1
+
+
+def _not_a_number(text):
+    for kind in (int, float):
+        try:
+            kind(text)
+        except ValueError:
+            continue
+        return False
+    return text.strip() != "auto"  # burn_in's word for its default
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_NOT_NUMBERS = st.text(max_size=12).filter(_not_a_number)
+_INFINITE = st.sampled_from(["inf", "-inf", "Infinity", "1e999", "-1e999"])
+
+
+@st.composite
+def bad_numeric_setting(draw):
+    """A numeric RunConfig key and a value it must refuse."""
+    key = draw(st.sampled_from(_NUMERIC_KEYS))
+    if isinstance(_DEFAULTS[key], int):  # every int key is >= -1
+        values = [_NOT_NUMBERS, st.integers(max_value=-2).map(str),
+                  st.integers().map(lambda n: f"{n}.5")]
+    elif key == "sweep_extrapolate_cap":  # any finite value, or nan for the largest cap
+        values = [_NOT_NUMBERS, _INFINITE]
+    else:  # tolerances, sigma and weights are finite and positive or >= 0
+        values = [_NOT_NUMBERS, _INFINITE, st.just("nan"),
+                  st.floats(max_value=0.0, exclude_max=True, allow_infinity=False).map(repr)]
+    return key, draw(st.one_of(values))
+
+
+@given(bad_numeric_setting(), st.sampled_from(["chain", "tree", "sweep", "bench"]))
+@settings(max_examples=150, deadline=None)
+def test_bad_numeric_values_keep_the_cli_contract(setting, command):
+    key, value = setting
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", os.path.join(GRID4, "chain.cfg"),
+                     "--set", f"{key}={value}"])
+    assert code in (2, 3, 4)
+    assert err.getvalue().startswith("ERROR ") and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("name", ["nodes.csv", "edges.csv", "assignment.csv"])

@@ -137,6 +137,46 @@ def test_read_edges_reports_the_first_bad_row(tmp_path, rows, error, message):
     assert str(err.value).startswith(f"{path}: {message}")
 
 
+@pytest.mark.parametrize("rows, error, message", [
+    # the first bad row wins, whatever its kind
+    (["p0,1,C,M,1,4,5,5,5,5", "p1,1,C,M,x,4,5,5,5,5", "p2,y,C,M,1,4,5,5,5,5"],
+     errors.BadNumericField, "row 3, column 'area': not numeric: 'x'"),
+    (["p0,1,C,M,1,4,5,5,5,5", "p1,1,C,M,1,4,5,-1,5,5", "p2,1,C,M,1,4,5,5,z,5"],
+     errors.NonNumericVotes, "row 3: negative votes in contest 'A'"),
+    (["p0,1,C,M,1,4,5,5,5,5", "p1,1,C,M,1,4,5,5,5,5", "p2,1,C,M,1,4,5,5,5, 2.5 "],
+     errors.NonNumericVotes, "row 4, column 'B_R': not numeric: '2.5'"),
+    # within one row: population, area, perimeter, then per contest D, R and the sign
+    (["p0,q,C,M,x,y,5,5,5,5"], errors.BadNumericField, "row 2, column 'population'"),
+    (["p0,1,C,M,1,y,a,5,5,5"], errors.BadNumericField, "row 2, column 'perimeter'"),
+    (["p0,1,C,M,1,4,-5,r,5,5"], errors.NonNumericVotes, "row 2, column 'A_R'"),
+    (["p0,1,C,M,1,4,-5,5,s,5"], errors.NonNumericVotes, "row 2: negative votes in contest 'A'"),
+    (["p0,1,C,M,1,4,5,5,-1,t"], errors.NonNumericVotes, "row 2, column 'B_R'"),
+])
+def test_read_nodes_reports_the_first_bad_cell(tmp_path, rows, error, message):
+    path = tmp_path / "nodes.csv"
+    path.write_text(
+        "precinct_id,population,county_id,muni_id,area,perimeter,A_D,A_R,B_D,B_R\n"
+        + "\n".join(rows) + "\n"
+    )
+    with pytest.raises(error) as err:
+        read_nodes(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("cells, error, column", [
+    ("99999999999999999999,5,5,5", errors.NonNumericVotes, "A_D"),
+    ("5,5,5,-9223372036854775809", errors.NonNumericVotes, "B_R"),
+])
+def test_read_nodes_refuses_counts_beyond_int64(tmp_path, cells, error, column):
+    path = tmp_path / "nodes.csv"
+    path.write_text(
+        "precinct_id,population,county_id,muni_id,area,perimeter,A_D,A_R,B_D,B_R\n"
+        f"p0,1,C,M,1,4,5,5,5,5\np1,1,C,M,1,4,{cells}\n"
+    )
+    with pytest.raises(error, match=f"row 3, column '{column}': out of the 64-bit integer range"):
+        read_nodes(path)
+
+
 def test_read_assignment_roundtrip_and_relabel(tmp_path):
     graph = grid4_graph()
     path = tmp_path / "assignment.csv"
@@ -214,6 +254,34 @@ def test_trace_columns_header(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(TRACE_COLUMNS)
     assert len(lines) == 4  # header + 3 steps
+
+
+class _FailingWriter:
+    """A csv writer whose row batches fail after the header went out."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def writerow(self, row):
+        self.fh.write(",".join(map(str, row)) + "\n")
+
+    def writerows(self, rows):
+        raise OSError("no space left on device")
+
+
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    trace = run_chain(
+        grid4_graph(), band_plan(4, 4, 4), 3, 0.01, ConstraintGate.permissive(),
+        MetricsConfig(("PRES",)), np.random.default_rng(0),
+    )
+    out = tmp_path / "trace.csv"
+    write_trace(trace, out)
+    before = out.read_bytes()
+    monkeypatch.setattr("mapchain.io.csv.writer", _FailingWriter)
+    with pytest.raises(OSError, match="no space left"):
+        write_trace(trace, out)
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == ["trace.csv"]
 
 
 def test_histogram_svg_bars_and_reference(tmp_path):
