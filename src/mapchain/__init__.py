@@ -27,10 +27,7 @@ from .trees import (
 from .constraints import (
     ConstraintGate,
     SplitReport,
-    count_splits,
     gate_accept,
-    per_district_split_penalty,
-    pieces_excess,
     split_report,
 )
 from .metrics import (

@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,23 +68,20 @@ def _load(cfg: RunConfig):
 
 
 def _chain_job(args):
-    graph, plan, cfg_tuple, seed_entropy, mcfg = args
-    steps, tolerance, gate, retries, tree_method, pair_selection = cfg_tuple
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed_entropy))
+    """One chain of ``steps`` steps under ``cfg``'s gate and tree settings,
+    from the generator that ``default_rng(seed)`` gives."""
+    graph, plan, cfg, steps, seed, mcfg = args
     return run_chain(
-        graph, plan, steps, tolerance, gate, mcfg, rng,
-        max_tree_retries=retries, tree_method=tree_method,
-        pair_selection=pair_selection,
+        graph, plan, steps, cfg.pop_tolerance, _gate_from_config(cfg), mcfg,
+        np.random.default_rng(seed),
+        max_tree_retries=cfg.max_tree_retries, tree_method=cfg.tree_method,
+        pair_selection=cfg.pair_selection,
     )
 
 
-def _run_chains(graph, plan, cfg: RunConfig, gate, mcfg):
+def _run_chains(graph, plan, cfg: RunConfig, mcfg):
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)
-    cfg_tuple = (
-        cfg.steps, cfg.pop_tolerance, gate, cfg.max_tree_retries,
-        cfg.tree_method, cfg.pair_selection,
-    )
-    jobs = [(graph, plan, cfg_tuple, s.entropy, mcfg) for s in seeds]
+    jobs = [(graph, plan, cfg, cfg.steps, s.entropy, mcfg) for s in seeds]
     workers = min(cfg.workers, cfg.n_chains)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -136,8 +133,7 @@ def cmd_chain(cfg: RunConfig) -> int:
     graph, mcfg = _load(cfg)
     _require(cfg, "assignment")
     plan, _ = read_assignment(cfg.assignment, graph)
-    gate = _gate_from_config(cfg)
-    traces = _run_chains(graph, plan, cfg, gate, mcfg)
+    traces = _run_chains(graph, plan, cfg, mcfg)
     burn = cfg.burn_in if cfg.burn_in >= 0 else estimate_burn_in(traces[0])
     combined = _concat_post_burn(traces, burn, cfg.thinning)
     reference = score_plan(graph, plan, mcfg)
@@ -254,30 +250,11 @@ def run_bench(cfg: RunConfig) -> BenchReport:
     plan, _ = read_assignment(cfg.assignment, graph)
     read_in = time.perf_counter() - t0
 
-    def timed_chain(name, gate):
-        rng = np.random.default_rng(cfg.seed)
+    rows = []
+    for name, mode in (("unconstrained", "permissive"), ("reject", "reject"), ("gibbs", "gibbs")):
         t = time.perf_counter()
-        run_chain(
-            graph, plan, cfg.bench_iterations, cfg.pop_tolerance, gate, mcfg, rng,
-            max_tree_retries=cfg.max_tree_retries, tree_method=cfg.tree_method,
-            pair_selection=cfg.pair_selection,
-        )
-        return (name, cfg.bench_iterations, time.perf_counter() - t)
-
-    rows = [
-        timed_chain("chain_unconstrained", ConstraintGate.permissive()),
-        timed_chain("chain_reject", ConstraintGate.reject(cfg.county_cap, cfg.muni_cap)),
-        timed_chain(
-            "chain_gibbs",
-            ConstraintGate.gibbs(
-                {
-                    "county_splits": cfg.gibbs_weight_county,
-                    "muni_splits": cfg.gibbs_weight_muni,
-                    "per_district_county_penalty": cfg.gibbs_weight_district_county,
-                }
-            ),
-        ),
-    ]
+        _chain_job((graph, plan, replace(cfg, mode=mode), cfg.bench_iterations, cfg.seed, mcfg))
+        rows.append((f"chain_{name}", cfg.bench_iterations, time.perf_counter() - t))
     rng = np.random.default_rng(cfg.seed)
     t = time.perf_counter()
     tree_ensemble(

@@ -1,10 +1,11 @@
 """Administrative boundary split counting and proposal acceptance gates.
 
 A county or municipality is "split" when it intersects two or more
-districts. Two counting conventions circulate in redistricting tooling, so
-both are exposed: ``splits`` (units touching >= 2 districts) and the
-pieces-minus-units excess (total district/unit incidence pieces with the
-unit count subtracted). They agree only while no unit touches 3+ districts.
+districts. Two counting conventions circulate in redistricting tooling, and
+:func:`split_report` gives both: ``county_splits`` (counties touching >= 2
+districts) and ``pieces_count`` (county/district incidence pieces; subtract
+the county count for the pieces-minus-units excess). They agree only while
+no county touches 3+ districts.
 
 Gates decide proposal acceptance. ``reject`` applies hard caps to the
 proposal alone (memoryless); ``gibbs`` accepts with probability
@@ -20,8 +21,6 @@ import numpy as np
 
 from .graph import Plan, PrecinctGraph
 
-UNITS = ("county", "municipality")
-
 GIBBS_TERMS = ("county_splits", "muni_splits", "per_district_county_penalty")
 
 
@@ -35,72 +34,39 @@ class SplitReport:
     pieces_count: int  # county/district incidence pieces (redistmetrics-style)
 
 
-def _unit_codes(graph: PrecinctGraph, unit: str):
-    if unit == "county":
-        return graph.county_codes, graph.n_counties
-    if unit == "municipality":
-        return graph.muni_codes, graph.n_munis
-    raise ValueError(f"unknown unit {unit!r}; use one of {UNITS}")
+def unit_codes(graph: PrecinctGraph) -> tuple:
+    """Each unit type's ``(codes, unit count)``: counties, then municipalities."""
+    return (graph.county_codes, graph.n_counties), (graph.muni_codes, graph.n_munis)
 
 
-def unit_district_counts(graph: PrecinctGraph, unit: str, nodes, labels, size: int):
-    """Dense int32 ``(units, size)`` matrix counting the ``nodes`` of each unit
-    per label, where ``labels`` gives each of ``nodes`` a label in ``0..size-1``.
+def unit_district_counts(codes, n_units: int, nodes, labels, size: int):
+    """Dense int32 ``(n_units, size)`` matrix counting the ``nodes`` of each unit
+    per label, where ``codes`` gives every graph node its unit and ``labels``
+    gives each of ``nodes`` a label in ``0..size-1``.
 
-    Its cost is O(len(nodes) + units * size), so a chain step can count the
+    Its cost is O(len(nodes) + n_units * size), so a chain step can count the
     merged region's two districts alone.
     """
-    codes, n_units = _unit_codes(graph, unit)
     counts = np.bincount(codes[nodes] * size + labels, minlength=n_units * size)
     return counts.astype(np.int32).reshape(n_units, size)
-
-
-def _pieces_per_unit(graph: PrecinctGraph, plan: Plan, unit: str) -> np.ndarray:
-    """How many districts each unit of the given type touches."""
-    counts = unit_district_counts(graph, unit, slice(None), plan.assignment, plan.k)
-    return (counts > 0).sum(axis=1)
-
-
-def count_splits(graph: PrecinctGraph, plan: Plan, unit: str):
-    """``(splits, pieces)`` for the given unit type.
-
-    ``splits`` is the number of units intersecting >= 2 districts; ``pieces``
-    is the total number of distinct (unit, district) incidences. The
-    pieces-excess convention is ``pieces - unit_count``
-    (see :func:`pieces_excess`).
-    """
-    counts = _pieces_per_unit(graph, plan, unit)
-    splits = int((counts >= 2).sum())
-    pieces = int(counts.sum())
-    return splits, pieces
-
-
-def pieces_excess(graph: PrecinctGraph, plan: Plan, unit: str) -> int:
-    """Pieces count minus the number of units (the redistmetrics-style count)."""
-    splits, pieces = count_splits(graph, plan, unit)
-    _, n_units = _unit_codes(graph, unit)
-    return pieces - n_units
-
-
-def per_district_split_penalty(graph: PrecinctGraph, plan: Plan, unit: str = "county") -> int:
-    """Sum over districts of the number of split units the district touches.
-
-    Equals the sum over split units of the number of districts touching
-    them, hence always >= 2 * splits, with equality iff every split unit
-    touches exactly two districts.
-    """
-    counts = _pieces_per_unit(graph, plan, unit)
-    return int(counts[counts >= 2].sum())
 
 
 def split_report(graph: PrecinctGraph, plan: Plan, pieces=None) -> SplitReport:
     """Every split count of one plan, read off ``pieces``: the number of
     districts each county and each municipality touches, as a pair of arrays
-    in ``UNITS`` order (a ``PlanTally`` keeps them). Counted from the plan
-    when not given.
+    in :func:`unit_codes` order (a ``PlanTally`` keeps them). Counted from the
+    plan when not given.
+
+    ``per_district_county_penalty`` sums, over districts, the split counties
+    each touches; it is always >= 2 * ``county_splits``, with equality iff
+    every split county touches exactly two districts.
     """
     if pieces is None:
-        pieces = [_pieces_per_unit(graph, plan, unit) for unit in UNITS]
+        pieces = [
+            (unit_district_counts(codes, n_units, slice(None), plan.assignment, plan.k) > 0)
+            .sum(axis=1)
+            for codes, n_units in unit_codes(graph)
+        ]
     county, muni = pieces
     split = county >= 2
     return SplitReport(

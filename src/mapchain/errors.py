@@ -8,7 +8,23 @@ mapchain error exits 4.
 
 
 class MapchainError(Exception):
-    """Base class for all mapchain errors."""
+    """Base class for all mapchain errors.
+
+    Errors pickle by their state rather than by calling the class again with
+    ``args``, which holds only the message where a subclass takes other
+    arguments; so an error raised in a worker process reaches the parent
+    whole.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls, args, state):
+    error = cls.__new__(cls, *args)
+    error.args = args
+    error.__dict__.update(state)
+    return error
 
 
 class ConfigError(MapchainError):

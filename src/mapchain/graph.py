@@ -118,10 +118,6 @@ class Plan:
     def district_nodes(self, d: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == d)
 
-    def same_partition(self, other: "Plan") -> bool:
-        """True when the two plans induce the same unlabeled partition."""
-        return canonical_form(self) == canonical_form(other)
-
     def __eq__(self, other):
         return (
             isinstance(other, Plan)

@@ -613,15 +613,13 @@ _CONFIG_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 def _parse_config_value(key: str, raw: str):
     raw = raw.strip()
-    if key in ("contests",):
+    if key == "contests":
         return tuple(s.strip() for s in raw.split(",") if s.strip())
-    if key in ("sweep_caps",):
+    if key == "sweep_caps":
         return tuple(int(s) for s in raw.split(",") if s.strip())
     if key == "burn_in":
         return -1 if raw == "auto" else int(raw)
     default = _CONFIG_FIELDS[key].default
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):

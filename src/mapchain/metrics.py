@@ -7,6 +7,12 @@ across the sample and computes metrics once on the summed contest. The index
 convention overweights high-turnout contests and interacts badly with
 nonlinear metrics; both are reported so they can be compared.
 
+Each metric has one formula, over per-district arrays with one row per
+contest and the districts on the last axis. ``score_plan`` applies it to
+all of a :class:`PlanTally`'s rows at once; the public whole-plan helpers
+(``district_shares``, ``efficiency_gap``, ``seats_won``, ...) apply it to
+the one row of a single contest's ``np.bincount`` sums.
+
 Sign conventions: shares are two-party Democratic; efficiency gap and
 mean-median are positive for pro-Republican advantage.
 """
@@ -19,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import errors
-from .constraints import UNITS, SplitReport, split_report, unit_district_counts
+from .constraints import SplitReport, split_report, unit_codes, unit_district_counts
 from .graph import (
     Contest,
     Plan,
@@ -93,34 +99,78 @@ def _resolve_contest(graph: PrecinctGraph, contest) -> Contest:
     return graph.elections.get(contest)
 
 
-def district_votes(graph: PrecinctGraph, plan: Plan, contest):
-    """Per-district ``(dem, rep)`` two-party vote totals."""
-    c = _resolve_contest(graph, contest)
-    dem = np.bincount(plan.assignment, weights=c.dem, minlength=plan.k)
-    rep = np.bincount(plan.assignment, weights=c.rep, minlength=plan.k)
-    return dem, rep
+def _shares(dem, rep, contests) -> np.ndarray:
+    """Democratic two-party share of every district, from vote arrays with
+    one row per contest and the districts on the last axis; ``contests``
+    names the rows for the error a voteless district raises."""
+    total = dem + rep
+    if (total == 0).any():
+        row, d = np.argwhere(total == 0)[0]
+        raise errors.ZeroVotesDistrict(int(d), contests[row])
+    return dem / total
+
+
+def _ties(shares) -> np.ndarray:
+    """Districts at share exactly 0.5, per row."""
+    return (shares == 0.5).sum(axis=-1)
+
+
+def _seats(shares) -> np.ndarray:
+    """Democratic seats per row: share > 0.5 wins outright, exact ties count 0.5."""
+    return (shares > 0.5).sum(axis=-1) + 0.5 * _ties(shares)
+
+
+def _seat_probabilities(shares, sigma: float) -> list:
+    """Each district's ``normal_cdf((share - 0.5) / sigma)``, one list per row."""
+    return [[normal_cdf(x) for x in row] for row in ((shares - 0.5) / sigma).tolist()]
+
+
+def _efficiency_gaps(dem, rep) -> np.ndarray:
+    """(Dem wasted - Rep wasted) / total votes per row; positive is pro-Republican.
+
+    The loser wastes every vote; the winner wastes votes beyond half the
+    district total, so at an exact tie each side wastes 0. Twice each
+    district's wasted votes is then a whole number for whole vote counts, so
+    the row sums are exact and halving them gives the correctly rounded sums
+    whatever the district order; the same holds for the total.
+    """
+    dem_wasted = np.where(dem >= rep, dem - rep, 2 * dem).sum(axis=-1) / 2
+    rep_wasted = np.where(rep >= dem, rep - dem, 2 * rep).sum(axis=-1) / 2
+    return (dem_wasted - rep_wasted) / (dem + rep).sum(axis=-1)
+
+
+def _mean_medians(shares) -> list:
+    """Mean minus median of each row's shares; positive when Democratic
+    voters are packed (median below mean), i.e. pro-Republican, matching the
+    efficiency gap. ``math.fsum`` keeps the mean independent of district order."""
+    return [math.fsum(row) / len(row) - m
+            for row, m in zip(shares.tolist(), np.median(shares, axis=-1).tolist())]
+
+
+def _polsby_popper(perims: np.ndarray, areas: np.ndarray) -> float:
+    return math.fsum(4.0 * math.pi * areas / (perims * perims)) / perims.size
+
+
+def _plan_votes(plan: Plan, contest: Contest):
+    """Per-district ``(dem, rep)`` totals of ``contest``, as one-row arrays."""
+    return tuple(np.bincount(plan.assignment, weights=votes, minlength=plan.k)[None]
+                 for votes in (contest.dem, contest.rep))
 
 
 def district_shares(graph: PrecinctGraph, plan: Plan, contest) -> np.ndarray:
     """Per-district Democratic two-party voteshare for one contest."""
     c = _resolve_contest(graph, contest)
-    dem, rep = district_votes(graph, plan, c)
-    total = dem + rep
-    if (total == 0).any():
-        d = int(np.flatnonzero(total == 0)[0])
-        raise errors.ZeroVotesDistrict(d, c.name)
-    return dem / total
+    return _shares(*_plan_votes(plan, c), (c.name,))[0]
 
 
 def count_ties(shares) -> int:
     """Number of districts with share exactly 0.5."""
-    return int((np.asarray(shares) == 0.5).sum())
+    return int(_ties(np.asarray(shares)))
 
 
 def seats_won(shares) -> float:
     """Democratic seats: share > 0.5 wins outright, exact ties count 0.5."""
-    s = np.asarray(shares, dtype=np.float64)
-    return float((s > 0.5).sum()) + 0.5 * count_ties(s)
+    return float(_seats(np.asarray(shares, dtype=np.float64)))
 
 
 def normal_cdf(x: float) -> float:
@@ -135,62 +185,27 @@ def seats_fractional(shares, sigma: float = 0.05) -> float:
     approaches the outright seat count (ties kept at 0.5). fsum keeps the
     result independent of district ordering.
     """
-    return math.fsum(normal_cdf((float(s) - 0.5) / sigma) for s in np.asarray(shares))
-
-
-def wasted_votes(dem, rep):
-    """Per-district wasted votes ``(dem_wasted, rep_wasted)``.
-
-    The loser wastes every vote; the winner wastes votes beyond half the
-    district total. At an exact tie each side wastes votes - total/2 = 0.
-    """
-    dem = np.asarray(dem, dtype=np.float64)
-    rep = np.asarray(rep, dtype=np.float64)
-    total = dem + rep
-    dem_wasted = np.where(dem >= rep, dem - total / 2.0, dem)
-    rep_wasted = np.where(rep >= dem, rep - total / 2.0, rep)
-    return dem_wasted, rep_wasted
+    return math.fsum(_seat_probabilities(np.asarray(shares, dtype=np.float64)[None], sigma)[0])
 
 
 def efficiency_gap_from_votes(dem, rep) -> float:
-    """(Dem wasted - Rep wasted) / total votes; positive is pro-Republican.
-
-    Sums are exactly rounded (fsum) so the result cannot depend on district
-    ordering.
-    """
-    dem = np.asarray(dem, dtype=np.float64)
-    rep = np.asarray(rep, dtype=np.float64)
-    total = dem + rep
-    if (total == 0).any():
-        d = int(np.flatnonzero(total == 0)[0])
-        raise errors.ZeroVotesDistrict(d, "<votes>")
-    dem_wasted, rep_wasted = wasted_votes(dem, rep)
-    return (math.fsum(dem_wasted) - math.fsum(rep_wasted)) / math.fsum(total)
+    """Efficiency gap of per-district whole vote counts; positive is pro-Republican."""
+    dem, rep = (np.asarray(votes, dtype=np.float64)[None] for votes in (dem, rep))
+    _shares(dem, rep, ("<votes>",))  # raises ZeroVotesDistrict for a voteless district
+    return float(_efficiency_gaps(dem, rep)[0])
 
 
 def efficiency_gap(graph: PrecinctGraph, plan: Plan, contest) -> float:
     """Efficiency gap of one contest; positive favors Republicans."""
     c = _resolve_contest(graph, contest)
-    dem, rep = district_votes(graph, plan, c)
-    total = dem + rep
-    if (total == 0).any():
-        d = int(np.flatnonzero(total == 0)[0])
-        raise errors.ZeroVotesDistrict(d, c.name)
-    return efficiency_gap_from_votes(dem, rep)
+    dem, rep = _plan_votes(plan, c)
+    _shares(dem, rep, (c.name,))
+    return float(_efficiency_gaps(dem, rep)[0])
 
 
 def mean_median(shares) -> float:
-    """Mean minus median of district Democratic shares.
-
-    Positive when Democratic voters are packed (median below mean), i.e.
-    pro-Republican, matching the efficiency gap orientation.
-    """
-    s = np.asarray(shares, dtype=np.float64)
-    return math.fsum(s) / s.size - float(np.median(s))
-
-
-def _polsby_popper(perims: np.ndarray, areas: np.ndarray) -> float:
-    return math.fsum(4.0 * math.pi * areas / (perims * perims)) / perims.size
+    """Mean minus median of district Democratic shares (pro-Republican positive)."""
+    return _mean_medians(np.asarray(shares, dtype=np.float64)[None])[0]
 
 
 def polsby_popper(graph: PrecinctGraph, plan: Plan) -> float:
@@ -250,9 +265,8 @@ class PlanTally:
         self.rep = np.zeros((len(graph.elections), k), dtype=np.int64)
         self.areas = np.zeros(k)
         self.perimeters = np.zeros(k)
-        sizes = (graph.n_counties, graph.n_munis)
-        self.unit_counts = tuple(np.zeros((size, k), dtype=np.int32) for size in sizes)
-        self.unit_pieces = tuple(np.zeros(size, dtype=np.int64) for size in sizes)
+        self.unit_counts = tuple(np.zeros((n, k), dtype=np.int32) for _, n in unit_codes(graph))
+        self.unit_pieces = tuple(np.zeros(n, dtype=np.int64) for _, n in unit_codes(graph))
         self.splits = None
         self._cdf_key = None
         self._cdf = None
@@ -266,8 +280,10 @@ class PlanTally:
         ``splits`` is ``plan``'s split report, for the gate."""
         local = np.searchsorted(districts, plan.assignment[nodes])
         counts, pieces = [], []
-        for unit, matrix, before in zip(UNITS, self.unit_counts, self.unit_pieces):
-            new = unit_district_counts(self.graph, unit, nodes, local, districts.size)
+        for (codes, n_units), matrix, before in zip(
+            unit_codes(self.graph), self.unit_counts, self.unit_pieces
+        ):
+            new = unit_district_counts(codes, n_units, nodes, local, districts.size)
             old = matrix[:, districts]
             counts.append(new)
             pieces.append(before + (new > 0).sum(axis=1) - (old > 0).sum(axis=1))
@@ -312,10 +328,10 @@ class PlanTally:
             self._cdf = [[0.0] * shares.shape[1] for _ in range(shares.shape[0])]
             self._stale[:] = True
         stale = np.flatnonzero(self._stale)
-        z = ((shares[:, stale] - 0.5) / config.fractional_sigma).tolist()
-        for terms, row in zip(self._cdf, z):
-            for d, x in zip(stale.tolist(), row):
-                terms[d] = normal_cdf(x)
+        fresh = _seat_probabilities(shares[:, stale], config.fractional_sigma)
+        for terms, row in zip(self._cdf, fresh):
+            for d, value in zip(stale.tolist(), row):
+                terms[d] = value
         self._stale[:] = False
         return self._cdf
 
@@ -336,24 +352,12 @@ def score_plan(
     rep = tally.rep[rows]
     dem = np.vstack([dem, dem.sum(axis=0)])
     rep = np.vstack([rep, rep.sum(axis=0)])
-    total = dem + rep
-    if (total == 0).any():  # the index row is 0 only where every contest row is
-        row, d = np.argwhere(total == 0)[0]
-        raise errors.ZeroVotesDistrict(int(d), config.contests[row])
-    shares = dem / total
-    ties = (shares == 0.5).sum(axis=1)
-    seats = ((shares > 0.5).sum(axis=1) + 0.5 * ties).tolist()
-    # Efficiency gap: twice each district's wasted votes (see wasted_votes) is
-    # an integer, so the int64 row sums are exact and float(sum) / 2 is the
-    # correctly rounded sum of the wasted votes, which is what math.fsum
-    # returns for them; the same holds for the total.
-    dem_wasted = np.where(dem >= rep, dem - rep, 2 * dem).sum(axis=1) / 2
-    rep_wasted = np.where(rep >= dem, rep - dem, 2 * rep).sum(axis=1) / 2
-    egs = ((dem_wasted - rep_wasted) / total.sum(axis=1)).tolist()
-    mms = [
-        math.fsum(s) / plan.k - m
-        for s, m in zip(shares.tolist(), np.median(shares, axis=1).tolist())
-    ]
+    # the index row is 0 only where every contest row is, so a voteless
+    # district is always reported under a contest's name
+    shares = _shares(dem, rep, config.contests)
+    seats = _seats(shares).tolist()
+    egs = _efficiency_gaps(dem, rep).tolist()
+    mms = _mean_medians(shares)
     frac = [math.fsum(terms) for terms in tally.seat_probabilities(config, shares[:n_contests])]
     require_positive_perimeters(tally.perimeters)
     splits = tally.splits
@@ -370,5 +374,5 @@ def score_plan(
         muni_splits=splits.muni_splits,
         per_district_county_penalty=splits.per_district_county_penalty,
         pieces_count=splits.pieces_count,
-        tie_districts=int(ties.sum()),
+        tie_districts=int(_ties(shares).sum()),
     )

@@ -85,14 +85,6 @@ class SpanningTree:
     def total_population(self) -> int:
         return int(self.subtree_pop[self.root])
 
-    def edges(self):
-        """Tree edges as (child, parent) pairs of graph ordinals."""
-        return [
-            (int(self.nodes[i]), int(self.nodes[self.parent[i]]))
-            for i in range(self.m)
-            if self.parent[i] >= 0
-        ]
-
     def local_index(self, node: int) -> int:
         # nodes is sorted (np.unique), so binary search suffices
         i = int(np.searchsorted(self.nodes, node))
@@ -246,10 +238,6 @@ class Cut:
     child: int
     parent: int
     subtree_is_first: bool  # subtree side matches target_pops[0]
-
-    @property
-    def edge(self):
-        return (self.child, self.parent)
 
 
 def find_balanced_cut(

@@ -65,6 +65,30 @@ def test_chain_parallel_chains_deterministic(workdir):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_data_error_exits_3_with_one_error_line(workdir, capsys, workers):
+    # zero district A's PRES votes: each chain fails when it scores its seed
+    nodes = workdir / "tests" / "fixtures" / "grid4" / "nodes.csv"
+    assignment = workdir / "tests" / "fixtures" / "grid4" / "assignment.csv"
+    in_a = {row.split(",")[0] for row in assignment.read_text().splitlines()
+            if row.endswith(",A")}
+    header, *rows = nodes.read_text().splitlines()
+    columns = header.split(",")
+    zeroed = []
+    for row in rows:
+        cells = row.split(",")
+        if cells[0] in in_a:
+            cells[columns.index("PRES_D")] = cells[columns.index("PRES_R")] = "0"
+        zeroed.append(",".join(cells))
+    nodes.write_text("\n".join([header, *zeroed]) + "\n")
+    code = main(["chain", "--config", CFG, "--set", "n_chains=2",
+                 "--set", f"workers={workers}"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ZeroVotesDistrict:")
+    assert err.count("\n") == 1
+
+
 def test_chain_rejecting_seed_fails_with_exit_3(workdir, capsys):
     code = main(["chain", "--config", CFG, "--set", "mode=reject",
                  "--set", "county_cap=1", "--set", "muni_cap=1"])

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from mapchain.constraints import (
     ConstraintGate,
     SplitReport,
-    count_splits,
     gate_accept,
-    per_district_split_penalty,
-    pieces_excess,
     split_report,
 )
 from mapchain.graph import (
@@ -32,18 +29,18 @@ def rows_plan_2x2():
 def test_counties_as_columns_rows_as_districts():
     # 2x2 grid, counties = columns, districts = rows: both counties split
     g = grid_graph(2, 2, county_mode="columns")
-    splits, pieces = count_splits(g, rows_plan_2x2(), "county")
-    assert (splits, pieces) == (2, 4)
-    assert pieces_excess(g, rows_plan_2x2(), "county") == 2
-    assert per_district_split_penalty(g, rows_plan_2x2()) == 4
+    report = split_report(g, rows_plan_2x2())
+    assert (report.county_splits, report.pieces_count) == (2, 4)
+    assert report.pieces_count - g.n_counties == 2
+    assert report.per_district_county_penalty == 4
 
 
 def test_districts_identical_to_counties():
     g = grid_graph(2, 2, county_mode="rows")
-    splits, pieces = count_splits(g, rows_plan_2x2(), "county")
-    assert splits == 0
-    assert pieces == g.n_counties
-    assert per_district_split_penalty(g, rows_plan_2x2()) == 0
+    report = split_report(g, rows_plan_2x2())
+    assert report.county_splits == 0
+    assert report.pieces_count == g.n_counties
+    assert report.per_district_county_penalty == 0
 
 
 def three_district_county_graph():
@@ -60,10 +57,10 @@ def three_district_county_graph():
 def test_one_county_spanning_three_districts():
     g = three_district_county_graph()
     plan = Plan([0, 1, 2, 3, 3, 3], 4)
-    splits, pieces = count_splits(g, plan, "county")
-    assert splits == 1
-    assert pieces_excess(g, plan, "county") == 2  # the two counts diverge
-    assert per_district_split_penalty(g, plan) == 3
+    report = split_report(g, plan)
+    assert report.county_splits == 1
+    assert report.pieces_count - g.n_counties == 2  # the two counts diverge
+    assert report.per_district_county_penalty == 3
 
 
 def test_split_report_fields(grid4, band4):
@@ -92,28 +89,29 @@ def test_penalty_at_least_twice_splits(seed):
         if len(set(labels.tolist())) == 3:
             break
     plan = Plan(labels, 3)
-    splits, _ = count_splits(g, plan, "county")
-    penalty = per_district_split_penalty(g, plan)
+    report = split_report(g, plan)
+    splits = report.county_splits
+    penalty = report.per_district_county_penalty
     assert penalty >= 2 * splits
     if penalty == 2 * splits:
         # every split unit then touches exactly 2 districts, so the
         # pieces-excess convention coincides with the splits count
-        assert pieces_excess(g, plan, "county") == splits
+        assert report.pieces_count - g.n_counties == splits
 
 
 def test_splits_zero_iff_units_nest_inside_districts():
     # splits == 0 exactly when every unit lies within a single district,
     # i.e. the unit partition refines the plan
     g = grid_graph(2, 2, county_mode="rows")
-    assert count_splits(g, rows_plan_2x2(), "county")[0] == 0  # identical
+    assert split_report(g, rows_plan_2x2()).county_splits == 0  # identical
     whole = Plan([0, 0, 0, 0], 1)
-    assert count_splits(g, whole, "county")[0] == 0  # counties nest
+    assert split_report(g, whole).county_splits == 0  # counties nest
     # one district per node: each county now spans two districts
     atomized = Plan([0, 1, 2, 3], 4)
-    assert count_splits(g, atomized, "county")[0] == 2
+    assert split_report(g, atomized).county_splits == 2
     # a district crossing a county boundary splits both counties
     crossing = Plan([0, 1, 0, 1], 2)
-    assert count_splits(g, crossing, "county")[0] == 2
+    assert split_report(g, crossing).county_splits == 2
 
 
 def test_reject_gate_caps():
@@ -169,7 +167,3 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         ConstraintGate.gibbs({"nonsense": 0.5})
 
-
-def test_unknown_unit_rejected(grid4, band4):
-    with pytest.raises(ValueError):
-        count_splits(grid4, band4, "parish")

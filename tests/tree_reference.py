@@ -13,6 +13,20 @@ import numpy as np
 from mapchain.trees import Cut, SpanningTree
 
 
+def tree_edges(tree):
+    """A tree's edges as (child, parent) pairs of graph ordinals."""
+    return [
+        (int(tree.nodes[i]), int(tree.nodes[tree.parent[i]]))
+        for i in range(tree.m)
+        if tree.parent[i] >= 0
+    ]
+
+
+def cut_edge(cut):
+    """The (child, parent) tree edge that a cut removes."""
+    return (cut.child, cut.parent)
+
+
 def finish_tree(induced, parent, root, pops) -> SpanningTree:
     m = induced.m
     parent = np.asarray(parent, dtype=np.int64)
