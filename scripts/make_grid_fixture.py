@@ -44,18 +44,23 @@ bench_tree_plans = 10
 """
 
 
-def main() -> int:
-    os.makedirs(OUT, exist_ok=True)
+def write_fixture(out) -> None:
+    """Write the fixture's nodes, edges, assignment and config under ``out``."""
     graph = grid4_graph()
     # column districts: they match the column counties (0 county splits), so
     # rejection sweeps over the county cap genuinely bind
     plan = Plan(np.arange(16) % 4, 4)
-    write_nodes(graph, os.path.join(OUT, "nodes.csv"))
-    write_edges(graph, os.path.join(OUT, "edges.csv"))
-    write_assignment(plan, graph, os.path.join(OUT, "assignment.csv"),
+    write_nodes(graph, os.path.join(out, "nodes.csv"))
+    write_edges(graph, os.path.join(out, "edges.csv"))
+    write_assignment(plan, graph, os.path.join(out, "assignment.csv"),
                      names={0: "A", 1: "B", 2: "C", 3: "D"})
-    with open(os.path.join(OUT, "chain.cfg"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out, "chain.cfg"), "w", encoding="utf-8") as fh:
         fh.write(CONFIG)
+
+
+def main() -> int:
+    os.makedirs(OUT, exist_ok=True)
+    write_fixture(OUT)
     print(f"wrote fixture under {os.path.normpath(OUT)}")
     return 0
 

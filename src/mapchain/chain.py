@@ -32,7 +32,6 @@ class ChainState:
 
     plan: Plan
     rng: np.random.Generator
-    step: int = 0
     proposed: int = 0
     accepted: int = 0
     rejected_by_constraint: int = 0
@@ -116,7 +115,6 @@ def recom_step(
     rng = state.rng
     if state.tally is None and constraint_gate.mode != "permissive":
         state.tally = PlanTally(graph, plan)
-    state.step += 1
     state.proposed += 1
 
     if pair_selection == "uniform":

@@ -3,8 +3,8 @@
 Every command takes ``--config FILE`` (flat key=value, keys matching
 RunConfig fields) plus repeatable ``--set key=value`` overrides; flags win
 over the file. Exit codes: 0 success, 2 config error, 3 data error,
-4 runtime error. The rng is numpy's default PCG64, so identical configs
-produce identical output files.
+4 runtime error (running out of memory included). The rng is numpy's
+default PCG64, so identical configs produce identical output files.
 """
 from __future__ import annotations
 
@@ -79,10 +79,21 @@ def _chain_job(args):
     )
 
 
+def _tree_job(graph, k, n_plans, cfg: RunConfig, mcfg):
+    """``n_plans`` random-tree plans of ``k`` districts under ``cfg``'s tree
+    settings, from the generator that ``default_rng(cfg.seed)`` gives."""
+    return tree_ensemble(
+        graph, k, cfg.pop_tolerance, n_plans, mcfg, np.random.default_rng(cfg.seed),
+        retry_budget=cfg.max_tree_retries, global_retry_cap=cfg.tree_retry_cap,
+        tree_method=cfg.tree_method,
+    )
+
+
 def _run_chains(graph, plan, cfg: RunConfig, mcfg):
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)
     jobs = [(graph, plan, cfg, cfg.steps, s.entropy, mcfg) for s in seeds]
-    workers = min(cfg.workers, cfg.n_chains)
+    # the pool starts all its processes at once: no more than the machine has CPUs
+    workers = min(cfg.workers, cfg.n_chains, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_chain_job, jobs))
@@ -162,12 +173,7 @@ def cmd_tree(cfg: RunConfig) -> int:
     graph, mcfg = _load(cfg)
     k, plan = _district_count(cfg, graph)
     reference = score_plan(graph, plan, mcfg) if plan is not None else None
-    rng = np.random.default_rng(cfg.seed)
-    trace = tree_ensemble(
-        graph, k, cfg.pop_tolerance, cfg.n_plans, mcfg, rng,
-        retry_budget=cfg.max_tree_retries, global_retry_cap=cfg.tree_retry_cap,
-        tree_method=cfg.tree_method,
-    )
+    trace = _tree_job(graph, k, cfg.n_plans, cfg, mcfg)
     trace_path = _write_ensemble_outputs(cfg, trace, trace, reference, cfg.out_dir)
     print(f"plans={cfg.n_plans} k={k} failed_draws={trace.rejected_no_cut}")
     print(f"wrote {trace_path}")
@@ -199,12 +205,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if len(set(cfg.sweep_caps)) < 2:
         raise errors.ConfigError("sweep_caps needs at least 2 distinct caps")
     plan, _ = read_assignment(cfg.assignment, graph)
-    rng = np.random.default_rng(cfg.seed)
-    baseline_trace = tree_ensemble(
-        graph, plan.k, cfg.pop_tolerance, cfg.n_plans, mcfg, rng,
-        retry_budget=cfg.max_tree_retries, global_retry_cap=cfg.tree_retry_cap,
-        tree_method=cfg.tree_method,
-    )
+    baseline_trace = _tree_job(graph, plan.k, cfg.n_plans, cfg, mcfg)
     baseline = float(np.mean(baseline_trace.series(cfg.sweep_metric)))
     sweep_cfg = SweepConfig(
         steps=cfg.steps,
@@ -255,13 +256,8 @@ def run_bench(cfg: RunConfig) -> BenchReport:
         t = time.perf_counter()
         _chain_job((graph, plan, replace(cfg, mode=mode), cfg.bench_iterations, cfg.seed, mcfg))
         rows.append((f"chain_{name}", cfg.bench_iterations, time.perf_counter() - t))
-    rng = np.random.default_rng(cfg.seed)
     t = time.perf_counter()
-    tree_ensemble(
-        graph, plan.k, cfg.pop_tolerance, cfg.bench_tree_plans, mcfg, rng,
-        retry_budget=cfg.max_tree_retries, global_retry_cap=cfg.tree_retry_cap,
-        tree_method=cfg.tree_method,
-    )
+    _tree_job(graph, plan.k, cfg.bench_tree_plans, cfg, mcfg)
     rows.append(("random_tree", cfg.bench_tree_plans, time.perf_counter() - t))
     return BenchReport(read_in_sec=read_in, rows=rows)
 
@@ -355,6 +351,9 @@ def main(argv=None) -> int:
         return 3
     except (errors.MapchainError, OSError) as e:
         print(f"ERROR {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
+    except MemoryError as e:  # e.g. a trace of more steps or plans than memory holds
+        print(f"ERROR MemoryError: {e}", file=sys.stderr)
         return 4
 
 

@@ -1,13 +1,14 @@
 """Precinct adjacency graph, district plans, and structural queries.
 
-The graph is immutable after construction: nodes carry precomputed geometry
-scalars (area, perimeter) and administrative ids, adjacency arrives as an
-explicit edge list with shared boundary lengths. No coordinate geometry
-anywhere. District labels are dense integers ``0..k-1``.
+The graph is immutable after construction: each node attribute (id,
+population, administrative units, precomputed area and perimeter) is one
+column indexed by node ordinal, and adjacency is one set of edge arrays with
+shared boundary lengths. No coordinate geometry anywhere. District labels
+are dense integers ``0..k-1``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,7 +18,8 @@ from . import errors
 
 @dataclass(frozen=True)
 class PrecinctNode:
-    """One precinct: population, admin units, and geometry scalars."""
+    """One precinct's record, an input to :func:`build_graph`: population,
+    admin units, and geometry scalars. The graph keeps each field as a column."""
 
     precinct_id: str
     population: int
@@ -27,17 +29,17 @@ class PrecinctNode:
     perimeter: float
 
 
+# The node attributes, in nodes.csv column order; also the keys of the node
+# columns that build_graph_from_arrays takes.
+NODE_COLUMNS = tuple(f.name for f in fields(PrecinctNode))
+
+
 @dataclass(frozen=True)
 class AdjacencyEdge:
-    """Undirected adjacency between two precincts.
+    """Undirected adjacency between two precincts, by node ordinal."""
 
-    Endpoints are node ordinals in a built graph; the ingestion layer may
-    construct edges with precinct-id string endpoints and let ``build_graph``
-    resolve them.
-    """
-
-    a: "int | str"
-    b: "int | str"
+    a: int
+    b: int
     shared_perimeter: float = 1.0
 
 
@@ -153,13 +155,16 @@ def canonical_form(plan: Plan) -> tuple:
 class PrecinctGraph:
     """Connected precinct adjacency graph with votes attached.
 
-    Construct with :func:`build_graph`; all fields, including the numpy
-    arrays, are treated as immutable and are safe to share across workers.
-    Adjacency is stored once, as edge arrays sorted by ``(edge_a, edge_b)``
-    with ``edge_a < edge_b``; ``edge_shared`` is each edge's shared boundary.
+    Construct with :func:`build_graph` or :func:`build_graph_from_arrays`;
+    all fields, including the numpy arrays, are treated as immutable and are
+    safe to share across workers. Each node attribute is stored once, as a
+    column indexed by node ordinal; ``county_codes``/``muni_codes`` index
+    ``county_names``/``muni_names``. Adjacency is stored once, as edge arrays
+    sorted by ``(edge_a, edge_b)`` with ``edge_a < edge_b``; ``edge_shared``
+    is each edge's shared boundary.
     """
 
-    nodes: tuple
+    precinct_ids: tuple
     node_index: dict
     elections: ElectionSet
     populations: np.ndarray
@@ -167,26 +172,31 @@ class PrecinctGraph:
     perimeters: np.ndarray
     county_codes: np.ndarray
     muni_codes: np.ndarray
-    n_counties: int
-    n_munis: int
+    county_names: tuple
+    muni_names: tuple
     edge_a: np.ndarray
     edge_b: np.ndarray
     edge_shared: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.precinct_ids)
 
     @property
     def n_edges(self) -> int:
         return int(self.edge_a.size)
 
     @property
+    def n_counties(self) -> int:
+        return len(self.county_names)
+
+    @property
+    def n_munis(self) -> int:
+        return len(self.muni_names)
+
+    @property
     def total_population(self) -> int:
         return int(self.populations.sum())
-
-    def precinct_ids(self) -> tuple:
-        return tuple(node.precinct_id for node in self.nodes)
 
     def __repr__(self):
         return (
@@ -232,40 +242,30 @@ def build_graph(
     edges: Iterable[AdjacencyEdge],
     elections: ElectionSet,
 ) -> PrecinctGraph:
-    """Validate inputs and assemble an immutable :class:`PrecinctGraph` from
-    edge records whose endpoints are ordinals or precinct ids.
+    """Validate records and assemble an immutable :class:`PrecinctGraph`
+    from node records and edge records whose endpoints are node ordinals.
 
-    Raises ``DanglingEdge`` and ``DuplicateEdge`` for the records, then what
-    :func:`build_graph_from_arrays` raises.
+    Raises ``DanglingEdge`` and ``DuplicateEdge`` for the first bad edge
+    record, then what :func:`build_graph_from_arrays` raises.
     """
-    nodes = tuple(nodes)
-    node_index = {node.precinct_id: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    ends_a, ends_b, shared = [], [], []
-    for edge in edges:
-        a, b = edge.a, edge.b
-        if isinstance(a, str):
-            if a not in node_index:
-                raise errors.DanglingEdge(f"edge endpoint {a!r} is not a precinct")
-            a = node_index[a]
-        if isinstance(b, str):
-            if b not in node_index:
-                raise errors.DanglingEdge(f"edge endpoint {b!r} is not a precinct")
-            b = node_index[b]
-        a, b = int(a), int(b)
-        if not (0 <= a < n and 0 <= b < n):
-            raise errors.DanglingEdge(f"edge ordinal out of range: ({a}, {b})")
-        ends_a.append(a)
-        ends_b.append(b)
-        shared.append(float(edge.shared_perimeter))
-    edge_a = np.array(ends_a, dtype=np.int64)
-    edge_b = np.array(ends_b, dtype=np.int64)
+    columns = {name: [getattr(node, name) for node in nodes] for name in NODE_COLUMNS}
+    ids = columns["precinct_id"]
+    edges = list(edges)
+    edge_a = np.array([edge.a for edge in edges], dtype=np.int64)
+    edge_b = np.array([edge.b for edge in edges], dtype=np.int64)
+    outside = np.flatnonzero(
+        (np.minimum(edge_a, edge_b) < 0) | (np.maximum(edge_a, edge_b) >= len(ids))
+    )
+    if outside.size:
+        a, b = int(edge_a[outside[0]]), int(edge_b[outside[0]])
+        raise errors.DanglingEdge(f"edge ordinal out of range: ({a}, {b})")
     repeated = repeated_pairs(edge_a, edge_b)
     if repeated.size:
         a, b = sorted((int(edge_a[repeated[0]]), int(edge_b[repeated[0]])))
         raise errors.DuplicateEdge(f"duplicate edge for node pair ({a}, {b})")
+    edge_shared = np.array([edge.shared_perimeter for edge in edges], dtype=np.float64)
     return build_graph_from_arrays(
-        nodes, edge_a, edge_b, np.array(shared, dtype=np.float64), elections
+        columns, dict(zip(ids, range(len(ids)))), edge_a, edge_b, edge_shared, elections
     )
 
 
@@ -279,41 +279,52 @@ def repeated_pairs(edge_a: np.ndarray, edge_b: np.ndarray) -> np.ndarray:
 
 
 def build_graph_from_arrays(
-    nodes: Sequence[PrecinctNode],
+    columns: dict,
+    node_index: dict,
     edge_a: np.ndarray,
     edge_b: np.ndarray,
     edge_shared: np.ndarray,
     elections: ElectionSet,
 ) -> PrecinctGraph:
     """Validate inputs and assemble an immutable :class:`PrecinctGraph` from
-    edge ordinal arrays, one entry per edge.
+    node columns and edge ordinal arrays.
 
-    The caller guarantees that the ordinals lie in ``0..n-1`` and that no
-    unordered pair repeats (:func:`build_graph` and ``io.read_edges`` check
-    both with their own messages). Raises :class:`~mapchain.errors.DisconnectedGraph`
-    (listing components), ``DuplicatePrecinctId``, ``InvalidEdge``,
-    ``InvalidNodeData``, or ``MissingVoteColumn``.
+    ``columns`` maps each name in ``NODE_COLUMNS`` to one value per node, in
+    node order, and ``node_index`` is ``dict(zip(ids, range(n)))`` over its
+    precinct ids. The caller guarantees that the edge ordinals lie in
+    ``0..n-1`` and that no unordered pair repeats (:func:`build_graph` and
+    ``io.read_edges`` check both with their own messages).
+
+    The first faulty node in node order raises: a repeated precinct id
+    (``DuplicatePrecinctId``), then a negative population or an area or
+    perimeter that is not > 0 (``InvalidNodeData``), checked in that order
+    within a node. Then raises ``InvalidEdge``, ``MissingVoteColumn``,
+    ``InvalidNodeData`` for negative votes, or
+    :class:`~mapchain.errors.DisconnectedGraph` (listing components).
     """
-    nodes = tuple(nodes)
-    if not nodes:
+    ids = tuple(columns["precinct_id"])
+    n = len(ids)
+    if not n:
         raise errors.EmptyInput("no nodes")
-    n = len(nodes)
-
-    node_index: dict = {}
-    for i, node in enumerate(nodes):
-        if node.precinct_id in node_index:
-            raise errors.DuplicatePrecinctId(
-                f"precinct id {node.precinct_id!r} appears more than once"
-            )
-        node_index[node.precinct_id] = i
-        if node.population < 0:
-            raise errors.InvalidNodeData(
-                f"{node.precinct_id}: population {node.population} < 0"
-            )
-        if not node.area > 0:
-            raise errors.InvalidNodeData(f"{node.precinct_id}: area must be > 0")
-        if not node.perimeter > 0:
-            raise errors.InvalidNodeData(f"{node.precinct_id}: perimeter must be > 0")
+    populations = np.array(columns["population"], dtype=np.int64)
+    areas = np.array(columns["area"], dtype=np.float64)
+    perimeters = np.array(columns["perimeter"], dtype=np.float64)
+    repeated = np.zeros(n, dtype=bool)
+    if len(node_index) < n:  # every occurrence of an id but its first
+        first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
+        repeated[:] = True
+        repeated[list(first.values())] = False
+    faults = np.stack([repeated, populations < 0, ~(areas > 0), ~(perimeters > 0)])
+    bad = np.flatnonzero(faults.any(axis=0))
+    if bad.size:
+        i = int(bad[0])
+        pid = ids[i]
+        raise (
+            errors.DuplicatePrecinctId(f"precinct id {pid!r} appears more than once"),
+            errors.InvalidNodeData(f"{pid}: population {int(populations[i])} < 0"),
+            errors.InvalidNodeData(f"{pid}: area must be > 0"),
+            errors.InvalidNodeData(f"{pid}: perimeter must be > 0"),
+        )[int(np.argmax(faults[:, i]))]
 
     bad = np.flatnonzero((edge_a == edge_b) | (edge_shared < 0))
     if bad.size:
@@ -356,20 +367,20 @@ def build_graph_from_arrays(
             [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
         )
 
-    counties, county_codes = np.unique([nd.county_id for nd in nodes], return_inverse=True)
-    munis, muni_codes = np.unique([nd.muni_id for nd in nodes], return_inverse=True)
+    counties, county_codes = np.unique(columns["county_id"], return_inverse=True)
+    munis, muni_codes = np.unique(columns["muni_id"], return_inverse=True)
 
     return PrecinctGraph(
-        nodes=nodes,
+        precinct_ids=ids,
         node_index=node_index,
         elections=elections,
-        populations=np.array([nd.population for nd in nodes], dtype=np.int64),
-        areas=np.array([nd.area for nd in nodes], dtype=np.float64),
-        perimeters=np.array([nd.perimeter for nd in nodes], dtype=np.float64),
+        populations=populations,
+        areas=areas,
+        perimeters=perimeters,
         county_codes=county_codes.astype(np.int64),
         muni_codes=muni_codes.astype(np.int64),
-        n_counties=len(counties),
-        n_munis=len(munis),
+        county_names=tuple(counties.tolist()),
+        muni_names=tuple(munis.tolist()),
         edge_a=edge_a,
         edge_b=edge_b,
         edge_shared=edge_shared,

@@ -30,55 +30,62 @@ import numpy as np
 from . import errors
 from .chain import PAIR_SELECTION, ChainTrace
 from .constraints import GATE_MODES
-from .diagnostics import AcfSeries, SweepResult
+from .diagnostics import AcfSeries, SweepResult, summarize
 from .graph import (
+    NODE_COLUMNS,
     Contest,
     ElectionSet,
     Plan,
     PrecinctGraph,
-    PrecinctNode,
     build_graph_from_arrays,
     repeated_pairs,
 )
 from .metrics import TRACE_METRIC_FIELDS, MetricsReport
 from .trees import TREE_METHODS
 
-NODE_COLUMNS = ("precinct_id", "population", "county_id", "muni_id", "area", "perimeter")
-
 TRACE_COLUMNS = ("step", "accepted") + tuple(col for col, _ in TRACE_METRIC_FIELDS)
 
 
-def _read_rows(path) -> tuple:
+def _read_columns(path, required, rows_required=False) -> tuple:
+    """``(header, columns)`` of a CSV file, where ``columns`` maps each header
+    name to the tuple of its cells, unstripped.
+
+    Raises ``MissingFile``, ``EmptyFile`` for a file without a header row (or,
+    when ``rows_required``, without data rows), ``BadNumericField`` for a row
+    shorter than the header, then ``MissingColumn`` for the first absent
+    ``required`` name.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if "".join(row).strip()]
+            rows = [row for row in csv.reader(fh) if "".join(row).strip()]
     except FileNotFoundError:
         raise errors.MissingFile(f"{path}: no such file") from None
     if not rows:
         raise errors.EmptyFile(f"{path}: no header row")
-    header = [h.strip() for h in rows[0]]
-    for row_no, row in enumerate(rows[1:], start=2):
+    header, rows = [h.strip() for h in rows[0]], rows[1:]
+    for row_no, row in enumerate(rows, start=2):
         if len(row) < len(header):
             raise errors.BadNumericField(
                 f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
             )
-    return header, rows[1:]
+    if rows_required and not rows:
+        raise errors.EmptyFile(f"{path}: header but no data rows")
+    for name in required:
+        if name not in header:
+            raise errors.MissingColumn(name)
+    cells = list(zip(*rows)) or [()] * len(header)
+    return header, {name: cells[i] for i, name in enumerate(header)}
 
 
 def read_nodes(path):
-    """Parse nodes.csv into ``(nodes, elections)``.
+    """Parse nodes.csv into ``(columns, elections)``, where ``columns`` maps
+    each name in ``NODE_COLUMNS`` to its values in row order, as
+    ``graph.build_graph_from_arrays`` takes them.
 
     Every ``<name>_D`` column must pair with ``<name>_R``; vote cells must
     be nonnegative integers.
     """
-    header, rows = _read_rows(path)
-    if not rows:
-        raise errors.EmptyFile(f"{path}: header but no data rows")
-    col = {name: i for i, name in enumerate(header)}
-    for required in NODE_COLUMNS:
-        if required not in col:
-            raise errors.MissingColumn(required)
+    header, col = _read_columns(path, NODE_COLUMNS, rows_required=True)
 
     contest_names = []
     for name in header:
@@ -91,11 +98,6 @@ def read_nodes(path):
             base = name[:-2]
             if f"{base}_D" not in col:
                 raise errors.MissingColumn(f"{base}_D")
-
-    columns = list(zip(*rows))
-
-    def cells(column):
-        return list(map(str.strip, columns[col[column]]))
 
     # every numeric check, in the order a row's cells are checked: the first
     # bad row fails, and within it the first check
@@ -114,7 +116,7 @@ def read_nodes(path):
                         f"{path}: row {i + 2}: negative votes in contest {column!r}"
                     )))
             continue
-        raw = columns[col[column]]  # int and float ignore surrounding whitespace
+        raw = col[column]  # int and float ignore surrounding whitespace
         values[column] = parsed = _parse_column(raw, kind)
         cls = errors.NonNumericVotes if column.endswith(("_D", "_R")) else errors.BadNumericField
         if len(parsed) < len(raw):
@@ -131,13 +133,10 @@ def read_nodes(path):
     if faults:
         raise min(faults, key=lambda fault: fault[:2])[2]
 
-    nodes = [
-        PrecinctNode(*fields)
-        for fields in zip(
-            cells("precinct_id"), values["population"], cells("county_id"),
-            cells("muni_id"), values["area"], values["perimeter"],
-        )
-    ]
+    columns = {
+        name: values[name] if name in values else [cell.strip() for cell in col[name]]
+        for name in NODE_COLUMNS
+    }
     contests = [
         Contest(
             name,
@@ -146,7 +145,7 @@ def read_nodes(path):
         )
         for name in contest_names
     ]
-    return nodes, ElectionSet(contests)
+    return columns, ElectionSet(contests)
 
 
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -176,19 +175,15 @@ def read_edges(path, node_index: dict) -> tuple:
     (``DuplicateEdge``) or an unknown precinct (``DanglingEdge``), checked
     in that order within a row.
     """
-    header, rows = _read_rows(path)
-    col = {name: i for i, name in enumerate(header)}
-    for required in ("src", "dst"):
-        if required not in col:
-            raise errors.MissingColumn(required)
-    src = [row[col["src"]].strip() for row in rows]
-    dst = [row[col["dst"]].strip() for row in rows]
+    _, col = _read_columns(path, ("src", "dst"))
+    src = [cell.strip() for cell in col["src"]]
+    dst = [cell.strip() for cell in col["dst"]]
     raw_shared = (
-        [row[col["shared_perimeter"]].strip() for row in rows]
+        [cell.strip() for cell in col["shared_perimeter"]]
         if "shared_perimeter" in col
-        else [""] * len(rows)
+        else [""] * len(src)
     )
-    shared, bad_number = [], len(rows)
+    shared, bad_number = [], len(src)
     for i, raw in enumerate(raw_shared):
         try:
             shared.append(float(raw) if raw else 1.0)
@@ -207,7 +202,7 @@ def read_edges(path, node_index: dict) -> tuple:
     if first_bad < bad_number:
         unknown = src[first_bad] if src[first_bad] not in node_index else dst[first_bad]
         raise errors.DanglingEdge(f"{path}: row {first_bad + 2}: unknown precinct {unknown!r}")
-    if bad_number < len(rows):
+    if bad_number < len(src):
         raise errors.BadNumericField(
             f"{path}: row {bad_number + 2}, column 'shared_perimeter': "
             f"not numeric: {raw_shared[bad_number]!r}"
@@ -216,10 +211,11 @@ def read_edges(path, node_index: dict) -> tuple:
 
 
 def read_graph(nodes_path, edges_path) -> PrecinctGraph:
-    nodes, elections = read_nodes(nodes_path)
-    node_index = {node.precinct_id: i for i, node in enumerate(nodes)}
+    columns, elections = read_nodes(nodes_path)
+    ids = columns["precinct_id"]
+    node_index = dict(zip(ids, range(len(ids))))
     edge_a, edge_b, edge_shared = read_edges(edges_path, node_index)
-    return build_graph_from_arrays(nodes, edge_a, edge_b, edge_shared, elections)
+    return build_graph_from_arrays(columns, node_index, edge_a, edge_b, edge_shared, elections)
 
 
 def read_assignment(path, graph: PrecinctGraph):
@@ -227,38 +223,39 @@ def read_assignment(path, graph: PrecinctGraph):
 
     ``names`` maps each dense district label back to the original label
     string, in first-appearance order. Every graph precinct must appear
-    exactly once.
+    exactly once: the first bad row raises, an unknown precinct
+    (``UnknownPrecinct``) or one an earlier row already assigned
+    (``DuplicatePrecinctId``); then ``MissingPrecinct`` lists absent ones.
     """
-    header, rows = _read_rows(path)
-    col = {name: i for i, name in enumerate(header)}
-    for required in ("precinct_id", "district"):
-        if required not in col:
-            raise errors.MissingColumn(required)
-
-    assignment = np.full(graph.n, -1, dtype=np.int64)
-    label_of = {}
-    names = {}
-    for row_no, row in enumerate(rows, start=2):
-        pid = row[col["precinct_id"]].strip()
-        raw = row[col["district"]].strip()
-        if pid not in graph.node_index:
-            raise errors.UnknownPrecinct(f"{path}: row {row_no}: unknown precinct {pid!r}")
-        i = graph.node_index[pid]
-        if assignment[i] >= 0:
-            raise errors.DuplicatePrecinctId(
-                f"{path}: row {row_no}: precinct {pid!r} assigned twice"
-            )
-        if raw not in label_of:
-            label_of[raw] = len(label_of)
-            names[label_of[raw]] = raw
-        assignment[i] = label_of[raw]
-    if (assignment < 0).any():
-        missing = [graph.nodes[i].precinct_id for i in np.flatnonzero(assignment < 0)]
-        raise errors.MissingPrecinct(
-            f"{path}: precincts missing from assignment: {missing[:8]}"
-            + ("..." if len(missing) > 8 else "")
+    _, col = _read_columns(path, ("precinct_id", "district"))
+    pids = [cell.strip() for cell in col["precinct_id"]]
+    labels = [cell.strip() for cell in col["district"]]
+    index = np.array([graph.node_index.get(pid, -1) for pid in pids], dtype=np.int64)
+    unknown = np.flatnonzero(index < 0)
+    first_bad = int(unknown[0]) if unknown.size else len(pids)
+    order = np.argsort(index[:first_bad], kind="stable")  # equal ids keep their row order
+    repeated = order[1:][index[order[1:]] == index[order[:-1]]]
+    if repeated.size:
+        i = int(repeated.min())
+        raise errors.DuplicatePrecinctId(
+            f"{path}: row {i + 2}: precinct {pids[i]!r} assigned twice"
         )
-    return Plan(assignment, len(label_of)), names
+    if unknown.size:
+        raise errors.UnknownPrecinct(
+            f"{path}: row {first_bad + 2}: unknown precinct {pids[first_bad]!r}"
+        )
+    names = dict(enumerate(dict.fromkeys(labels)))
+    label_of = {name: label for label, name in names.items()}
+    assignment = np.full(graph.n, -1, dtype=np.int64)
+    assignment[index] = [label_of[name] for name in labels]
+    missing = np.flatnonzero(assignment < 0)
+    if missing.size:
+        raise errors.MissingPrecinct(
+            f"{path}: precincts missing from assignment: "
+            f"{[graph.precinct_ids[i] for i in missing[:8]]}"
+            + ("..." if missing.size > 8 else "")
+        )
+    return Plan(assignment, len(names)), names
 
 
 @contextlib.contextmanager
@@ -280,44 +277,42 @@ def replacing(path):
 
 def write_nodes(graph: PrecinctGraph, path) -> None:
     header = list(NODE_COLUMNS)
+    votes = []
     for contest in graph.elections:
         header += [f"{contest.name}_D", f"{contest.name}_R"]
+        votes += [contest.dem.tolist(), contest.rep.tolist()]
+    county = [graph.county_names[c] for c in graph.county_codes.tolist()]
+    muni = [graph.muni_names[m] for m in graph.muni_codes.tolist()]
     with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, node in enumerate(graph.nodes):
-            row = [
-                node.precinct_id,
-                str(node.population),
-                node.county_id,
-                node.muni_id,
-                repr(float(node.area)),
-                repr(float(node.perimeter)),
-            ]
-            for contest in graph.elections:
-                row += [str(int(contest.dem[i])), str(int(contest.rep[i]))]
-            writer.writerow(row)
+        writer.writerows(zip(
+            graph.precinct_ids, graph.populations.tolist(), county, muni,
+            graph.areas.tolist(), graph.perimeters.tolist(), *votes,
+        ))
 
 
 def write_edges(graph: PrecinctGraph, path) -> None:
+    ids = graph.precinct_ids
     with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "shared_perimeter"])
-        for a, b, shared in zip(
-            graph.edge_a.tolist(), graph.edge_b.tolist(), graph.edge_shared.tolist()
-        ):
-            writer.writerow(
-                [graph.nodes[a].precinct_id, graph.nodes[b].precinct_id, repr(shared)]
+        writer.writerows(
+            (ids[a], ids[b], shared)
+            for a, b, shared in zip(
+                graph.edge_a.tolist(), graph.edge_b.tolist(), graph.edge_shared.tolist()
             )
+        )
 
 
 def write_assignment(plan: Plan, graph: PrecinctGraph, path, names=None) -> None:
+    labels = plan.assignment.tolist()
+    if names:
+        labels = [names[label] for label in labels]
     with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["precinct_id", "district"])
-        for i, node in enumerate(graph.nodes):
-            label = int(plan.assignment[i])
-            writer.writerow([node.precinct_id, names[label] if names else str(label)])
+        writer.writerows(zip(graph.precinct_ids, labels))
 
 
 def write_trace(trace: ChainTrace, path) -> None:
@@ -338,22 +333,13 @@ def write_trace(trace: ChainTrace, path) -> None:
 
 
 def write_summary(trace: ChainTrace, path) -> None:
-    """Per-metric mean/std/min/max rows for a trace."""
+    """Per-metric mean/std/min/max rows for a trace, by ``diagnostics.summarize``."""
     with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "mean", "std", "min", "max"])
         for column, field_name in TRACE_METRIC_FIELDS:
-            values = trace.series(field_name)
-            std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-            writer.writerow(
-                [
-                    column,
-                    repr(float(values.mean())),
-                    repr(std),
-                    repr(float(values.min())),
-                    repr(float(values.max())),
-                ]
-            )
+            s = summarize(trace.series(field_name))
+            writer.writerow([column, s.mean, s.std, s.min, s.max])
 
 
 def write_acf_csv(acf: AcfSeries, path) -> None:

@@ -245,9 +245,9 @@ def naive_score(graph: PrecinctGraph, plan: Plan, config: MetricsConfig) -> Metr
 
     areas = [0.0] * k
     perims = [0.0] * k
-    for i, d in enumerate(assign):
-        areas[d] += graph.nodes[i].area
-        perims[d] += graph.nodes[i].perimeter
+    for d, area, perimeter in zip(assign, graph.areas.tolist(), graph.perimeters.tolist()):
+        areas[d] += area
+        perims[d] += perimeter
     for a, b, shared in zip(
         graph.edge_a.tolist(), graph.edge_b.tolist(), graph.edge_shared.tolist()
     ):
@@ -257,9 +257,9 @@ def naive_score(graph: PrecinctGraph, plan: Plan, config: MetricsConfig) -> Metr
 
     county_districts = {}
     muni_districts = {}
-    for i, d in enumerate(assign):
-        county_districts.setdefault(graph.nodes[i].county_id, set()).add(d)
-        muni_districts.setdefault(graph.nodes[i].muni_id, set()).add(d)
+    for d, county, muni in zip(assign, graph.county_codes.tolist(), graph.muni_codes.tolist()):
+        county_districts.setdefault(county, set()).add(d)
+        muni_districts.setdefault(muni, set()).add(d)
     county_splits = sum(1 for s in county_districts.values() if len(s) >= 2)
     muni_splits = sum(1 for s in muni_districts.values() if len(s) >= 2)
     pieces = sum(len(s) for s in county_districts.values())

@@ -17,6 +17,17 @@ from mapchain.synth import band_plan, grid4_graph, grid_graph
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
+def nodes_of(graph):
+    """The graph's node columns as ``PrecinctNode`` records, to rebuild it."""
+    return [
+        PrecinctNode(pid, pop, graph.county_names[county], graph.muni_names[muni], area, perim)
+        for pid, pop, county, muni, area, perim in zip(
+            graph.precinct_ids, graph.populations.tolist(), graph.county_codes.tolist(),
+            graph.muni_codes.tolist(), graph.areas.tolist(), graph.perimeters.tolist(),
+        )
+    ]
+
+
 def edges_of(graph):
     """The graph's adjacency as ``AdjacencyEdge`` records, to rebuild it."""
     return [

@@ -325,3 +325,45 @@ def test_chain_invariant_violation_exits_4(workdir, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("ERROR ChainInvariantViolated:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, setting", [("chain", "steps"), ("tree", "n_plans")])
+def test_trace_too_big_to_allocate_exits_4(workdir, capsys, command, setting):
+    # 10**15 trace rows are about 100 PB, more than any address space holds
+    assert main([command, "--config", CFG, "--set", f"{setting}={10**15}"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR MemoryError:")
+    assert err.count("\n") == 1
+
+
+class _InlineExecutor:
+    """A stand-in for ProcessPoolExecutor that records ``max_workers`` and
+    runs the jobs in this process."""
+
+    opened = []
+
+    def __init__(self, max_workers):
+        self.opened.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(workdir, monkeypatch):
+    monkeypatch.setattr("mapchain.cli.ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _InlineExecutor.opened.clear()
+    args = ["chain", "--config", CFG, "--set", "steps=20", "--set", "n_chains=3"]
+    assert main(args + ["--set", "workers=5000", "--set", "out_dir=out/capped"]) == 0
+    assert _InlineExecutor.opened == [2]
+    # chains are seeded by index and merged in order: the pool size changes nothing
+    assert main(args + ["--set", "workers=1", "--set", "out_dir=out/serial"]) == 0
+    assert (workdir / "out/capped/trace.csv").read_bytes() == (
+        workdir / "out/serial/trace.csv"
+    ).read_bytes()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from mapchain.synth import grid_graph, grid_nodes_edges
 from mapchain.trees import _Induced
 
 from conftest import make_path_graph
+from graph_reference import first_node_fault
 
 
 def small_election(n):
@@ -63,7 +66,7 @@ def test_dangling_edge_and_self_loop_and_duplicate():
         PrecinctNode("p1", 1, "C0", "M0", 1.0, 4.0),
     ]
     with pytest.raises(errors.DanglingEdge):
-        build_graph(nodes, [AdjacencyEdge("p0", "nope")], small_election(2))
+        build_graph(nodes, [AdjacencyEdge(0, 2)], small_election(2))
     with pytest.raises(errors.InvalidEdge):
         build_graph(nodes, [AdjacencyEdge(0, 0)], small_election(2))
     with pytest.raises(errors.DuplicateEdge):
@@ -93,6 +96,38 @@ def test_bad_node_scalars():
         build_graph(
             [PrecinctNode("p0", 1, "C0", "M0", 0.0, 4.0)], [], small_election(1)
         )
+
+
+_FAULTS = st.one_of(
+    st.tuples(st.just("precinct_id"), st.integers(0, 11).map(lambda j: f"p{j}")),
+    st.tuples(st.just("population"), st.integers(-10**12, -1)),
+    st.tuples(st.sampled_from(["area", "perimeter"]), st.sampled_from([0.0, -1.0, float("nan")])),
+)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_build_graph_reports_the_first_faulty_node_as_the_record_loop(data):
+    n = data.draw(st.integers(1, 12))
+    nodes = [
+        PrecinctNode(
+            f"p{i}", data.draw(st.integers(0, 10**12)), "C0", "M0",
+            data.draw(st.floats(0.01, 100.0)), data.draw(st.floats(0.01, 100.0)),
+        )
+        for i in range(n)
+    ]
+    planted = data.draw(st.lists(st.tuples(st.integers(0, n - 1), _FAULTS), max_size=4))
+    for i, (field, value) in planted:
+        nodes[i] = dataclasses.replace(nodes[i], **{field: value})
+    edges = [AdjacencyEdge(i, i + 1) for i in range(n - 1)]
+    expected = first_node_fault(nodes)
+    if expected is None:
+        assert build_graph(nodes, edges, small_election(n)).n == n
+        return
+    with pytest.raises(errors.MapchainError) as err:
+        build_graph(nodes, edges, small_election(n))
+    assert type(err.value) is type(expected)
+    assert str(err.value) == str(expected)
 
 
 def test_plan_validation():

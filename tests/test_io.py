@@ -1,4 +1,5 @@
 import os
+import runpy
 
 import numpy as np
 import pytest
@@ -35,9 +36,9 @@ def test_read_nodes_single_row(tmp_path):
         "precinct_id,population,county_id,muni_id,area,perimeter,PRES20_D,PRES20_R\n"
         "p1,10,C1,M1,1.0,4.0,6,4\n"
     )
-    nodes, elections = read_nodes(path)
-    assert len(nodes) == 1
-    assert nodes[0].population == 10
+    columns, elections = read_nodes(path)
+    assert columns["precinct_id"] == ["p1"]
+    assert columns["population"] == [10]
     contest = elections.get("PRES20")
     assert contest.dem[0] == 6 and contest.rep[0] == 4
 
@@ -87,8 +88,8 @@ def test_read_missing_file_is_ingest_error(tmp_path):
 
 
 def test_read_grid4_fixture():
-    nodes, elections = read_nodes(os.path.join(GRID4, "nodes.csv"))
-    assert len(nodes) == 16
+    columns, elections = read_nodes(os.path.join(GRID4, "nodes.csv"))
+    assert len(columns["precinct_id"]) == 16
     assert set(elections.names()) == {"PRES", "SEN"}
     graph = read_graph(
         os.path.join(GRID4, "nodes.csv"), os.path.join(GRID4, "edges.csv")
@@ -204,12 +205,50 @@ def test_read_assignment_missing_and_unknown(tmp_path):
         read_assignment(path, graph)
 
 
+@pytest.mark.parametrize("rows, error, message", [
+    # the earlier of an unknown precinct and a repeated one is reported
+    (["p0,A", "p1,A", "zz,B", "p0,B"], errors.UnknownPrecinct, "row 4: unknown precinct 'zz'"),
+    (["p0,A", "p1,A", "p0,B", "zz,B"], errors.DuplicatePrecinctId,
+     "row 4: precinct 'p0' assigned twice"),
+    (["p1,A", "p0,A", "p2,B", "p0,B", "p1,B"], errors.DuplicatePrecinctId,
+     "row 5: precinct 'p0' assigned twice"),
+    (["zz,A", "yy,A"], errors.UnknownPrecinct, "row 2: unknown precinct 'zz'"),
+])
+def test_read_assignment_reports_the_first_bad_row(tmp_path, rows, error, message):
+    path = tmp_path / "assignment.csv"
+    path.write_text("precinct_id,district\n" + "\n".join(rows) + "\n")
+    with pytest.raises(error) as err:
+        read_assignment(path, grid4_graph())
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_read_assignment_lists_the_first_missing_precincts(tmp_path):
+    path = tmp_path / "assignment.csv"
+    path.write_text("precinct_id,district\np3,A\n")
+    with pytest.raises(errors.MissingPrecinct) as err:
+        read_assignment(path, grid4_graph())
+    missing = [f"p{i}" for i in range(16) if i != 3]
+    assert str(err.value) == (
+        f"{path}: precincts missing from assignment: {missing[:8]}..."
+    )
+
+
+def test_writers_reproduce_the_committed_fixture(tmp_path):
+    """scripts/make_grid_fixture.py, run into a scratch directory, writes the
+    committed grid4 files byte for byte."""
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "make_grid_fixture.py")
+    runpy.run_path(script)["write_fixture"](str(tmp_path))
+    for name in ("nodes.csv", "edges.csv", "assignment.csv", "chain.cfg"):
+        with open(os.path.join(GRID4, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
 def test_graph_roundtrip_exact(tmp_path):
     graph = grid4_graph()
     write_nodes(graph, tmp_path / "n.csv")
     write_edges(graph, tmp_path / "e.csv")
     again = read_graph(tmp_path / "n.csv", tmp_path / "e.csv")
-    assert again.precinct_ids() == graph.precinct_ids()
+    assert again.precinct_ids == graph.precinct_ids
     assert again.populations.tolist() == graph.populations.tolist()
     assert again.areas.tolist() == graph.areas.tolist()
     for name in ("edge_a", "edge_b", "edge_shared", "county_codes"):

@@ -23,7 +23,9 @@ from mapchain.metrics import (
 )
 from mapchain.synth import grid_graph
 
-from conftest import edges_of, make_path_graph, make_two_node_graph, pathology_graph
+from conftest import (
+    edges_of, make_path_graph, make_two_node_graph, nodes_of, pathology_graph,
+)
 
 
 def two_district_graph(dem0, rep0, dem1, rep1, name="E"):
@@ -200,7 +202,7 @@ def swapped_graph(graph):
     swapped = ElectionSet(
         [Contest(c.name, c.rep.copy(), c.dem.copy()) for c in graph.elections]
     )
-    return build_graph(graph.nodes, edges_of(graph), swapped)
+    return build_graph(nodes_of(graph), edges_of(graph), swapped)
 
 
 def test_party_swap_symmetry(grid4, band4, mcfg2):
@@ -237,7 +239,7 @@ def test_turnout_scaling_invariance_per_contest(grid4, band4):
             grid4.elections.get("SEN"),
         ]
     )
-    g2 = build_graph(grid4.nodes, edges_of(grid4), scaled)
+    g2 = build_graph(nodes_of(grid4), edges_of(grid4), scaled)
     for contest in ("PRES", "SEN"):
         np.testing.assert_allclose(
             district_shares(g2, band4, contest),

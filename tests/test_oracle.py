@@ -11,7 +11,7 @@ from mapchain.metrics import MetricsConfig, score_plan
 from mapchain.oracle import enumerate_partitions, naive_score
 from mapchain.synth import grid_graph
 
-from conftest import edges_of, make_path_graph, make_star_graph
+from conftest import edges_of, make_path_graph, make_star_graph, nodes_of
 
 
 def test_2x2_catalog_is_rows_and_columns(grid22):
@@ -88,7 +88,7 @@ def test_naive_party_swap_negates_eg(grid4, band4, mcfg2):
     swapped = ElectionSet(
         [Contest(c.name, c.rep.copy(), c.dem.copy()) for c in grid4.elections]
     )
-    g2 = build_graph(grid4.nodes, edges_of(grid4), swapped)
+    g2 = build_graph(nodes_of(grid4), edges_of(grid4), swapped)
     assert naive_score(g2, band4, mcfg2).efficiency_gap == -naive_score(
         grid4, band4, mcfg2
     ).efficiency_gap
