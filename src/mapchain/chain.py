@@ -19,11 +19,62 @@ import numpy as np
 
 from . import errors
 from .constraints import ConstraintGate, gate_accept, split_report
-from .graph import Plan, PrecinctGraph, district_populations, is_contiguous
+from .graph import Plan, PrecinctGraph, concat_ranges, district_populations, is_contiguous
 from .metrics import MetricsConfig, MetricsReport, PlanTally, score_plan
 from .trees import bipartition_region
 
 PAIR_SELECTION = ("uniform", "edges")
+
+
+class PairTable:
+    """The adjacent district pairs of a chain's plan, kept in step with it.
+
+    For ``uniform`` pair choice it holds ``keys``: each adjacent pair's
+    ``lo * k + hi`` once, ascending (the rows :func:`adjacent_district_pairs`
+    returns). For ``edges`` it holds ``cross``: the ids of the edges whose ends
+    lie in different districts, ascending. The other is ``None``.
+
+    An accepted step changes only its two districts, and every edge touching
+    them has an end among their nodes. :meth:`move` drops the entries that
+    touch the two districts and re-reads the edges incident to their nodes,
+    gathered through an incident-edge index built once: node v's edges, at
+    either end, are ``incident[start[v]:start[v + 1]]``. A step so costs
+    O(region + k), not O(n + m).
+    """
+
+    def __init__(self, graph: PrecinctGraph, plan: Plan, pair_selection: str):
+        ends = np.concatenate([graph.edge_a, graph.edge_b])
+        self.incident = np.tile(np.arange(graph.n_edges), 2)[np.argsort(ends, kind="stable")]
+        self.start = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=graph.n))])
+        self.graph = graph
+        by_edge = pair_selection == "edges"
+        self.keys = None if by_edge else _adjacent_keys(graph, plan)
+        self.cross = _cut_edges(graph, plan) if by_edge else None
+
+    def move(self, plan: Plan, districts, nodes: np.ndarray) -> None:
+        """Make this the table of ``plan``, which differs from the table's
+        plan only in the two ``districts``; ``nodes`` are all their nodes."""
+        graph, (d1, d2) = self.graph, districts
+        first = self.start[nodes]
+        edges = self.incident[concat_ranges(first, self.start[nodes + 1] - first)]
+        a = plan.assignment[graph.edge_a[edges]]
+        b = plan.assignment[graph.edge_b[edges]]
+        cut = a != b
+        if self.keys is not None:
+            lo, hi = np.divmod(self.keys, plan.k)
+            kept = self.keys[(lo != d1) & (lo != d2) & (hi != d1) & (hi != d2)]
+            self.keys = _union(kept, _pair_keys(a[cut], b[cut], plan.k))
+        else:
+            # the old cross edges that touch the two districts are among ``edges``
+            at = np.searchsorted(self.cross, edges)
+            found = self.cross[np.minimum(at, self.cross.size - 1)] == edges
+            self.cross = _union(np.delete(self.cross, at[found]), edges[cut])
+
+    def matches(self, plan: Plan) -> bool:
+        """Does the table equal one counted from scratch for ``plan``?"""
+        if self.keys is not None:
+            return np.array_equal(self.keys, _adjacent_keys(self.graph, plan))
+        return np.array_equal(self.cross, _cut_edges(self.graph, plan))
 
 
 @dataclass
@@ -36,9 +87,12 @@ class ChainState:
     accepted: int = 0
     rejected_by_constraint: int = 0
     rejected_no_cut: int = 0
-    # PlanTally of ``plan``, kept in step by recom_step once set: run_chain
-    # sets it for scoring, and a gated step builds it for its split counts
+    # PlanTally of ``plan``: run_chain sets it for scoring, and a gated step
+    # builds it for its split counts; recom_step moves it with each accepted step
     tally: "PlanTally | None" = None
+    # PairTable of ``plan`` for the chain's pair_selection, set by run_chain and
+    # moved by recom_step; without one, each step counts pairs over all edges
+    pairs: "PairTable | None" = None
 
     def counters_consistent(self) -> bool:
         return self.proposed == (
@@ -83,17 +137,42 @@ class ChainTrace:
         return self.rows["accepted"].copy()
 
 
-def adjacent_district_pairs(graph: PrecinctGraph, plan: Plan) -> np.ndarray:
-    """Unordered district pairs sharing at least one graph edge, sorted."""
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a`` and ``b``, ascending: ``np.union1d`` without
+    its overhead, which costs more than the rest of a table move."""
+    merged = np.concatenate([a, b])
+    merged.sort()
+    distinct = np.ones(merged.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
+    return merged[distinct]
+
+
+def _pair_keys(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    return np.minimum(a, b) * k + np.maximum(a, b)
+
+
+def _cut_edges(graph: PrecinctGraph, plan: Plan) -> np.ndarray:
+    """Ids of the edges whose ends lie in different districts, ascending."""
+    return np.flatnonzero(plan.assignment[graph.edge_a] != plan.assignment[graph.edge_b])
+
+
+def _adjacent_keys(graph: PrecinctGraph, plan: Plan) -> np.ndarray:
+    """``lo * k + hi`` of every adjacent district pair, ascending, counted over all edges."""
     a = plan.assignment[graph.edge_a]
     b = plan.assignment[graph.edge_b]
     cross = a != b
-    if not cross.any():
-        return np.empty((0, 2), dtype=np.int64)
-    lo = np.minimum(a[cross], b[cross])
-    hi = np.maximum(a[cross], b[cross])
-    keys = np.unique(lo * plan.k + hi)
-    return np.stack([keys // plan.k, keys % plan.k], axis=1)
+    return np.unique(_pair_keys(a[cross], b[cross], plan.k))
+
+
+def adjacent_district_pairs(
+    graph: PrecinctGraph, plan: Plan, pairs: "PairTable | None" = None
+) -> np.ndarray:
+    """Unordered district pairs sharing at least one graph edge, sorted.
+
+    Read off ``pairs``, a uniform-mode :class:`PairTable` of ``plan``, when
+    given; counted over all edges otherwise."""
+    keys = pairs.keys if pairs is not None else _adjacent_keys(graph, plan)
+    return np.stack(np.divmod(keys, plan.k), axis=1)
 
 
 def recom_step(
@@ -118,18 +197,16 @@ def recom_step(
     state.proposed += 1
 
     if pair_selection == "uniform":
-        pairs = adjacent_district_pairs(graph, plan)
+        pairs = adjacent_district_pairs(graph, plan, state.pairs)
         if pairs.shape[0] == 0:
             raise errors.NoAdjacentDistrictPair(f"plan with k={plan.k} has no adjacent pair")
         d1, d2 = pairs[int(rng.integers(pairs.shape[0]))]
     elif pair_selection == "edges":
-        a = plan.assignment[graph.edge_a]
-        b = plan.assignment[graph.edge_b]
-        cross = np.flatnonzero(a != b)
+        cross = state.pairs.cross if state.pairs is not None else _cut_edges(graph, plan)
         if cross.size == 0:
             raise errors.NoAdjacentDistrictPair(f"plan with k={plan.k} has no adjacent pair")
         e = int(cross[int(rng.integers(cross.size))])
-        d1, d2 = int(a[e]), int(b[e])
+        d1, d2 = int(plan.assignment[graph.edge_a[e]]), int(plan.assignment[graph.edge_b[e]])
     else:
         raise ValueError(f"unknown pair_selection {pair_selection!r}; use {PAIR_SELECTION}")
 
@@ -162,6 +239,8 @@ def recom_step(
             state.rejected_by_constraint += 1
             return state
         state.tally.apply(move)
+    if state.pairs is not None:
+        state.pairs.move(proposal, (d1, d2), subset)
     state.plan = proposal
     state.accepted += 1
     return state
@@ -219,14 +298,16 @@ def run_chain(
     The trace has exactly ``steps`` rows (steps=0 gives an empty trace);
     rejected steps repeat the current plan and its report, which is read
     once per plan off the chain's ``PlanTally``. Every ``validate_every``
-    steps, contiguity, balance and the report (against a from-scratch
-    ``score_plan``) are re-checked (plans and tallies are right by
-    construction; this is a sampled belt-and-braces check that raises
-    ``ChainInvariantViolated`` — set 1 for every step, 0 to disable).
+    steps, contiguity, balance, the report (against a from-scratch
+    ``score_plan``) and the pair table (against a count over all edges) are
+    re-checked (plans and tallies are right by construction; this is a
+    sampled belt-and-braces check that raises ``ChainInvariantViolated`` —
+    set 1 for every step, 0 to disable).
     Deterministic given the rng seed.
     """
     check_seed_plan(graph, seed_plan, tolerance, constraint_gate, rng)
-    state = ChainState(plan=seed_plan, rng=rng, tally=PlanTally(graph, seed_plan))
+    state = ChainState(plan=seed_plan, rng=rng, tally=PlanTally(graph, seed_plan),
+                       pairs=PairTable(graph, seed_plan, pair_selection))
     trace = ChainTrace(np.empty(steps, dtype=TRACE_DTYPE))
     scored, report = None, None
     for t in range(steps):
@@ -254,6 +335,10 @@ def run_chain(
             if score_plan(graph, state.plan, metrics_config) != report:
                 raise errors.ChainInvariantViolated(
                     f"step {t}: the tally's report differs from a from-scratch score"
+                )
+            if not state.pairs.matches(state.plan):
+                raise errors.ChainInvariantViolated(
+                    f"step {t}: the pair table differs from a from-scratch count"
                 )
     trace.proposed = state.proposed
     trace.accepted = state.accepted

@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import errors
 
@@ -216,6 +218,34 @@ def neighbor_lists(n: int, edge_a: np.ndarray, edge_b: np.ndarray) -> list:
     return [flat[i:j] for i, j in zip([0] + ends[:-1], ends)]
 
 
+def concat_ranges(first: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """``first[i], ..., first[i] + width[i] - 1`` for every ``i`` in turn, as
+    one array: the positions of several slices of one array."""
+    starts = first + width
+    starts -= np.cumsum(width)
+    out = np.repeat(starts, width)
+    out += np.arange(out.size)
+    return out
+
+
+def lower_end_edges(graph: PrecinctGraph, nodes: np.ndarray):
+    """``(edges, width)``: the ids of the edges whose lower end ``edge_a`` is
+    among ``nodes`` (ascending), in ascending edge order, and how many of
+    them each node has. Every edge with both ends among the nodes is one."""
+    first = np.searchsorted(graph.edge_a, nodes)
+    width = np.searchsorted(graph.edge_a, nodes, side="right") - first
+    return concat_ranges(first, width), width
+
+
+def graph_components(n: int, edge_a: np.ndarray, edge_b: np.ndarray) -> np.ndarray:
+    """Connected-component id of every node over an undirected edge list,
+    numbered in no set order, by scipy's csgraph: over a whole graph it is
+    ten times faster than :func:`component_labels`, which costs less on
+    regions of a few hundred nodes."""
+    adjacency = coo_matrix((np.ones(edge_a.size, dtype=np.int8), (edge_a, edge_b)), shape=(n, n))
+    return connected_components(adjacency, directed=False)[1]
+
+
 def component_labels(neighbors: Sequence[list]) -> np.ndarray:
     """Connected-component id of every node, by iterative flood fill.
 
@@ -361,10 +391,11 @@ def build_graph_from_arrays(
         ]
     )
 
-    labels = component_labels(neighbor_lists(n, edge_a, edge_b))
+    labels = graph_components(n, edge_a, edge_b)
     if labels.max() > 0:
+        _, first = np.unique(labels, return_index=True)  # each component's smallest node
         raise errors.DisconnectedGraph(
-            [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
+            [np.flatnonzero(labels == c).tolist() for c in labels[np.sort(first)]]
         )
 
     counties, county_codes = np.unique(columns["county_id"], return_inverse=True)
@@ -398,14 +429,12 @@ def district_populations(graph: PrecinctGraph, plan: Plan) -> np.ndarray:
 def is_contiguous(graph: PrecinctGraph, plan: Plan) -> list:
     """Per-district flag: does the district induce a connected subgraph?
 
-    One flood fill over the edges internal to districts; a district is
-    contiguous when its nodes form exactly one component.
+    One component search over the edges internal to districts; a district
+    is contiguous when its nodes form exactly one component.
     """
     assign = plan.assignment
     internal = assign[graph.edge_a] == assign[graph.edge_b]
-    labels = component_labels(
-        neighbor_lists(graph.n, graph.edge_a[internal], graph.edge_b[internal])
-    )
+    labels = graph_components(graph.n, graph.edge_a[internal], graph.edge_b[internal])
     _, first = np.unique(labels, return_index=True)
     return (np.bincount(assign[first], minlength=plan.k) == 1).tolist()
 

@@ -63,11 +63,13 @@ def _read_columns(path, required, rows_required=False) -> tuple:
     if not rows:
         raise errors.EmptyFile(f"{path}: no header row")
     header, rows = [h.strip() for h in rows[0]], rows[1:]
-    for row_no, row in enumerate(rows, start=2):
-        if len(row) < len(header):
-            raise errors.BadNumericField(
-                f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
-            )
+    if rows and min(map(len, rows)) < len(header):
+        row_no, row = next(
+            (i, row) for i, row in enumerate(rows, start=2) if len(row) < len(header)
+        )
+        raise errors.BadNumericField(
+            f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
+        )
     if rows_required and not rows:
         raise errors.EmptyFile(f"{path}: header but no data rows")
     for name in required:

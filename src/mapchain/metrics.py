@@ -31,6 +31,7 @@ from .graph import (
     Plan,
     PrecinctGraph,
     district_perimeter_area,
+    lower_end_edges,
     require_positive_perimeters,
 )
 
@@ -299,12 +300,8 @@ class PlanTally:
             self.rep[row, districts] = np.bincount(local, contest.rep[nodes], size)
         self.areas[districts] = np.bincount(local, graph.areas[nodes], size)
         perimeters = np.bincount(local, graph.perimeters[nodes], size)
-        # every internal edge of these districts has its lower end among the
-        # nodes: gather the edges of each node in turn (so in ascending edge
-        # order) and keep those whose ends share a district
-        first = np.searchsorted(graph.edge_a, nodes)
-        width = np.searchsorted(graph.edge_a, nodes, side="right") - first
-        edges = np.repeat(first - np.cumsum(width) + width, width) + np.arange(width.sum())
+        # keep the edges whose ends share a district, in ascending edge order
+        edges, width = lower_end_edges(graph, nodes)
         assignment = move.plan.assignment
         inside = assignment[graph.edge_a[edges]] == assignment[graph.edge_b[edges]]
         shared = np.bincount(np.repeat(local, width)[inside],

@@ -19,7 +19,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from . import errors
-from .graph import PrecinctGraph, component_labels, neighbor_lists
+from .graph import PrecinctGraph, component_labels, lower_end_edges, neighbor_lists
 
 TREE_METHODS = ("uniform", "mst")
 
@@ -42,13 +42,14 @@ class _Induced:
             raise errors.EmptyInput("empty node subset")
         self.nodes = nodes
         self.m = int(nodes.size)
-        local_of = np.full(graph.n, -1, dtype=np.int64)
-        local_of[nodes] = np.arange(self.m)
-        la = local_of[graph.edge_a]
-        lb = local_of[graph.edge_b]
-        mask = (la >= 0) & (lb >= 0)
-        self.edge_a = la[mask]
-        self.edge_b = lb[mask]
+        # the edges whose upper end is a node too, kept in ascending edge
+        # order so that the mst weights line up
+        edges, width = lower_end_edges(graph, nodes)
+        far = graph.edge_b[edges]
+        local = np.searchsorted(nodes, far)
+        inside = nodes[np.minimum(local, self.m - 1)] == far
+        self.edge_a = np.repeat(np.arange(self.m), width)[inside]
+        self.edge_b = local[inside]
         self.adj = neighbor_lists(self.m, self.edge_a, self.edge_b)
         self.deg = [len(nbrs) for nbrs in self.adj]
         self.pops = graph.populations[nodes].tolist()

@@ -4,6 +4,12 @@ import importlib
 import os
 import sys
 
+import numpy as np
+
+import mapchain.chain
+from mapchain.chain import PairTable, run_chain
+from mapchain.constraints import ConstraintGate
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO not in sys.path:
     sys.path.insert(0, REPO)
@@ -24,3 +30,19 @@ def test_install_then_uninstall_restores_originals():
     assert tracing.installed_wrappers() == []
     for module, attr, *_ in tracing.WRAPPED:
         assert getattr(module, attr) is tracing.ORIGINALS[(module.__name__, attr)]
+
+
+def test_uniform_step_chooses_its_pair_in_one_wrapped_call(grid4, band4, mcfg2, monkeypatch):
+    # chain.pair_select_s is the time spent in the wrapped adjacent_district_pairs
+    real, calls = mapchain.chain.adjacent_district_pairs, []
+
+    def counted(graph, plan, pairs=None):
+        calls.append(pairs)
+        return real(graph, plan, pairs)
+
+    monkeypatch.setattr(mapchain.chain, "adjacent_district_pairs", counted)
+    trace = run_chain(grid4, band4, 20, 0.01, ConstraintGate.permissive(), mcfg2,
+                      np.random.default_rng(0))
+    assert trace.accepted > 0
+    assert len(calls) == 20
+    assert all(isinstance(pairs, PairTable) for pairs in calls)

@@ -9,11 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mapchain.chain
+import mapchain.trees
 from mapchain import errors
 from mapchain.chain import (
+    PAIR_SELECTION,
     TRACE_DTYPE,
     ChainState,
     ChainTrace,
+    PairTable,
     adjacent_district_pairs,
     random_tree_plan,
     recom_step,
@@ -35,7 +38,9 @@ from mapchain.graph import (
 from mapchain.metrics import MetricsConfig, PlanTally, score_plan
 from mapchain.oracle import enumerate_partitions
 from mapchain.synth import band_plan, grid_graph
+from mapchain.trees import TREE_METHODS
 
+import chain_reference
 import score_reference
 from conftest import make_star_graph
 from test_graph import irregular_edges
@@ -222,6 +227,35 @@ sys.exit("run_chain kept scoring off a corrupted tally")
 """
 
 
+_OPTIMISED_PAIRS_CHECK = """
+import sys
+import numpy as np
+from mapchain import errors
+from mapchain.chain import PairTable, run_chain
+from mapchain.constraints import ConstraintGate
+from mapchain.metrics import MetricsConfig
+from mapchain.synth import band_plan, grid4_graph
+
+if not sys.flags.optimize:
+    sys.exit("interpreter is not running with -O")
+move = PairTable.move
+
+def corrupted(table, plan, districts, nodes):
+    move(table, plan, districts, nodes)
+    table.keys = table.keys[1:]
+
+PairTable.move = corrupted
+try:
+    run_chain(
+        grid4_graph(), band_plan(4, 4, 4), 10, 0.01, ConstraintGate.permissive(),
+        MetricsConfig(("PRES", "SEN")), np.random.default_rng(0), validate_every=5,
+    )
+except errors.ChainInvariantViolated:
+    sys.exit(0)
+sys.exit("run_chain kept choosing pairs off a corrupted table")
+"""
+
+
 def _run_optimised(script):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
@@ -239,6 +273,11 @@ def test_invariant_check_survives_python_O():
 
 def test_tally_check_survives_python_O():
     result = _run_optimised(_OPTIMISED_TALLY_CHECK)
+    assert result.returncode == 0, result.stderr
+
+
+def test_pair_table_check_survives_python_O():
+    result = _run_optimised(_OPTIMISED_PAIRS_CHECK)
     assert result.returncode == 0, result.stderr
 
 
@@ -329,6 +368,57 @@ def test_tally_matches_scoring_from_scratch_on_irregular_graphs(case):
     for splits, plan, current_splits, current in proposals:
         assert splits == split_report(graph, plan) == score_reference.split_report(graph, plan)
         assert current_splits == score_reference.split_report(graph, current)
+
+
+@given(irregular_chain_case(), st.sampled_from(PAIR_SELECTION), st.sampled_from(TREE_METHODS))
+@settings(max_examples=60, deadline=None)
+def test_pair_table_and_sliced_subgraph_keep_the_stream(case, pair_selection, tree_method):
+    graph, seed_plan, gate, seed, retries = case
+    mcfg = MetricsConfig(("A", "B"), 0.3)
+    options = dict(max_tree_retries=retries, tree_method=tree_method,
+                   pair_selection=pair_selection, validate_every=0)
+    real_step = mapchain.chain.recom_step
+
+    def step(state, *args, **kwargs):
+        real_step(state, *args, **kwargs)
+        if pair_selection == "edges":
+            assert np.array_equal(state.pairs.cross, chain_reference.cross_edges(graph, state.plan))
+        else:
+            assert np.array_equal(state.pairs.keys, chain_reference.pair_keys(graph, state.plan))
+        return state
+
+    with mock.patch.object(mapchain.chain, "recom_step", step):
+        trace = run_chain(graph, seed_plan, 40, 0.5, gate, mcfg, np.random.default_rng(seed),
+                          **options)
+    with mock.patch.object(mapchain.chain, "PairTable", chain_reference.RecountedPairs), \
+            mock.patch.object(mapchain.chain, "adjacent_district_pairs",
+                              chain_reference.adjacent_district_pairs), \
+            mock.patch.object(mapchain.trees, "_Induced", chain_reference.MaskedInduced):
+        reference = run_chain(graph, seed_plan, 40, 0.5, gate, mcfg,
+                              np.random.default_rng(seed), **options)
+    assert trace.rows.tobytes() == reference.rows.tobytes()
+    assert (trace.accepted, trace.rejected_by_constraint, trace.rejected_no_cut) == (
+        reference.accepted, reference.rejected_by_constraint, reference.rejected_no_cut)
+
+
+@pytest.mark.parametrize("pair_selection", PAIR_SELECTION)
+def test_corrupt_pair_table_raises_at_the_next_check(grid4, band4, mcfg2, monkeypatch,
+                                                     pair_selection):
+    move = PairTable.move
+
+    def corrupted(table, plan, districts, nodes):
+        move(table, plan, districts, nodes)
+        if table.keys is not None:
+            table.keys = table.keys[1:]
+        else:
+            table.cross = table.cross[1:]
+
+    monkeypatch.setattr(PairTable, "move", corrupted)
+    with pytest.raises(errors.ChainInvariantViolated, match="step 4: the pair table"):
+        run_chain(
+            grid4, band4, 10, 0.01, PERMISSIVE, mcfg2, np.random.default_rng(0),
+            pair_selection=pair_selection, validate_every=5,
+        )
 
 
 def test_corrupt_tally_raises_at_the_next_check(grid4, band4, mcfg2, monkeypatch):

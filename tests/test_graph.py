@@ -46,6 +46,14 @@ def test_disconnected_graph_lists_components():
     assert [2] in comps and [3] in comps
 
 
+def test_disconnected_graph_message_orders_components_by_smallest_node():
+    # five components, node 10 alone; the message shows the first four
+    edges = [AdjacencyEdge(a, b) for a, b in ((6, 2), (0, 8), (5, 1), (7, 3), (4, 9), (9, 0))]
+    with pytest.raises(errors.DisconnectedGraph) as err:
+        build_graph(unit_nodes(11), edges, small_election(11))
+    assert str(err.value) == "graph has 5 components: [0, 4, 8, 9], [1, 5], [2, 6], [3, 7], ..."
+
+
 def test_grid4_fixture_counts(grid4):
     assert grid4.n == 16
     assert grid4.n_edges == 24  # 2 * 4 * 3 rook edges

@@ -45,6 +45,12 @@ def test_disconnected_subset_rejected():
         random_spanning_tree(g, [0, 3], np.random.default_rng(0))
 
 
+def test_bipartition_of_a_disconnected_subset_rejected():
+    g = make_path_graph(4)
+    with pytest.raises(errors.DisconnectedSubset):
+        bipartition_region(g, [0, 1, 3], (1.5, 1.5), 0.5, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("method", ["uniform", "mst"])
 def test_tree_spans_subset(method):
     g = grid_graph(3, 3)
