@@ -53,7 +53,6 @@ from .chain import (
 )
 from .diagnostics import (
     AcfSeries,
-    SweepConfig,
     SweepResult,
     autocorrelation,
     burn_thin,

@@ -20,7 +20,7 @@ import numpy as np
 from . import errors
 from .chain import ChainTrace, run_chain, tree_ensemble
 from .constraints import ConstraintGate
-from .diagnostics import autocorrelation, estimate_burn_in, burn_thin, SweepConfig, constraint_sweep
+from .diagnostics import autocorrelation, estimate_burn_in, burn_thin, constraint_sweep
 from .io import (
     RunConfig,
     read_assignment,
@@ -89,9 +89,20 @@ def _tree_job(graph, k, n_plans, cfg: RunConfig, mcfg):
     )
 
 
+def _require_rows_after_burn_in(cfg: RunConfig) -> None:
+    """Fail before sampling when ``burn_in`` would drop every step."""
+    if cfg.burn_in >= cfg.steps:
+        raise errors.ConfigError(
+            f"burn_in={cfg.burn_in} leaves no rows of steps={cfg.steps}"
+        )
+
+
 def _run_chains(graph, plan, cfg: RunConfig, mcfg):
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)
-    jobs = [(graph, plan, cfg, cfg.steps, s.entropy, mcfg) for s in seeds]
+    # chain 0 draws from SeedSequence(seed), the stream default_rng(seed) gives,
+    # so a one-chain run is unchanged; chain i >= 1 from the root's spawned child i-1
+    root = np.random.SeedSequence(cfg.seed)
+    seeds = [root] + root.spawn(cfg.n_chains - 1)
+    jobs = [(graph, plan, cfg, cfg.steps, s, mcfg) for s in seeds]
     # the pool starts all its processes at once: no more than the machine has CPUs
     workers = min(cfg.workers, cfg.n_chains, os.cpu_count() or 1)
     if workers > 1:
@@ -143,6 +154,7 @@ def _print_acceptance(trace: ChainTrace) -> None:
 def cmd_chain(cfg: RunConfig) -> int:
     graph, mcfg = _load(cfg)
     _require(cfg, "assignment")
+    _require_rows_after_burn_in(cfg)
     plan, _ = read_assignment(cfg.assignment, graph)
     traces = _run_chains(graph, plan, cfg, mcfg)
     burn = cfg.burn_in if cfg.burn_in >= 0 else estimate_burn_in(traces[0])
@@ -204,28 +216,26 @@ def cmd_sweep(cfg: RunConfig) -> int:
     _require(cfg, "assignment")
     if len(set(cfg.sweep_caps)) < 2:
         raise errors.ConfigError("sweep_caps needs at least 2 distinct caps")
+    _require_rows_after_burn_in(cfg)
     plan, _ = read_assignment(cfg.assignment, graph)
     baseline_trace = _tree_job(graph, plan.k, cfg.n_plans, cfg, mcfg)
     baseline = float(np.mean(baseline_trace.series(cfg.sweep_metric)))
-    sweep_cfg = SweepConfig(
-        steps=cfg.steps,
-        tolerance=cfg.pop_tolerance,
-        metrics_config=mcfg,
-        metric=cfg.sweep_metric,
-        burn=cfg.burn_in if cfg.burn_in >= 0 else cfg.steps // 5,
-        thin=cfg.thinning,
-        replicates=cfg.sweep_replicates,
-        seed=cfg.seed,
-        muni_cap=cfg.muni_cap,
-        max_tree_retries=cfg.max_tree_retries,
-        tree_method=cfg.tree_method,
-        pair_selection=cfg.pair_selection,
-    )
+    burn = cfg.burn_in if cfg.burn_in >= 0 else cfg.steps // 5
+    samples = []
+    for i, cap in enumerate(cfg.sweep_caps):
+        capped = replace(cfg, mode="reject", county_cap=cap)
+        pooled = [
+            burn_thin(
+                _chain_job((graph, plan, capped, cfg.steps, [cfg.seed, i, r], mcfg)),
+                burn, cfg.thinning,
+            ).series(cfg.sweep_metric)
+            for r in range(cfg.sweep_replicates)
+        ]
+        samples.append((cap, np.concatenate(pooled)))
     extrapolate = None
     if cfg.sweep_extrapolate_cap == cfg.sweep_extrapolate_cap:  # not NaN
         extrapolate = cfg.sweep_extrapolate_cap
-    result = constraint_sweep(graph, plan, cfg.sweep_caps, sweep_cfg,
-                              baseline=baseline, extrapolate_at=extrapolate)
+    result = constraint_sweep(samples, baseline=baseline, extrapolate_at=extrapolate)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_sweep_csv(result, os.path.join(cfg.out_dir, "sweep.csv"))
     write_sweep_svg(result, os.path.join(cfg.out_dir, "sweep.svg"))

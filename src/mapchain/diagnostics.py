@@ -1,5 +1,5 @@
 """Chain-quality analytics: autocorrelation, burn-in/thinning, summaries,
-and the constraint-relaxation sweep with linear extrapolation.
+and the constraint-relaxation sweep's fit with linear extrapolation.
 
 The ACF uses the biased single-mean estimator (global mean, pooled
 denominator), the common default in chain diagnostics; it guarantees
@@ -13,10 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import errors
-from .chain import ChainTrace, run_chain
-from .constraints import ConstraintGate
-from .graph import Plan, PrecinctGraph
-from .metrics import MetricsConfig
+from .chain import ChainTrace
 
 
 @dataclass(frozen=True)
@@ -102,25 +99,15 @@ class Summary:
     std: float
     min: float
     max: float
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
 
 
-def summarize(values, bins: int = 20) -> Summary:
-    """Mean, sample std (n-1 denominator), extrema, and histogram counts."""
+def summarize(values) -> Summary:
+    """Mean, sample std (n-1 denominator; 0 for one value) and extrema."""
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
         raise errors.EmptyInput("cannot summarize an empty sequence")
     std = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
-    counts, edges = np.histogram(x, bins=bins)
-    return Summary(
-        mean=float(x.mean()),
-        std=std,
-        min=float(x.min()),
-        max=float(x.max()),
-        hist_counts=counts,
-        hist_edges=edges,
-    )
+    return Summary(mean=float(x.mean()), std=std, min=float(x.min()), max=float(x.max()))
 
 
 def fit_line(x, y):
@@ -145,7 +132,6 @@ class SweepPoint:
     mean: float
     std: float
     n: int
-    mean_splits: float = float("nan")  # realized county splits, alternate x-axis
 
 
 @dataclass(frozen=True)
@@ -158,77 +144,26 @@ class SweepResult:
     baseline: "float | None" = None
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Chain parameters shared by every cap in a constraint sweep."""
-
-    steps: int
-    tolerance: float
-    metrics_config: MetricsConfig
-    metric: str = "seats_avg"
-    burn: int = 0
-    thin: int = 1
-    replicates: int = 3
-    seed: int = 0
-    muni_cap: int = 10**9
-    max_tree_retries: int = 50
-    tree_method: str = "uniform"
-    pair_selection: str = "uniform"
-
-
 def constraint_sweep(
-    graph: PrecinctGraph,
-    seed_plan: Plan,
-    caps,
-    config: SweepConfig,
+    samples,
     baseline: "float | None" = None,
     extrapolate_at: "float | None" = None,
 ) -> SweepResult:
-    """Chain runs per county cap, then an OLS fit of metric mean vs cap.
+    """Per-cap mean, sample std and count, then an OLS fit of mean vs cap.
 
-    Each cap gets ``replicates`` chains with distinct derived seeds; the
-    post-burn-in metric values are pooled per cap. The fitted line is
-    evaluated at ``extrapolate_at`` (default: the largest cap) so the result
-    can sit next to the unconstrained random-tree baseline.
+    ``samples`` holds one ``(cap, values)`` pair per cap, ``values`` being
+    the metric's post-burn-in values pooled over that cap's chains. The
+    fitted line is evaluated at ``extrapolate_at`` (default: the largest
+    cap) so the result can sit next to the unconstrained random-tree
+    baseline. Raises ``FitUndefined`` unless there are 2 distinct caps.
     """
-    caps = [int(c) for c in caps]
-    if len(set(caps)) < 2:
-        raise errors.FitUndefined("sweep needs at least 2 distinct caps")
     points = []
-    for ci, cap in enumerate(caps):
-        pooled = []
-        pooled_splits = []
-        for r in range(config.replicates):
-            rng = np.random.default_rng([config.seed, ci, r])
-            gate = ConstraintGate.reject(county_cap=cap, muni_cap=config.muni_cap)
-            trace = run_chain(
-                graph,
-                seed_plan,
-                config.steps,
-                config.tolerance,
-                gate,
-                config.metrics_config,
-                rng,
-                max_tree_retries=config.max_tree_retries,
-                tree_method=config.tree_method,
-                pair_selection=config.pair_selection,
-            )
-            kept = burn_thin(trace, config.burn, config.thin)
-            pooled.extend(kept.series(config.metric).tolist())
-            pooled_splits.extend(kept.series("county_splits").tolist())
-        arr = np.asarray(pooled, dtype=np.float64)
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        points.append(
-            SweepPoint(
-                cap=cap,
-                mean=float(arr.mean()),
-                std=std,
-                n=arr.size,
-                mean_splits=float(np.mean(pooled_splits)),
-            )
-        )
-
-    slope, intercept = fit_line([p.cap for p in points], [p.mean for p in points])
+    for cap, values in samples:
+        x = np.asarray(values, dtype=np.float64)
+        s = summarize(x)
+        points.append(SweepPoint(cap=int(cap), mean=s.mean, std=s.std, n=x.size))
+    caps = [p.cap for p in points]
+    slope, intercept = fit_line(caps, [p.mean for p in points])
     at = float(extrapolate_at) if extrapolate_at is not None else float(max(caps))
     return SweepResult(
         points=tuple(points),

@@ -14,7 +14,7 @@ from mapchain import errors
 from mapchain.chain import ChainState, random_tree_plan, recom_step, run_chain
 from mapchain.cli import main as cli_main
 from mapchain.constraints import ConstraintGate, SplitReport, gate_accept
-from mapchain.diagnostics import SweepConfig, autocorrelation, constraint_sweep, fit_line
+from mapchain.diagnostics import autocorrelation, constraint_sweep, fit_line
 from mapchain.graph import Plan, canonical_form
 from mapchain.io import write_assignment, write_edges, write_nodes
 from mapchain.metrics import (
@@ -231,15 +231,38 @@ def test_criterion_11_differential_metrics(grid4, catalog4):
     )
 
 
-def test_criterion_12_sweep_fit(grid4, mcfg2):
+def test_criterion_12_sweep_fit(grid4, tmp_path, monkeypatch):
     slope, intercept = fit_line([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     assert slope == 1.0 and intercept == 0.0
+    write_nodes(grid4, tmp_path / "nodes.csv")
+    write_edges(grid4, tmp_path / "edges.csv")
     seed_plan = Plan(np.arange(16) % 4, 4)  # column plan admits tight caps
-    cfg = SweepConfig(
-        steps=60, tolerance=0.01, metrics_config=mcfg2, metric="seats_avg",
-        burn=10, thin=1, replicates=2, seed=17,
+    write_assignment(seed_plan, grid4, tmp_path / "assignment.csv")
+    (tmp_path / "sweep.cfg").write_text(
+        f"nodes = {tmp_path / 'nodes.csv'}\n"
+        f"edges = {tmp_path / 'edges.csv'}\n"
+        f"assignment = {tmp_path / 'assignment.csv'}\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+        "contests = PRES,SEN\n"
+        "pop_tolerance = 0.01\n"
+        "seed = 17\n"
+        "steps = 60\n"
+        "burn_in = 10\n"
+        "muni_cap = 1000000000\n"
+        "n_plans = 10\n"
+        "sweep_caps = 0,2,4\n"
+        "sweep_replicates = 2\n"
     )
-    result = constraint_sweep(grid4, seed_plan, [0, 2, 4], cfg)
+    results = []  # the sweep's own fit, kept as the CLI computes it
+
+    def kept_sweep(*args, **kwargs):
+        results.append(constraint_sweep(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr("mapchain.cli.constraint_sweep", kept_sweep)
+    assert cli_main(["sweep", "--config", str(tmp_path / "sweep.cfg")]) == 0
+    (result,) = results
+    assert [p.cap for p in result.points] == [0, 2, 4]
     x = np.array([p.cap for p in result.points], dtype=np.float64)
     y = np.array([p.mean for p in result.points], dtype=np.float64)
     # oracle A: raw normal equations

@@ -175,110 +175,89 @@ def test_invariant_check_raises(grid4, band4, mcfg2, monkeypatch):
         )
 
 
-_OPTIMISED_CHECK = """
+_OPTIMISED_CHECKS = """
 import sys
 import numpy as np
 import mapchain.chain
 from mapchain import errors
-from mapchain.constraints import ConstraintGate
-from mapchain.metrics import MetricsConfig
-from mapchain.synth import band_plan, grid4_graph
-
-if not sys.flags.optimize:
-    sys.exit("interpreter is not running with -O")
-mapchain.chain.bipartition_region = lambda graph, subset, *a, **kw: (subset[:1], subset[1:])
-try:
-    mapchain.chain.run_chain(
-        grid4_graph(), band_plan(4, 4, 4), 1, 0.01, ConstraintGate.permissive(),
-        MetricsConfig(("PRES", "SEN")), np.random.default_rng(0), validate_every=1,
-    )
-except errors.ChainInvariantViolated:
-    sys.exit(0)
-sys.exit("run_chain accepted an unbalanced plan")
-"""
-
-
-_OPTIMISED_TALLY_CHECK = """
-import sys
-import numpy as np
-from mapchain import errors
-from mapchain.chain import run_chain
+from mapchain.chain import PairTable, run_chain
 from mapchain.constraints import ConstraintGate
 from mapchain.metrics import MetricsConfig, PlanTally
 from mapchain.synth import band_plan, grid4_graph
 
 if not sys.flags.optimize:
     sys.exit("interpreter is not running with -O")
-apply = PlanTally.apply
-
-def corrupted(tally, move):
-    apply(tally, move)
-    tally.dem[0, move.districts[0]] += 1
-
-PlanTally.apply = corrupted
-try:
-    run_chain(
-        grid4_graph(), band_plan(4, 4, 4), 10, 0.01, ConstraintGate.permissive(),
-        MetricsConfig(("PRES", "SEN")), np.random.default_rng(0), validate_every=5,
-    )
-except errors.ChainInvariantViolated:
-    sys.exit(0)
-sys.exit("run_chain kept scoring off a corrupted tally")
-"""
+apply, move = PlanTally.apply, PairTable.move
 
 
-_OPTIMISED_PAIRS_CHECK = """
-import sys
-import numpy as np
-from mapchain import errors
-from mapchain.chain import PairTable, run_chain
-from mapchain.constraints import ConstraintGate
-from mapchain.metrics import MetricsConfig
-from mapchain.synth import band_plan, grid4_graph
+def unbalanced_split(graph, subset, *args, **kwargs):
+    return subset[:1], subset[1:]
 
-if not sys.flags.optimize:
-    sys.exit("interpreter is not running with -O")
-move = PairTable.move
 
-def corrupted(table, plan, districts, nodes):
+def corrupted_apply(tally, step_move):
+    apply(tally, step_move)
+    tally.dem[0, step_move.districts[0]] += 1
+
+
+def corrupted_move(table, plan, districts, nodes):
     move(table, plan, districts, nodes)
     table.keys = table.keys[1:]
 
-PairTable.move = corrupted
-try:
-    run_chain(
-        grid4_graph(), band_plan(4, 4, 4), 10, 0.01, ConstraintGate.permissive(),
-        MetricsConfig(("PRES", "SEN")), np.random.default_rng(0), validate_every=5,
-    )
-except errors.ChainInvariantViolated:
-    sys.exit(0)
-sys.exit("run_chain kept choosing pairs off a corrupted table")
+
+# (check, owner, attribute, corrupted version, steps, validate_every)
+CORRUPTIONS = (
+    ("population window", mapchain.chain, "bipartition_region", unbalanced_split, 1, 1),
+    ("tally", PlanTally, "apply", corrupted_apply, 10, 5),
+    ("pair table", PairTable, "move", corrupted_move, 10, 5),
+)
+for check, owner, attribute, corrupted, steps, validate_every in CORRUPTIONS:
+    original = getattr(owner, attribute)
+    setattr(owner, attribute, corrupted)
+    try:
+        run_chain(
+            grid4_graph(), band_plan(4, 4, 4), steps, 0.01, ConstraintGate.permissive(),
+            MetricsConfig(("PRES", "SEN")), np.random.default_rng(0),
+            validate_every=validate_every,
+        )
+        print(check + ": passed")
+    except errors.ChainInvariantViolated:
+        print(check + ": raised")
+    finally:
+        setattr(owner, attribute, original)
 """
 
 
-def _run_optimised(script):
+@pytest.fixture(scope="module")
+def optimised_outcomes():
+    """Each corruption's outcome, all from one ``python -O`` interpreter:
+    ``raised`` when the chain caught it, ``passed`` when it ran on."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", script],
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMISED_CHECKS],
         env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return dict(line.split(": ") for line in result.stdout.splitlines())
+
+
+def test_invariant_check_survives_python_O(optimised_outcomes):
+    assert optimised_outcomes["population window"] == "raised", (
+        "run_chain accepted an unbalanced plan"
     )
 
 
-def test_invariant_check_survives_python_O():
-    result = _run_optimised(_OPTIMISED_CHECK)
-    assert result.returncode == 0, result.stderr
+def test_tally_check_survives_python_O(optimised_outcomes):
+    assert optimised_outcomes["tally"] == "raised", (
+        "run_chain kept scoring off a corrupted tally"
+    )
 
 
-def test_tally_check_survives_python_O():
-    result = _run_optimised(_OPTIMISED_TALLY_CHECK)
-    assert result.returncode == 0, result.stderr
-
-
-def test_pair_table_check_survives_python_O():
-    result = _run_optimised(_OPTIMISED_PAIRS_CHECK)
-    assert result.returncode == 0, result.stderr
+def test_pair_table_check_survives_python_O(optimised_outcomes):
+    assert optimised_outcomes["pair table"] == "raised", (
+        "run_chain kept choosing pairs off a corrupted table"
+    )
 
 
 @st.composite

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapchain.cli import main
-from mapchain.io import RunConfig
+from mapchain.io import RunConfig, write_assignment
+from mapchain.synth import band_plan, grid4_graph
 
 GRID4 = os.path.join(os.path.dirname(__file__), "fixtures", "grid4")
 
@@ -65,6 +66,20 @@ def test_chain_parallel_chains_deterministic(workdir):
     ).read_bytes()
 
 
+def test_chain_zero_keeps_the_one_chain_stream_and_chain_one_differs(workdir):
+    assert main(["chain", "--config", CFG, "--set", "out_dir=out/one"]) == 0
+    assert main(["chain", "--config", CFG, "--set", "n_chains=2",
+                 "--set", "burn_in=0", "--set", "out_dir=out/two"]) == 0
+    one = (workdir / "out/one/trace.csv").read_text().splitlines()
+    two = (workdir / "out/two/trace.csv").read_text().splitlines()
+    assert len(one) == 61 and len(two) == 121
+    assert two[:61] == one
+    # steps are renumbered across chains: compare everything but the step
+    chain0 = [row.split(",", 1)[1] for row in two[1:61]]
+    chain1 = [row.split(",", 1)[1] for row in two[61:]]
+    assert chain1 != chain0
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_worker_data_error_exits_3_with_one_error_line(workdir, capsys, workers):
     # zero district A's PRES votes: each chain fails when it scores its seed
@@ -115,6 +130,32 @@ def test_muni_cap_zero_allows_no_split_municipality(workdir, capsys, command):
     assert err.startswith("ERROR InvalidSeedPlan: constraint gate:")
     assert "muni_splits=4" in err and err.count("\n") == 1
     assert main(args + ["--set", "muni_cap=4"]) == 0
+
+
+def test_sweep_cap_must_admit_seed(workdir, capsys):
+    # the row-band seed plan splits every county
+    write_assignment(band_plan(4, 4, 4), grid4_graph(), "band.csv")
+    code = main(["sweep", "--config", CFG, "--set", "assignment=band.csv",
+                 "--set", "sweep_caps=0,1",
+                 "--set", "steps=10", "--set", "sweep_replicates=1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR InvalidSeedPlan:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("burn_in", [60, 61])
+@pytest.mark.parametrize("command", ["chain", "sweep"])
+def test_burn_in_past_the_last_step_fails_before_sampling(workdir, capsys, monkeypatch,
+                                                          command, burn_in):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking burn_in")
+
+    monkeypatch.setattr("mapchain.cli.run_chain", no_sampling)
+    monkeypatch.setattr("mapchain.cli.tree_ensemble", no_sampling)
+    assert main([command, "--config", CFG, "--set", f"burn_in={burn_in}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ERROR ConfigError: burn_in={burn_in} leaves no rows of steps=60\n"
 
 
 def test_chain_gibbs_mode_runs(workdir):

@@ -7,7 +7,6 @@ from mapchain import errors
 from mapchain.chain import TRACE_DTYPE, ChainTrace, run_chain
 from mapchain.constraints import ConstraintGate
 from mapchain.diagnostics import (
-    SweepConfig,
     autocorrelation,
     burn_thin,
     constraint_sweep,
@@ -96,19 +95,18 @@ def test_burn_exhausts_trace(grid4, band4, mcfg2):
 
 
 def test_summarize_examples():
-    s = summarize([2.0, 2.0, 2.0], bins=4)
+    s = summarize([2.0, 2.0, 2.0])
     assert (s.mean, s.std) == (2.0, 0.0)
-    s = summarize([1.0, 2.0, 3.0], bins=3)
+    s = summarize([1.0, 2.0, 3.0])
     assert s.mean == 2.0
     assert s.std == pytest.approx(1.0)
     assert (s.min, s.max) == (1.0, 3.0)
-    assert s.hist_counts.sum() == 3
 
 
 def test_summarize_matches_independent_recomputation(grid4, band4, mcfg2):
     trace = make_trace(40, grid4, band4, mcfg2, seed=5)
     values = trace.series("seats_avg")
-    s = summarize(values, bins=6)
+    s = summarize(values)
     n = values.size
     mean = sum(float(v) for v in values) / n
     var = sum((float(v) - mean) ** 2 for v in values) / (n - 1)
@@ -148,15 +146,30 @@ def test_identical_means_give_zero_slope():
 
 
 def test_constraint_sweep_deterministic(grid4, band4, mcfg2):
-    cfg = SweepConfig(
-        steps=40, tolerance=0.01, metrics_config=mcfg2, metric="seats_avg",
-        burn=5, thin=1, replicates=2, seed=3,
-    )
-    a = constraint_sweep(grid4, band4, [4, 5, 6], cfg, baseline=1.9)
-    b = constraint_sweep(grid4, band4, [4, 5, 6], cfg, baseline=1.9)
+    # post-burn-in seats_avg values of two reject-gated chains, pooled per cap
+    samples = [
+        (cap, np.concatenate([
+            burn_thin(
+                run_chain(
+                    grid4, band4, 40, 0.01, ConstraintGate.reject(cap, 10**9), mcfg2,
+                    np.random.default_rng([3, i, r]),
+                ),
+                5, 1,
+            ).series("seats_avg")
+            for r in range(2)
+        ]))
+        for i, cap in enumerate([4, 5, 6])
+    ]
+    a = constraint_sweep(samples, baseline=1.9)
+    b = constraint_sweep(samples, baseline=1.9)
     assert a == b
     assert a.baseline == 1.9
     assert len(a.points) == 3
+    # each point summarizes its cap's pooled values
+    for p, (cap, values) in zip(a.points, samples):
+        assert (p.cap, p.n) == (cap, values.size)
+        assert p.mean == pytest.approx(float(np.mean(values)), abs=1e-12)
+        assert p.std == pytest.approx(float(np.std(values, ddof=1)), abs=1e-12)
     # OLS coefficients match the normal-equations oracle
     x = np.array([p.cap for p in a.points], dtype=np.float64)
     y = np.array([p.mean for p in a.points], dtype=np.float64)
@@ -171,21 +184,11 @@ def test_constraint_sweep_deterministic(grid4, band4, mcfg2):
     assert a.extrapolated_value == pytest.approx(
         a.fit_slope * 6.0 + a.fit_intercept, abs=1e-12
     )
-    # realized splits recorded per cap (alternate x-axis) and bounded by cap
-    for p in a.points:
-        assert 0.0 <= p.mean_splits <= p.cap
 
 
-def test_constraint_sweep_needs_two_caps(grid4, band4, mcfg2):
-    cfg = SweepConfig(steps=10, tolerance=0.01, metrics_config=mcfg2)
+def test_constraint_sweep_needs_two_caps():
     with pytest.raises(errors.FitUndefined):
-        constraint_sweep(grid4, band4, [4, 4], cfg)
-
-
-def test_sweep_cap_must_admit_seed(grid4, band4, mcfg2):
-    cfg = SweepConfig(steps=10, tolerance=0.01, metrics_config=mcfg2, replicates=1)
-    with pytest.raises(errors.InvalidSeedPlan):
-        constraint_sweep(grid4, band4, [0, 1], cfg)
+        constraint_sweep([(4, [1.0, 2.0]), (4, [3.0, 5.0])])
 
 
 def test_estimate_burn_in(grid4, band4, mcfg2):
