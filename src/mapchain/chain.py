@@ -121,6 +121,15 @@ class ChainTrace:
     rejected_by_constraint: int = 0
     rejected_no_cut: int = 0
 
+    @classmethod
+    def empty(cls, n: int) -> "ChainTrace":
+        """A trace of ``n`` unwritten rows. More rows than numpy can address
+        raise ``MemoryError``, as a failed allocation does (numpy raises
+        ``ValueError`` for those)."""
+        if n * TRACE_DTYPE.itemsize > np.iinfo(np.intp).max:
+            raise MemoryError(f"{n} trace rows are more than numpy can address")
+        return cls(np.empty(n, dtype=TRACE_DTYPE))
+
     def __len__(self) -> int:
         return self.rows.size
 
@@ -308,7 +317,7 @@ def run_chain(
     check_seed_plan(graph, seed_plan, tolerance, constraint_gate, rng)
     state = ChainState(plan=seed_plan, rng=rng, tally=PlanTally(graph, seed_plan),
                        pairs=PairTable(graph, seed_plan, pair_selection))
-    trace = ChainTrace(np.empty(steps, dtype=TRACE_DTYPE))
+    trace = ChainTrace.empty(steps)
     scored, report = None, None
     for t in range(steps):
         before = state.accepted
@@ -413,7 +422,7 @@ def tree_ensemble(
     """
     if n_plans < 1:
         raise ValueError("n_plans must be >= 1")
-    trace = ChainTrace(np.empty(n_plans, dtype=TRACE_DTYPE))
+    trace = ChainTrace.empty(n_plans)
     failures = 0
     t = 0
     while t < n_plans:

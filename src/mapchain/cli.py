@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -65,6 +65,13 @@ def _load(cfg: RunConfig):
     contests = cfg.validate_contests(graph)
     mcfg = MetricsConfig(contests, cfg.fractional_sigma)
     return graph, mcfg
+
+
+def _seed_plan(cfg: RunConfig, graph):
+    """The plan in ``cfg.assignment``: the chains' seed, the plan to score."""
+    _require(cfg, "assignment")
+    plan, _ = read_assignment(cfg.assignment, graph)
+    return plan
 
 
 def _chain_job(args):
@@ -120,62 +127,52 @@ def _concat_post_burn(traces, burn: int, thin: int) -> ChainTrace:
     )
 
 
-def _write_ensemble_outputs(cfg, combined, raw_trace, reference, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    trace_path = os.path.join(out_dir, "trace.csv")
+def _write_ensemble_outputs(cfg, combined, raw_trace, reference):
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    trace_path = os.path.join(cfg.out_dir, "trace.csv")
     write_trace(combined, trace_path)
-    write_summary(combined, os.path.join(out_dir, "summary.csv"))
+    write_summary(combined, os.path.join(cfg.out_dir, "summary.csv"))
     series = raw_trace.series("seats_avg")
     max_lag = min(cfg.acf_max_lag, series.size - 2)
     if max_lag >= 1:
         try:
             acf = autocorrelation(series, max_lag)
-            write_acf_csv(acf, os.path.join(out_dir, "acf.csv"))
+            write_acf_csv(acf, os.path.join(cfg.out_dir, "acf.csv"))
         except errors.ZeroVariance:
             print("note: seats_avg series is constant; skipping acf.csv")
     for metric, column in (("seats_avg", "seats_avg"), ("seats_index", "seats_index")):
         write_histogram_svg(
             combined.series(metric),
             cfg.hist_bins,
-            os.path.join(out_dir, f"hist_{column}.svg"),
+            os.path.join(cfg.out_dir, f"hist_{column}.svg"),
             reference_line=getattr(reference, metric) if reference else None,
         )
     return trace_path
 
 
-def _print_acceptance(trace: ChainTrace) -> None:
-    print(
-        f"proposed={trace.proposed} accepted={trace.accepted} "
-        f"rejected_by_constraint={trace.rejected_by_constraint} "
-        f"rejected_no_cut={trace.rejected_no_cut}"
-    )
-
-
 def cmd_chain(cfg: RunConfig) -> int:
     graph, mcfg = _load(cfg)
-    _require(cfg, "assignment")
+    plan = _seed_plan(cfg, graph)
     _require_rows_after_burn_in(cfg)
-    plan, _ = read_assignment(cfg.assignment, graph)
     traces = _run_chains(graph, plan, cfg, mcfg)
     burn = cfg.burn_in if cfg.burn_in >= 0 else estimate_burn_in(traces[0])
     combined = _concat_post_burn(traces, burn, cfg.thinning)
     reference = score_plan(graph, plan, mcfg)
-    trace_path = _write_ensemble_outputs(cfg, combined, traces[0], reference, cfg.out_dir)
+    trace_path = _write_ensemble_outputs(cfg, combined, traces[0], reference)
     print(f"chains={cfg.n_chains} steps={cfg.steps} burn_in={burn} thinning={cfg.thinning}")
-    _print_acceptance(combined)
+    print(
+        f"proposed={combined.proposed} accepted={combined.accepted} "
+        f"rejected_by_constraint={combined.rejected_by_constraint} "
+        f"rejected_no_cut={combined.rejected_no_cut}"
+    )
     print(f"wrote {trace_path}")
     return 0
 
 
 def _district_count(cfg: RunConfig, graph):
     """``(k, plan)``: k from ``districts``, else from the assignment's plan."""
-    plan = None
-    if cfg.districts > 0:
-        k = cfg.districts
-    else:
-        _require(cfg, "assignment")
-        plan, _ = read_assignment(cfg.assignment, graph)
-        k = plan.k
+    plan = None if cfg.districts > 0 else _seed_plan(cfg, graph)
+    k = cfg.districts if plan is None else plan.k
     if not 1 <= k <= graph.n:
         raise errors.ConfigError(f"districts must lie in 1..{graph.n}, got {k}")
     return k, plan
@@ -186,19 +183,15 @@ def cmd_tree(cfg: RunConfig) -> int:
     k, plan = _district_count(cfg, graph)
     reference = score_plan(graph, plan, mcfg) if plan is not None else None
     trace = _tree_job(graph, k, cfg.n_plans, cfg, mcfg)
-    trace_path = _write_ensemble_outputs(cfg, trace, trace, reference, cfg.out_dir)
+    trace_path = _write_ensemble_outputs(cfg, trace, trace, reference)
     print(f"plans={cfg.n_plans} k={k} failed_draws={trace.rejected_no_cut}")
     print(f"wrote {trace_path}")
     return 0
 
 
-def cmd_score(cfg: RunConfig, assignment=None) -> int:
+def cmd_score(cfg: RunConfig) -> int:
     graph, mcfg = _load(cfg)
-    path = assignment or cfg.assignment
-    if not path:
-        raise errors.ConfigError("score needs an assignment file")
-    plan, _ = read_assignment(path, graph)
-    report = score_plan(graph, plan, mcfg)
+    report = score_plan(graph, _seed_plan(cfg, graph), mcfg)
     for key, value in report.as_dict().items():
         print(f"{key} = {value}")
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -213,11 +206,10 @@ def cmd_score(cfg: RunConfig, assignment=None) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     graph, mcfg = _load(cfg)
-    _require(cfg, "assignment")
+    plan = _seed_plan(cfg, graph)
     if len(set(cfg.sweep_caps)) < 2:
         raise errors.ConfigError("sweep_caps needs at least 2 distinct caps")
     _require_rows_after_burn_in(cfg)
-    plan, _ = read_assignment(cfg.assignment, graph)
     baseline_trace = _tree_job(graph, plan.k, cfg.n_plans, cfg, mcfg)
     baseline = float(np.mean(baseline_trace.series(cfg.sweep_metric)))
     burn = cfg.burn_in if cfg.burn_in >= 0 else cfg.steps // 5
@@ -248,20 +240,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-@dataclass
-class BenchReport:
-    read_in_sec: float
-    rows: list  # (configuration, iterations, seconds)
-
-
-def run_bench(cfg: RunConfig) -> BenchReport:
+def cmd_bench(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     graph, mcfg = _load(cfg)
-    _require(cfg, "assignment")
-    plan, _ = read_assignment(cfg.assignment, graph)
+    plan = _seed_plan(cfg, graph)
     read_in = time.perf_counter() - t0
-
-    rows = []
+    rows = []  # (configuration, iterations, seconds)
     for name, mode in (("unconstrained", "permissive"), ("reject", "reject"), ("gibbs", "gibbs")):
         t = time.perf_counter()
         _chain_job((graph, plan, replace(cfg, mode=mode), cfg.bench_iterations, cfg.seed, mcfg))
@@ -269,21 +253,16 @@ def run_bench(cfg: RunConfig) -> BenchReport:
     t = time.perf_counter()
     _tree_job(graph, plan.k, cfg.bench_tree_plans, cfg, mcfg)
     rows.append(("random_tree", cfg.bench_tree_plans, time.perf_counter() - t))
-    return BenchReport(read_in_sec=read_in, rows=rows)
-
-
-def cmd_bench(cfg: RunConfig) -> int:
-    report = run_bench(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out = os.path.join(cfg.out_dir, "bench.csv")
     with replacing(out) as fh:
         fh.write("configuration,read_in_sec,iterations,seconds\n")
-        for i, (name, iterations, seconds) in enumerate(report.rows):
-            read_in = f"{report.read_in_sec:.4f}" if i == 0 else ""
-            fh.write(f"{name},{read_in},{iterations},{seconds:.4f}\n")
-    for name, iterations, seconds in report.rows:
+        for i, (name, iterations, seconds) in enumerate(rows):
+            cell = f"{read_in:.4f}" if i == 0 else ""
+            fh.write(f"{name},{cell},{iterations},{seconds:.4f}\n")
+    for name, iterations, seconds in rows:
         print(f"{name}: {iterations} iterations in {seconds:.3f}s")
-    print(f"read-in: {report.read_in_sec:.3f}s")
+    print(f"read-in: {read_in:.3f}s")
     print(f"wrote {out}")
     return 0
 
@@ -339,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "chain": cmd_chain,
     "tree": cmd_tree,
+    "score": cmd_score,
     "sweep": cmd_sweep,
     "bench": cmd_bench,
     "enumerate": cmd_enumerate,
@@ -349,22 +329,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = read_config(args.config, overrides=_parse_overrides(args.set))
-        if args.command == "score":
-            return cmd_score(cfg, assignment=getattr(args, "assignment", None))
-        return _COMMANDS[args.command](cfg)
-    except errors.ConfigError as e:
-        print(f"ERROR ConfigError: {e}", file=sys.stderr)
-        return 2
-    except errors.DataError as e:
-        print(f"ERROR {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
-    except (errors.MapchainError, OSError) as e:
-        print(f"ERROR {type(e).__name__}: {e}", file=sys.stderr)
-        return 4
-    except MemoryError as e:  # e.g. a trace of more steps or plans than memory holds
-        print(f"ERROR MemoryError: {e}", file=sys.stderr)
-        return 4
+        overrides = _parse_overrides(args.set)
+        if getattr(args, "assignment", None):  # score's flag wins over --set
+            overrides["assignment"] = args.assignment
+        return _COMMANDS[args.command](read_config(args.config, overrides=overrides))
+    except (errors.MapchainError, OSError, MemoryError) as e:
+        # numpy's failed allocations are MemoryError subclasses; name the base
+        name = "MemoryError" if isinstance(e, MemoryError) else type(e).__name__
+        print(f"ERROR {name}: {e}", file=sys.stderr)
+        if isinstance(e, errors.ConfigError):
+            return 2
+        return 3 if isinstance(e, errors.DataError) else 4
 
 
 if __name__ == "__main__":

@@ -141,16 +141,8 @@ def canonical_form(plan: Plan) -> tuple:
 
     Two plans are the same partition iff their canonical forms are equal.
     """
-    mapping = np.full(plan.k, -1, dtype=np.int64)
-    nxt = 0
-    out = np.empty(plan.n, dtype=np.int64)
-    for i, lab in enumerate(plan.assignment):
-        m = mapping[lab]
-        if m < 0:
-            mapping[lab] = m = nxt
-            nxt += 1
-        out[i] = m
-    return tuple(out.tolist())
+    first = {}
+    return tuple(first.setdefault(x, len(first)) for x in plan.assignment.tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,16 +50,22 @@ def _read_columns(path, required, rows_required=False) -> tuple:
     """``(header, columns)`` of a CSV file, where ``columns`` maps each header
     name to the tuple of its cells, unstripped.
 
-    Raises ``MissingFile``, ``EmptyFile`` for a file without a header row (or,
-    when ``rows_required``, without data rows), ``BadNumericField`` for a row
-    shorter than the header, then ``MissingColumn`` for the first absent
-    ``required`` name.
+    Raises ``MissingFile``, ``IngestError`` for text that is not UTF-8 or
+    that ``csv`` refuses (a cell over its field limit), ``EmptyFile`` for a
+    file without a header row (or, when ``rows_required``, without data
+    rows), ``BadNumericField`` for a row shorter than the header, then
+    ``MissingColumn`` for the first absent ``required`` name.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+            reader = csv.reader(fh)
+            rows = [row for row in reader if "".join(row).strip()]
     except FileNotFoundError:
         raise errors.MissingFile(f"{path}: no such file") from None
+    except UnicodeDecodeError as e:
+        raise errors.IngestError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except csv.Error as e:
+        raise errors.IngestError(f"{path}: line {reader.line_num}: {e}") from None
     if not rows:
         raise errors.EmptyFile(f"{path}: no header row")
     header, rows = [h.strip() for h in rows[0]], rows[1:]
@@ -382,6 +388,10 @@ def histogram_counts(values, bins: int):
         raise errors.EmptyInput("histogram needs at least one value")
     if bins < 1:
         raise ValueError("bins must be >= 1")
+    # numpy raises ValueError, not MemoryError, for bin edges at or past its
+    # size limit; half of it (4 EiB of edges) already exceeds any address space
+    if bins >= np.iinfo(np.intp).max // 16:
+        raise MemoryError(f"{bins} histogram bins are more than numpy can address")
     return np.histogram(values, bins=bins)
 
 
@@ -636,6 +646,8 @@ def read_config(path, overrides: Optional[dict] = None) -> RunConfig:
                 raw_values[key] = (f"{path}: line {line_no}", raw)
     except FileNotFoundError:
         raise errors.ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as e:
+        raise errors.ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
     for key, raw in (overrides or {}).items():
         if key not in _CONFIG_FIELDS:
             raise errors.ConfigError(f"unknown config key {key!r}")

@@ -211,6 +211,18 @@ def test_score_matches_naive_oracle(workdir):
     assert float(values[3]) == pytest.approx(expected.efficiency_gap, abs=1e-12)
 
 
+def test_score_assignment_flag_wins_over_the_config(workdir):
+    write_assignment(band_plan(4, 4, 4), grid4_graph(), "band.csv")
+    assert main(["score", "--config", CFG, "--set", "out_dir=out/fixture"]) == 0
+    assert main(["score", "--config", CFG, "--set", "out_dir=out/band",
+                 "--set", "assignment=band.csv"]) == 0
+    assert main(["score", "--config", CFG, "--set", "out_dir=out/flag",
+                 "--set", "assignment=nope.csv", "--assignment", "band.csv"]) == 0
+    band = (workdir / "out/band/report.csv").read_bytes()
+    assert (workdir / "out/flag/report.csv").read_bytes() == band
+    assert (workdir / "out/fixture/report.csv").read_bytes() != band
+
+
 def test_sweep_command(workdir, capsys):
     assert main(["sweep", "--config", CFG, "--set", "out_dir=out/sweep",
                  "--set", "steps=25", "--set", "n_plans=10",
@@ -290,6 +302,7 @@ _NUMERIC_KEYS = [
         ["chain", "--set", "acf_max_lag=-1"],
         ["bench", "--set", "bench_iterations=0"],
         ["bench", "--set", "bench_tree_plans=0"],
+        ["score", "--set", "assignment="],
     ]
     + [["chain", "--set", f"{key}=abc"] for key in _NUMERIC_KEYS],
     ids=lambda argv: " ".join([argv[0]] + argv[2:]),
@@ -357,6 +370,29 @@ def test_short_csv_row_exits_3_with_one_error_line(workdir, capsys, name):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tail, message", [
+    pytest.param(b"\xff\xfe", "not UTF-8 text (invalid start byte)", id="not-utf8"),
+    pytest.param(b"x" * 200_000 + b"\n", "field larger than field limit", id="huge-cell"),
+])
+@pytest.mark.parametrize("name", ["nodes.csv", "edges.csv", "assignment.csv"])
+def test_unreadable_csv_exits_3_with_one_error_line(workdir, capsys, name, tail, message):
+    with open(workdir / "tests" / "fixtures" / "grid4" / name, "ab") as fh:
+        fh.write(tail)
+    assert main(["chain", "--config", CFG]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR IngestError: tests/fixtures/grid4/{name}: ")
+    assert message in err
+    assert err.count("\n") == 1
+
+
+def test_config_not_utf8_exits_2_with_one_error_line(workdir, capsys):
+    with open(CFG, "ab") as fh:
+        fh.write(b"# \xff\n")
+    assert main(["chain", "--config", CFG]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ERROR ConfigError: {CFG}: not UTF-8 text (invalid start byte)\n"
+
+
 def test_chain_invariant_violation_exits_4(workdir, capsys, monkeypatch):
     monkeypatch.setattr(
         "mapchain.chain.bipartition_region",
@@ -368,10 +404,20 @@ def test_chain_invariant_violation_exits_4(workdir, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command, setting", [("chain", "steps"), ("tree", "n_plans")])
-def test_trace_too_big_to_allocate_exits_4(workdir, capsys, command, setting):
-    # 10**15 trace rows are about 100 PB, more than any address space holds
-    assert main([command, "--config", CFG, "--set", f"{setting}={10**15}"]) == 4
+@pytest.mark.parametrize("command, setting, value", [
+    pytest.param("chain", "steps", 10**15, id="chain-steps"),
+    pytest.param("tree", "n_plans", 10**15, id="tree-n_plans"),
+    ("chain", "steps", 10**17),
+    ("tree", "n_plans", 10**17),
+    ("bench", "bench_iterations", 10**17),
+    ("bench", "bench_tree_plans", 10**17),
+    ("chain", "steps", 10**20 - 1),
+    ("chain", "hist_bins", 10**20 - 1),
+])
+def test_trace_too_big_to_allocate_exits_4(workdir, capsys, command, setting, value):
+    # 10**15 trace rows are about 100 PB, more than any address space holds;
+    # from 10**17 rows (and 2**59 histogram bins) numpy cannot even address them
+    assert main([command, "--config", CFG, "--set", f"{setting}={value}"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("ERROR MemoryError:")
     assert err.count("\n") == 1
