@@ -236,10 +236,11 @@ def recom_step(
         state.rejected_no_cut += 1
         return state
 
+    # valid without a re-check: d1 and d2 each keep one non-empty side of the cut
     assignment = plan.assignment.copy()
     assignment[parts[0]] = d1
     assignment[parts[1]] = d2
-    proposal = Plan(assignment, plan.k)
+    proposal = Plan.unchecked(assignment, plan.k)
     if state.tally is not None:
         move = state.tally.propose(proposal, np.sort([d1, d2]), subset)
         if constraint_gate.mode != "permissive" and not gate_accept(

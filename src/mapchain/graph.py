@@ -115,6 +115,16 @@ class Plan:
         self.assignment = arr
         self.k = k
 
+    @classmethod
+    def unchecked(cls, assignment: np.ndarray, k: int) -> "Plan":
+        """A plan of an int64 ``assignment`` that the caller knows is valid,
+        without the O(n) label checks; ``assignment`` is frozen in place."""
+        plan = cls.__new__(cls)
+        assignment.setflags(write=False)
+        plan.assignment = assignment
+        plan.k = k
+        return plan
+
     @property
     def n(self) -> int:
         return int(self.assignment.size)

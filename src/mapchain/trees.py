@@ -13,6 +13,7 @@ not uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -26,15 +27,72 @@ TREE_METHODS = ("uniform", "mst")
 _WORD = 1 << 32  # Generator.integers(n) for n < 2**32 draws uint32 words
 _MASK = _WORD - 1
 
+# Wilson's walk takes a step from a node of degree 2.._TABLE_DEGREE with one
+# lookup. For each such degree d, numpy's pick ``(w * d) >> 32`` from a uint32
+# word w is constant between the bounds ceil(j * 2**32 / d), so the union of
+# these bounds cuts the words into intervals on each of which every degree's
+# pick is fixed. A word that numpy redraws at degree d (the low half of w * d
+# below 2**32 % d) is the first word of one of d's intervals; it gets a
+# one-word interval of its own. Planar graphs average under 6 neighbours, and
+# the number of intervals grows as about 0.3 * D**2 (29 for 8, 64 for 12).
+_TABLE_DEGREE = 8
+
+
+def _word_intervals(top: int):
+    """The sorted first words of the intervals for degrees 2..``top``, and per
+    degree d in 0..``top`` the itemgetter that picks a row (see ``_walk_rows``)
+    out of a node's neighbours followed by its exit value, which is at index d."""
+    starts, redrawn = {0}, {}
+    for d in range(2, top + 1):
+        redrawn[d] = set()
+        for j in range(d):
+            w = -(-(j << 32) // d)
+            starts.add(w)
+            if w * d & _MASK < _WORD % d:
+                redrawn[d].add(w)
+                starts.add(w + 1)
+    starts = sorted(starts)
+    picks = [itemgetter(*[d] * (len(starts) + 1)) for d in (0, 1)]
+    for d in range(2, top + 1):
+        picks.append(itemgetter(*[d if w in redrawn[d] else (w * d) >> 32 for w in starts], d))
+    return np.array(starts, dtype=np.uint32), tuple(picks)
+
+
+_STARTS, _PICK = _word_intervals(_TABLE_DEGREE)
+_END = _STARTS.size  # the column of every row that follows each chunk of words
+
+
+def _word_codes(words: np.ndarray) -> list:
+    """The interval of each uint32 word, then ``_END``."""
+    codes = np.searchsorted(_STARTS[1:], words, side="right").tolist()
+    codes.append(_END)
+    return codes
+
+
+def _walk_rows(adj: list) -> list:
+    """Per node u, its next node for each word interval c: ``row[c]`` is
+    ``adj[u][(w * d) >> 32]`` for the words w of interval c, or the exit
+    value ``m + u`` where the walk must leave the table: in column ``_END``,
+    for a word numpy redraws at degree d, and in every column when d is 0, 1
+    or above ``_TABLE_DEGREE``."""
+    m = len(adj)
+    return [
+        _PICK[len(nbrs)](nbrs + [m + u])
+        if len(nbrs) <= _TABLE_DEGREE
+        else (m + u,) * (_END + 1)
+        for u, nbrs in enumerate(adj)
+    ]
+
 
 class _Induced:
     """Induced subgraph on a node subset, with local 0..m-1 indexing.
 
     ``adj[i]`` lists local node i's neighbours in ascending local order and
-    ``deg[i]`` is its length; ``pops[i]`` is local node i's population.
+    ``deg[i]`` is its length; ``rows[i]`` is its row of next walk nodes (see
+    ``_walk_rows``); ``pops[i]`` is local node i's population.
     """
 
-    __slots__ = ("nodes", "m", "adj", "deg", "pops", "edge_a", "edge_b")
+    __slots__ = ("nodes", "m", "adj", "deg", "rows", "pops", "edge_a", "edge_b")
 
     def __init__(self, graph: PrecinctGraph, subset):
         nodes = np.unique(np.asarray(subset, dtype=np.int64))
@@ -48,11 +106,16 @@ class _Induced:
         far = graph.edge_b[edges]
         local = np.searchsorted(nodes, far)
         inside = nodes[np.minimum(local, self.m - 1)] == far
-        self.edge_a = np.repeat(np.arange(self.m), width)[inside]
-        self.edge_b = local[inside]
-        self.adj = neighbor_lists(self.m, self.edge_a, self.edge_b)
-        self.deg = [len(nbrs) for nbrs in self.adj]
+        self._set_edges(np.repeat(np.arange(self.m), width)[inside], local[inside])
         self.pops = graph.populations[nodes].tolist()
+
+    def _set_edges(self, edge_a: np.ndarray, edge_b: np.ndarray) -> None:
+        """Keep the local edge list and the adjacency built from it."""
+        self.edge_a = edge_a
+        self.edge_b = edge_b
+        self.adj = neighbor_lists(self.m, edge_a, edge_b)
+        self.deg = [len(nbrs) for nbrs in self.adj]
+        self.rows = _walk_rows(self.adj)
 
     def connected(self) -> bool:
         return not component_labels(self.adj).any()
@@ -139,37 +202,62 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
     scalar call would pick it: 32-bit Lemire over the generator's uint32
     words, redrawing while the low half of ``word * degree`` falls below
     ``2**32 % degree``, and drawing nothing at a degree-1 node. The words
-    are drawn in chunks ahead of need, one chunk held at a time; at the end
-    the generator is reset and advanced by exactly the words used, so it
-    ends where the scalar calls would have left it.
+    are drawn in chunks ahead of need, one chunk held at a time, and each
+    chunk is classified once into word intervals (``_word_codes``). A step
+    from a node u of degree 2.._TABLE_DEGREE is then one lookup in its row of
+    next nodes (``_Induced.rows``). The lookup gives a value of m or more
+    instead where the table does not decide: ``2 * m`` at a tree node, which
+    ends the walk, and u's exit value ``m + u`` at a node of another degree,
+    at a word numpy redraws and at the end of a chunk. The walk then steps
+    back over that word and takes the exact step: a degree-1 node's only
+    neighbour, the next chunk, or the word rule above. At the end the
+    generator is reset and advanced by exactly the words used, so it ends
+    where the scalar calls would have left it.
     """
     m = induced.m
     adj = induced.adj
     deg = induced.deg
+    # a node that joins the tree gets a row of 2 * m, which is no node's exit
+    # value; the walk writes it to the succ of the tree node it ends at, so
+    # the tree's edges are kept apart in ``parent``
+    tree_exit = 2 * m
+    tree_row = (tree_exit,) * (_END + 1)
+    rows = induced.rows.copy()
     root = int(rng.integers(m))
     in_tree = [False] * m
     in_tree[root] = True
+    rows[root] = tree_row
     succ = [-1] * m
+    parent = [-1] * m
     order = [root]
     saved = rng.bit_generator.state
-    chunk = 2 * m + 64
-    words: list = []
-    pos = chunk  # index of the next unused word in ``words``
+    words, codes = None, [_END]
+    pos = chunk = 0  # codes[pos] is the next unused word's interval
     drawn = 0
     for start in range(m):
         if in_tree[start]:
             continue
         u = start
-        while not in_tree[u]:
+        while True:
+            while u < m:
+                succ[u] = u = rows[u][codes[pos]]
+                pos += 1
+            pos -= 1
+            if u == tree_exit:
+                break
+            u -= m
             d = deg[u]
             if d == 1:
                 succ[u] = u = adj[u][0]
                 continue
-            if pos == chunk:
-                words = rng.integers(0, _WORD, size=chunk, dtype=np.uint32).tolist()
+            if pos == chunk:  # back to the table with the next chunk
+                chunk = 2 * m + 64
+                words = rng.integers(0, _WORD, size=chunk, dtype=np.uint32)
+                codes = _word_codes(words)
                 drawn += chunk
                 pos = 0
-            x = words[pos] * d
+                continue
+            x = int(words[pos]) * d
             pos += 1
             # rejected: redraw at the same node (x & _MASK < d is the cheap precheck)
             if x & _MASK < d and x & _MASK < _WORD % d:
@@ -180,13 +268,14 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
         branch = []
         while not in_tree[u]:
             in_tree[u] = True
+            rows[u] = tree_row
             branch.append(u)
-            u = succ[u]
+            parent[u] = u = succ[u]
         order += reversed(branch)
     if drawn:
         rng.bit_generator.state = saved
         rng.integers(0, _WORD, size=drawn - chunk + pos, dtype=np.uint32)
-    return succ, order
+    return parent, order
 
 
 def _random_mst(induced: _Induced, rng: np.random.Generator):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from mapchain.graph import neighbor_lists
 from mapchain.trees import _Induced
 
 
@@ -60,8 +59,5 @@ class MaskedInduced(_Induced):
         la = local_of[graph.edge_a]
         lb = local_of[graph.edge_b]
         mask = (la >= 0) & (lb >= 0)
-        self.edge_a = la[mask]
-        self.edge_b = lb[mask]
-        self.adj = neighbor_lists(self.m, self.edge_a, self.edge_b)
-        self.deg = [len(nbrs) for nbrs in self.adj]
+        self._set_edges(la[mask], lb[mask])
         self.pops = graph.populations[nodes].tolist()

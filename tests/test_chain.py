@@ -349,6 +349,29 @@ def test_tally_matches_scoring_from_scratch_on_irregular_graphs(case):
         assert current_splits == score_reference.split_report(graph, current)
 
 
+@given(irregular_chain_case())
+@settings(max_examples=40, deadline=None)
+def test_every_proposal_passes_the_plan_checks(case):
+    # recom_step builds its proposals with Plan.unchecked; each must be a plan
+    # that the checking constructor accepts as it is
+    graph, seed_plan, gate, seed, retries = case
+    real_unchecked = Plan.unchecked
+    proposals = []
+
+    def unchecked(assignment, k):
+        proposals.append(real_unchecked(assignment, k))
+        return proposals[-1]
+
+    with mock.patch.object(Plan, "unchecked", unchecked):
+        trace = run_chain(graph, seed_plan, 40, 0.5, gate, MetricsConfig(("A", "B"), 0.3),
+                          np.random.default_rng(seed), max_tree_retries=retries,
+                          validate_every=0)
+    assert len(proposals) == trace.accepted + trace.rejected_by_constraint
+    for proposal in proposals:
+        assert proposal == Plan(proposal.assignment, seed_plan.k)
+        assert not proposal.assignment.flags.writeable
+
+
 @given(irregular_chain_case(), st.sampled_from(PAIR_SELECTION), st.sampled_from(TREE_METHODS))
 @settings(max_examples=60, deadline=None)
 def test_pair_table_and_sliced_subgraph_keep_the_stream(case, pair_selection, tree_method):

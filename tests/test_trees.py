@@ -10,9 +10,14 @@ from mapchain import errors
 from mapchain.graph import AdjacencyEdge, Plan, PrecinctNode, build_graph, is_contiguous
 from mapchain.synth import grid_graph
 from mapchain.trees import (
+    _END,
+    _STARTS,
+    _TABLE_DEGREE,
     _Induced,
     _random_mst,
+    _walk_rows,
     _wilson,
+    _word_codes,
     bipartition_region,
     find_balanced_cut,
     random_spanning_tree,
@@ -256,6 +261,22 @@ def _lollipop():
     return _graph(10, pairs, [1] * 10)
 
 
+def _wheel(spokes):
+    """A hub (node 1) joined to every node of a cycle of ``spokes`` nodes."""
+    rim = [0] + list(range(2, spokes + 1))
+    pairs = [(1, v) for v in rim] + [(rim[i - 1], rim[i]) for i in range(spokes)]
+    return _graph(spokes + 1, pairs, [1] * (spokes + 1))
+
+
+def _complete(n):
+    return _graph(n, [(a, b) for b in range(n) for a in range(b)], [1] * n)
+
+
+def _complete_bipartite(left, right):
+    pairs = [(a, left + b) for a in range(left) for b in range(right)]
+    return _graph(left + right, pairs, [1] * (left + right))
+
+
 @pytest.mark.parametrize("subset", [range(10), [3, 4, 5, 6], [5, 6], [6], [1, 7, 8, 9]])
 def test_wilson_matches_reference_at_leaves(subset):
     g = _lollipop()
@@ -297,13 +318,54 @@ def _rng_next_output_zero(seed):
 
 
 def test_wilson_redraws_rejected_words_as_numpy_does():
-    # On K4 every degree is 3 and 2**32 % 3 == 1, so a zero word is rejected.
-    # The root draw (m = 4, no rejection possible) takes the first zero word
-    # and the first walk step the second, which numpy discards and redraws.
-    g = _graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], [1] * 4)
-    induced = _Induced(g, range(4))
-    for seed in range(10):
-        rng, rng_ref = _rng_next_output_zero(seed), _rng_next_output_zero(seed)
+    # On m nodes, a power of 2, the root draw takes the first zero word
+    # unrejected and picks root 0. The first walk step, from node 1, takes the
+    # second. There 2**32 % degree is 1 for degrees 3 and 5 and 4 for 31, so
+    # numpy discards the zero word and redraws: through the table's exit at
+    # degrees 3 (K4) and 5 (K6 with a tail), in the exact step at the
+    # wheel's hub, of degree 31.
+    k6_with_a_tail = _graph(8, [(a, b) for b in range(6) for a in range(b)] + [(0, 6), (6, 7)],
+                            [1] * 8)
+    for graph, m, degree in ((_complete(4), 4, 3), (k6_with_a_tail, 8, 5), (_wheel(40), 32, 31)):
+        induced = _Induced(graph, range(m))
+        assert induced.deg[1] == degree
+        for seed in range(10):
+            rng, rng_ref = _rng_next_output_zero(seed), _rng_next_output_zero(seed)
+            parent, order = _wilson(induced, rng)
+            expected, expected_root = ref.wilson(induced, rng_ref)
+            assert parent == expected.tolist()
+            assert order[0] == expected_root == 0
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("d", range(1, _TABLE_DEGREE + 2))
+def test_word_intervals_pick_as_numpy_does(d):
+    # node 0 of a star has neighbours 1..d, so its row holds pick + 1, and
+    # its exit value is m + 0 = d + 1
+    row = _walk_rows([list(range(1, d + 1))] + [[0]] * d)[0]
+    exit_value = d + 1
+    words = {0, 1, 2**32 - 1}
+    for bound in _STARTS.tolist() + [-(-(j << 32) // d) for j in range(d)]:
+        words |= {bound - 1, bound, bound + 1}
+    words = sorted(w for w in words if 0 <= w < 2**32)
+    redrawn = {w for w in words if (w * d) % 2**32 < 2**32 % d}
+    codes = _word_codes(np.array(words, dtype=np.uint32))
+    assert codes[-1] == _END and row[_END] == exit_value
+    for w, code in zip(words, codes):
+        if d == 1 or d > _TABLE_DEGREE or w in redrawn:
+            assert row[code] == exit_value  # the exact step decides
+        else:
+            assert row[code] == ((w * d) >> 32) + 1
+
+
+@pytest.mark.parametrize("graph", [_wheel(40), _complete_bipartite(2, 12), _complete(12)],
+                         ids=["wheel40", "K2_12", "K12"])
+def test_wilson_matches_reference_above_the_table_degree(graph):
+    # hubs of degree 40 and 12 and a clique of degree 11 take the exact step
+    induced = _Induced(graph, np.arange(graph.n))
+    assert max(induced.deg) > _TABLE_DEGREE
+    for seed in range(40):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         parent, order = _wilson(induced, rng)
         expected, expected_root = ref.wilson(induced, rng_ref)
         assert (parent, order[0]) == (expected.tolist(), expected_root)
