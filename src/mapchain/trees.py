@@ -33,9 +33,12 @@ _MASK = _WORD - 1
 # these bounds cuts the words into intervals on each of which every degree's
 # pick is fixed. A word that numpy redraws at degree d (the low half of w * d
 # below 2**32 % d) is the first word of one of d's intervals; it gets a
-# one-word interval of its own. Planar graphs average under 6 neighbours, and
-# the number of intervals grows as about 0.3 * D**2 (29 for 8, 64 for 12).
-_TABLE_DEGREE = 8
+# one-word interval of its own. The table stops at degree 4 because every
+# benchmark workload is a rook grid, whose nodes have at most 4 neighbours:
+# each further degree adds columns to every row built (7 intervals at 4, 29
+# at 8) that those grids never read. Nodes of higher degree take the exact
+# step.
+_TABLE_DEGREE = 4
 
 
 def _word_intervals(top: int):
@@ -59,12 +62,13 @@ def _word_intervals(top: int):
 
 
 _STARTS, _PICK = _word_intervals(_TABLE_DEGREE)
+_BOUNDS = _STARTS[1:]
 _END = _STARTS.size  # the column of every row that follows each chunk of words
 
 
 def _word_codes(words: np.ndarray) -> list:
     """The interval of each uint32 word, then ``_END``."""
-    codes = np.searchsorted(_STARTS[1:], words, side="right").tolist()
+    codes = np.searchsorted(_BOUNDS, words, side="right").tolist()
     codes.append(_END)
     return codes
 
@@ -88,11 +92,11 @@ class _Induced:
     """Induced subgraph on a node subset, with local 0..m-1 indexing.
 
     ``adj[i]`` lists local node i's neighbours in ascending local order and
-    ``deg[i]`` is its length; ``rows[i]`` is its row of next walk nodes (see
-    ``_walk_rows``); ``pops[i]`` is local node i's population.
+    ``deg[i]`` is its length; ``pops[i]`` is local node i's population.
+    ``walk_table()`` holds what Wilson's walk reads besides these.
     """
 
-    __slots__ = ("nodes", "m", "adj", "deg", "rows", "pops", "edge_a", "edge_b")
+    __slots__ = ("nodes", "m", "adj", "deg", "pops", "edge_a", "edge_b", "_walk")
 
     def __init__(self, graph: PrecinctGraph, subset):
         nodes = np.unique(np.asarray(subset, dtype=np.int64))
@@ -115,7 +119,16 @@ class _Induced:
         self.edge_b = edge_b
         self.adj = neighbor_lists(self.m, edge_a, edge_b)
         self.deg = [len(nbrs) for nbrs in self.adj]
-        self.rows = _walk_rows(self.adj)
+        self._walk = None
+
+    def walk_table(self):
+        """Per node, its row of next walk nodes (see ``_walk_rows``) and
+        whether it takes the exact step: degree 1 or above ``_TABLE_DEGREE``.
+        Built on the first uniform draw and kept for the retries."""
+        if self._walk is None:
+            exact = [d == 1 or d > _TABLE_DEGREE for d in self.deg]
+            self._walk = (_walk_rows(self.adj), exact)
+        return self._walk
 
     def connected(self) -> bool:
         return not component_labels(self.adj).any()
@@ -205,37 +218,39 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
     are drawn in chunks ahead of need, one chunk held at a time, and each
     chunk is classified once into word intervals (``_word_codes``). A step
     from a node u of degree 2.._TABLE_DEGREE is then one lookup in its row of
-    next nodes (``_Induced.rows``). The lookup gives a value of m or more
-    instead where the table does not decide: ``2 * m`` at a tree node, which
-    ends the walk, and u's exit value ``m + u`` at a node of another degree,
-    at a word numpy redraws and at the end of a chunk. The walk then steps
-    back over that word and takes the exact step: a degree-1 node's only
-    neighbour, the next chunk, or the word rule above. At the end the
-    generator is reset and advanced by exactly the words used, so it ends
-    where the scalar calls would have left it.
+    next nodes (``_Induced.walk_table``). The lookup gives a value of m or
+    more instead where the table does not decide: ``2 * m`` at a tree node,
+    which ends the walk, and u's exit value ``m + u`` at a node of another
+    degree, at a word numpy redraws and at the end of a chunk. The walk then
+    steps back over that word and takes exact steps (a degree-1 node's only
+    neighbour, or the word rule above on the chunk's words as Python ints)
+    until it reaches a node the table decides, or draws the next chunk. At
+    the end the generator is reset and advanced by exactly the words used,
+    so it ends where the scalar calls would have left it.
     """
     m = induced.m
     adj = induced.adj
     deg = induced.deg
+    rows, exact = induced.walk_table()
     # a node that joins the tree gets a row of 2 * m, which is no node's exit
     # value; the walk writes it to the succ of the tree node it ends at, so
     # the tree's edges are kept apart in ``parent``
     tree_exit = 2 * m
     tree_row = (tree_exit,) * (_END + 1)
-    rows = induced.rows.copy()
+    rows = rows.copy()
+    exact = exact.copy()
     root = int(rng.integers(m))
-    in_tree = [False] * m
-    in_tree[root] = True
     rows[root] = tree_row
+    exact[root] = False
     succ = [-1] * m
     parent = [-1] * m
     order = [root]
     saved = rng.bit_generator.state
-    words, codes = None, [_END]
+    block, words, codes = None, None, [_END]
     pos = chunk = 0  # codes[pos] is the next unused word's interval
     drawn = 0
     for start in range(m):
-        if in_tree[start]:
+        if rows[start] is tree_row:
             continue
         u = start
         while True:
@@ -246,29 +261,35 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
             if u == tree_exit:
                 break
             u -= m
-            d = deg[u]
-            if d == 1:
-                succ[u] = u = adj[u][0]
-                continue
-            if pos == chunk:  # back to the table with the next chunk
-                chunk = 2 * m + 64
-                words = rng.integers(0, _WORD, size=chunk, dtype=np.uint32)
-                codes = _word_codes(words)
-                drawn += chunk
-                pos = 0
-                continue
-            x = int(words[pos]) * d
-            pos += 1
-            # rejected: redraw at the same node (x & _MASK < d is the cheap precheck)
-            if x & _MASK < d and x & _MASK < _WORD % d:
-                continue
-            succ[u] = u = adj[u][x >> 32]
+            while True:
+                d = deg[u]
+                if d == 1:
+                    succ[u] = u = adj[u][0]
+                elif pos == chunk:  # back to the table with the next chunk
+                    chunk = 2 * m + 64
+                    block = rng.integers(0, _WORD, size=chunk, dtype=np.uint32)
+                    codes = _word_codes(block)
+                    words = None  # the block as ints, made on its first exact step
+                    drawn += chunk
+                    pos = 0
+                    break
+                else:
+                    if words is None:
+                        words = block.tolist()
+                    x = words[pos] * d
+                    pos += 1
+                    # rejected: redraw at the same node (x & _MASK < d is the cheap precheck)
+                    if x & _MASK < d and x & _MASK < _WORD % d:
+                        continue
+                    succ[u] = u = adj[u][x >> 32]
+                if not exact[u]:
+                    break
         # the new branch runs from start to the tree: add it tree end first
         u = start
         branch = []
-        while not in_tree[u]:
-            in_tree[u] = True
+        while rows[u] is not tree_row:
             rows[u] = tree_row
+            exact[u] = False
             branch.append(u)
             parent[u] = u = succ[u]
         order += reversed(branch)

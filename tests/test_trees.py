@@ -277,6 +277,16 @@ def _complete_bipartite(left, right):
     return _graph(left + right, pairs, [1] * (left + right))
 
 
+def _queen_grid(side):
+    """A grid with diagonal neighbours too: degrees 3 at the corners, 5 on the
+    sides and 8 inside."""
+    pairs = [(r * side + c, (r + dr) * side + c + dc)
+             for r in range(side) for c in range(side)
+             for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1))
+             if r + dr < side and 0 <= c + dc < side]
+    return _graph(side * side, pairs, [1] * side * side)
+
+
 @pytest.mark.parametrize("subset", [range(10), [3, 4, 5, 6], [5, 6], [6], [1, 7, 8, 9]])
 def test_wilson_matches_reference_at_leaves(subset):
     g = _lollipop()
@@ -322,8 +332,8 @@ def test_wilson_redraws_rejected_words_as_numpy_does():
     # unrejected and picks root 0. The first walk step, from node 1, takes the
     # second. There 2**32 % degree is 1 for degrees 3 and 5 and 4 for 31, so
     # numpy discards the zero word and redraws: through the table's exit at
-    # degrees 3 (K4) and 5 (K6 with a tail), in the exact step at the
-    # wheel's hub, of degree 31.
+    # degree 3 (K4), in the exact step at degree 5 (K6 with a tail) and at
+    # the wheel's hub, of degree 31.
     k6_with_a_tail = _graph(8, [(a, b) for b in range(6) for a in range(b)] + [(0, 6), (6, 7)],
                             [1] * 8)
     for graph, m, degree in ((_complete(4), 4, 3), (k6_with_a_tail, 8, 5), (_wheel(40), 32, 31)):
@@ -358,10 +368,15 @@ def test_word_intervals_pick_as_numpy_does(d):
             assert row[code] == ((w * d) >> 32) + 1
 
 
-@pytest.mark.parametrize("graph", [_wheel(40), _complete_bipartite(2, 12), _complete(12)],
-                         ids=["wheel40", "K2_12", "K12"])
+@pytest.mark.parametrize(
+    "graph",
+    [_wheel(40), _complete_bipartite(2, 12), _complete(12), _queen_grid(8)],
+    ids=["wheel40", "K2_12", "K12", "queen8"],
+)
 def test_wilson_matches_reference_above_the_table_degree(graph):
-    # hubs of degree 40 and 12 and a clique of degree 11 take the exact step
+    # hubs of degree 40 and 12 and a clique of degree 11 take the exact step;
+    # on the queen grid the walk goes back and forth between the table at the
+    # corners and exact steps at degrees 5 and 8
     induced = _Induced(graph, np.arange(graph.n))
     assert max(induced.deg) > _TABLE_DEGREE
     for seed in range(40):
