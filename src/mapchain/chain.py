@@ -90,8 +90,8 @@ class ChainState:
     # PlanTally of ``plan``: run_chain sets it for scoring, and a gated step
     # builds it for its split counts; recom_step moves it with each accepted step
     tally: "PlanTally | None" = None
-    # PairTable of ``plan`` for the chain's pair_selection, set by run_chain and
-    # moved by recom_step; without one, each step counts pairs over all edges
+    # PairTable of ``plan`` for the chain's pair_selection: run_chain or a bare
+    # state's first step builds it; recom_step moves it with each accepted step
     pairs: "PairTable | None" = None
 
     def counters_consistent(self) -> bool:
@@ -203,6 +203,8 @@ def recom_step(
     rng = state.rng
     if state.tally is None and constraint_gate.mode != "permissive":
         state.tally = PlanTally(graph, plan)
+    if state.pairs is None:
+        state.pairs = PairTable(graph, plan, pair_selection)
     state.proposed += 1
 
     if pair_selection == "uniform":
@@ -211,7 +213,7 @@ def recom_step(
             raise errors.NoAdjacentDistrictPair(f"plan with k={plan.k} has no adjacent pair")
         d1, d2 = pairs[int(rng.integers(pairs.shape[0]))]
     elif pair_selection == "edges":
-        cross = state.pairs.cross if state.pairs is not None else _cut_edges(graph, plan)
+        cross = state.pairs.cross
         if cross.size == 0:
             raise errors.NoAdjacentDistrictPair(f"plan with k={plan.k} has no adjacent pair")
         e = int(cross[int(rng.integers(cross.size))])
@@ -249,11 +251,25 @@ def recom_step(
             state.rejected_by_constraint += 1
             return state
         state.tally.apply(move)
-    if state.pairs is not None:
-        state.pairs.move(proposal, (d1, d2), subset)
+    state.pairs.move(proposal, (d1, d2), subset)
     state.plan = proposal
     state.accepted += 1
     return state
+
+
+def _plan_fault(graph: PrecinctGraph, plan: Plan, tolerance: float):
+    """The first chain invariant ``plan`` breaks, as a message, or ``None``: districts
+    connected, then populations in the window ``find_balanced_cut`` cuts to."""
+    flags = is_contiguous(graph, plan)
+    if not all(flags):
+        bad = [d for d, ok in enumerate(flags) if not ok]
+        return f"contiguity: districts {bad} are disconnected"
+    ideal = graph.total_population / plan.k
+    bad = np.flatnonzero(np.abs(district_populations(graph, plan) - ideal) > tolerance * ideal)
+    if bad.size:
+        return (f"population balance: districts {bad.tolist()} lie outside the population "
+                f"window, more than {tolerance:g} from ideal {ideal:g}")
+    return None
 
 
 def check_seed_plan(
@@ -268,19 +284,9 @@ def check_seed_plan(
         raise errors.InvalidSeedPlan(
             f"coverage: plan has {plan.n} nodes, graph has {graph.n}"
         )
-    flags = is_contiguous(graph, plan)
-    if not all(flags):
-        bad = [d for d, ok in enumerate(flags) if not ok]
-        raise errors.InvalidSeedPlan(f"contiguity: districts {bad} are disconnected")
-    ideal = graph.total_population / plan.k
-    pops = district_populations(graph, plan)
-    dev = np.abs(pops - ideal)
-    if (dev > tolerance * ideal).any():
-        bad = np.flatnonzero(dev > tolerance * ideal).tolist()
-        raise errors.InvalidSeedPlan(
-            f"population balance: districts {bad} deviate more than "
-            f"{tolerance:g} from ideal {ideal:g}"
-        )
+    fault = _plan_fault(graph, plan, tolerance)
+    if fault is not None:
+        raise errors.InvalidSeedPlan(fault)
     seed_splits = split_report(graph, plan)
     if not gate_accept(constraint_gate, seed_splits, seed_splits, rng):
         raise errors.InvalidSeedPlan(
@@ -336,12 +342,9 @@ def run_chain(
             report = score_plan(graph, state.plan, metrics_config, state.tally)
         trace.record(t, state.accepted > before, report)
         if validate_every and (t + 1) % validate_every == 0:
-            if not all(is_contiguous(graph, state.plan)):
-                raise errors.ChainInvariantViolated(f"step {t}: chain produced a split district")
-            ideal = graph.total_population / state.plan.k
-            pops = district_populations(graph, state.plan)
-            if (np.abs(pops - ideal) > tolerance * ideal + 1e-9).any():
-                raise errors.ChainInvariantViolated(f"step {t}: chain left the population window")
+            fault = _plan_fault(graph, state.plan, tolerance)
+            if fault is not None:
+                raise errors.ChainInvariantViolated(f"step {t}: {fault}")
             if score_plan(graph, state.plan, metrics_config) != report:
                 raise errors.ChainInvariantViolated(
                     f"step {t}: the tally's report differs from a from-scratch score"

@@ -329,8 +329,9 @@ def build_graph_from_arrays(
 
     The first faulty node in node order raises: a repeated precinct id
     (``DuplicatePrecinctId``), then a negative population or an area or
-    perimeter that is not > 0 (``InvalidNodeData``), checked in that order
-    within a node. Then raises ``InvalidEdge``, ``MissingVoteColumn``,
+    perimeter that is not finite and > 0 (``InvalidNodeData``), checked in
+    that order within a node. Then raises ``InvalidEdge`` (a self-loop, or a
+    shared perimeter that is not finite and >= 0), ``MissingVoteColumn``,
     ``InvalidNodeData`` for negative votes, or
     :class:`~mapchain.errors.DisconnectedGraph` (listing components).
     """
@@ -346,7 +347,8 @@ def build_graph_from_arrays(
         first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
         repeated[:] = True
         repeated[list(first.values())] = False
-    faults = np.stack([repeated, populations < 0, ~(areas > 0), ~(perimeters > 0)])
+    faults = np.stack([repeated, populations < 0, ~(np.isfinite(areas) & (areas > 0)),
+                       ~(np.isfinite(perimeters) & (perimeters > 0))])
     bad = np.flatnonzero(faults.any(axis=0))
     if bad.size:
         i = int(bad[0])
@@ -354,21 +356,24 @@ def build_graph_from_arrays(
         raise (
             errors.DuplicatePrecinctId(f"precinct id {pid!r} appears more than once"),
             errors.InvalidNodeData(f"{pid}: population {int(populations[i])} < 0"),
-            errors.InvalidNodeData(f"{pid}: area must be > 0"),
-            errors.InvalidNodeData(f"{pid}: perimeter must be > 0"),
+            errors.InvalidNodeData(f"{pid}: area must be finite and > 0"),
+            errors.InvalidNodeData(f"{pid}: perimeter must be finite and > 0"),
         )[int(np.argmax(faults[:, i]))]
 
-    bad = np.flatnonzero((edge_a == edge_b) | (edge_shared < 0))
+    edge_shared = np.asarray(edge_shared, dtype=np.float64)
+    bad = np.flatnonzero((edge_a == edge_b) | ~(np.isfinite(edge_shared) & (edge_shared >= 0)))
     if bad.size:
         a, b, shared = int(edge_a[bad[0]]), int(edge_b[bad[0]]), float(edge_shared[bad[0]])
         if a == b:
             raise errors.InvalidEdge(f"self-loop at node {a}")
-        raise errors.InvalidEdge(f"edge ({a}, {b}): shared_perimeter {shared} < 0")
+        raise errors.InvalidEdge(
+            f"edge ({a}, {b}): shared_perimeter {shared} must be finite and >= 0"
+        )
     lo = np.minimum(edge_a, edge_b)
     hi = np.maximum(edge_a, edge_b)
     order = np.lexsort((hi, lo))
     edge_a, edge_b = lo[order], hi[order]
-    edge_shared = np.asarray(edge_shared, dtype=np.float64)[order]
+    edge_shared = edge_shared[order]
 
     for contest in elections:
         for side, arr in (("D", contest.dem), ("R", contest.rep)):

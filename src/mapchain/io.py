@@ -283,6 +283,15 @@ def replacing(path):
         raise
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` through ``csv``, which
+    writes ints with ``str`` and floats with shortest-roundtrip ``repr``."""
+    with replacing(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_nodes(graph: PrecinctGraph, path) -> None:
     header = list(NODE_COLUMNS)
     votes = []
@@ -291,95 +300,82 @@ def write_nodes(graph: PrecinctGraph, path) -> None:
         votes += [contest.dem.tolist(), contest.rep.tolist()]
     county = [graph.county_names[c] for c in graph.county_codes.tolist()]
     muni = [graph.muni_names[m] for m in graph.muni_codes.tolist()]
-    with replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(
-            graph.precinct_ids, graph.populations.tolist(), county, muni,
-            graph.areas.tolist(), graph.perimeters.tolist(), *votes,
-        ))
+    _write_csv(path, header, zip(
+        graph.precinct_ids, graph.populations.tolist(), county, muni,
+        graph.areas.tolist(), graph.perimeters.tolist(), *votes,
+    ))
 
 
 def write_edges(graph: PrecinctGraph, path) -> None:
     ids = graph.precinct_ids
-    with replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "shared_perimeter"])
-        writer.writerows(
-            (ids[a], ids[b], shared)
-            for a, b, shared in zip(
-                graph.edge_a.tolist(), graph.edge_b.tolist(), graph.edge_shared.tolist()
-            )
+    _write_csv(path, ["src", "dst", "shared_perimeter"], (
+        (ids[a], ids[b], shared)
+        for a, b, shared in zip(
+            graph.edge_a.tolist(), graph.edge_b.tolist(), graph.edge_shared.tolist()
         )
+    ))
 
 
 def write_assignment(plan: Plan, graph: PrecinctGraph, path, names=None) -> None:
     labels = plan.assignment.tolist()
     if names:
         labels = [names[label] for label in labels]
-    with replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["precinct_id", "district"])
-        writer.writerows(zip(graph.precinct_ids, labels))
+    _write_csv(path, ["precinct_id", "district"], zip(graph.precinct_ids, labels))
 
 
 def write_trace(trace: ChainTrace, path) -> None:
-    """One row per recorded step with the fixed ``TRACE_COLUMNS`` header.
-
-    ``csv`` writes ints with ``str`` and floats with shortest-roundtrip
-    ``repr``, so identical runs produce byte-identical files.
-    """
+    """One row per recorded step with the fixed ``TRACE_COLUMNS`` header;
+    identical runs produce byte-identical files."""
     if not len(trace):
         raise errors.EmptyInput("refusing to write an empty trace")
     rows = trace.rows
     columns = [rows["accepted"].astype(np.int64).tolist()]
     columns += [rows[field_name].tolist() for _, field_name in TRACE_METRIC_FIELDS]
-    with replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(zip(range(len(trace)), *columns))
+    _write_csv(path, TRACE_COLUMNS, zip(range(len(trace)), *columns))
 
 
 def write_summary(trace: ChainTrace, path) -> None:
     """Per-metric mean/std/min/max rows for a trace, by ``diagnostics.summarize``."""
-    with replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "std", "min", "max"])
-        for column, field_name in TRACE_METRIC_FIELDS:
-            s = summarize(trace.series(field_name))
-            writer.writerow([column, s.mean, s.std, s.min, s.max])
+    summaries = [(column, summarize(trace.series(name))) for column, name in TRACE_METRIC_FIELDS]
+    _write_csv(path, ["metric", "mean", "std", "min", "max"],
+               ([column, s.mean, s.std, s.min, s.max] for column, s in summaries))
 
 
 def write_acf_csv(acf: AcfSeries, path) -> None:
-    with replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag", "rho"])
-        for lag, rho in zip(acf.lags, acf.rho):
-            writer.writerow([str(int(lag)), repr(float(rho))])
+    _write_csv(path, ["lag", "rho"],
+               ([str(int(lag)), repr(float(rho))] for lag, rho in zip(acf.lags, acf.rho)))
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Observed points get fitted=0; the extrapolated point gets fitted=1."""
-    with replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cap", "mean", "std", "n", "fitted"])
-        for p in result.points:
-            writer.writerow([str(p.cap), repr(p.mean), repr(p.std), str(p.n), "0"])
-        writer.writerow(
-            [
-                repr(result.extrapolated_at),
-                repr(result.extrapolated_value),
-                "",
-                "",
-                "1",
-            ]
-        )
+    rows = [[str(p.cap), repr(p.mean), repr(p.std), str(p.n), "0"] for p in result.points]
+    rows.append([repr(result.extrapolated_at), repr(result.extrapolated_value), "", "", "1"])
+    _write_csv(path, ["cap", "mean", "std", "n", "fitted"], rows)
 
 
 # --- SVG ----------------------------------------------------------------------
 
 _SVG_W, _SVG_H = 640, 400
 _MARGIN = 40.0
+
+
+def _scale(lo, hi, out_lo, out_hi):
+    """The linear map taking ``lo`` to ``out_lo`` and ``hi`` to ``out_hi``
+    (an empty span ``hi - lo`` counts as 1)."""
+    span = (hi - lo) or 1.0
+    return lambda v: out_lo + (v - lo) / span * (out_hi - out_lo)
+
+
+def _write_svg(path, parts) -> None:
+    """Write the ``_SVG_W`` by ``_SVG_H`` SVG document of ``parts``, one a line."""
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
+        f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
+        *parts,
+        "</svg>",
+    ]
+    with replacing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def histogram_counts(values, bins: int):
@@ -403,20 +399,9 @@ def write_histogram_svg(values, bins: int, path, reference_line=None) -> None:
     if reference_line is not None:
         lo = min(lo, float(reference_line))
         hi = max(hi, float(reference_line))
-    span = hi - lo or 1.0
-    peak = int(counts.max()) or 1
-    plot_w = _SVG_W - 2 * _MARGIN
-    plot_h = _SVG_H - 2 * _MARGIN
-
-    def x_of(v: float) -> float:
-        return _MARGIN + (v - lo) / span * plot_w
-
-    def y_of(count: float) -> float:
-        return _SVG_H - _MARGIN - count / peak * plot_h
-
+    x_of = _scale(lo, hi, _MARGIN, _SVG_W - _MARGIN)
+    y_of = _scale(0, int(counts.max()) or 1, _SVG_H - _MARGIN, _MARGIN)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
-        f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<line class="axis" x1="{_MARGIN:.2f}" y1="{_SVG_H - _MARGIN:.2f}" '
         f'x2="{_SVG_W - _MARGIN:.2f}" y2="{_SVG_H - _MARGIN:.2f}" stroke="black"/>',
     ]
@@ -442,9 +427,7 @@ def write_histogram_svg(values, bins: int, path, reference_line=None) -> None:
         f'<text x="{_SVG_W - _MARGIN:.2f}" y="{_SVG_H - 10:.2f}" font-size="12" '
         f'text-anchor="end">{hi:.4g}</text>'
     )
-    parts.append("</svg>")
-    with replacing(path) as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts)
 
 
 def write_sweep_svg(result: SweepResult, path) -> None:
@@ -454,28 +437,14 @@ def write_sweep_svg(result: SweepResult, path) -> None:
     if result.baseline is not None:
         means.append(result.baseline)
     lo_x, hi_x = min(caps), max(caps)
-    lo_y, hi_y = min(means), max(means)
-    span_x = (hi_x - lo_x) or 1.0
-    span_y = (hi_y - lo_y) or 1.0
-    plot_w = _SVG_W - 2 * _MARGIN
-    plot_h = _SVG_H - 2 * _MARGIN
-
-    def x_of(v):
-        return _MARGIN + (v - lo_x) / span_x * plot_w
-
-    def y_of(v):
-        return _SVG_H - _MARGIN - (v - lo_y) / span_y * plot_h
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
-        f'viewBox="0 0 {_SVG_W} {_SVG_H}">'
-    ]
+    x_of = _scale(lo_x, hi_x, _MARGIN, _SVG_W - _MARGIN)
+    y_of = _scale(min(means), max(means), _SVG_H - _MARGIN, _MARGIN)
     y0 = result.fit_intercept + result.fit_slope * lo_x
     y1 = result.fit_intercept + result.fit_slope * hi_x
-    parts.append(
+    parts = [
         f'<line class="fit" x1="{x_of(lo_x):.2f}" y1="{y_of(y0):.2f}" '
         f'x2="{x_of(hi_x):.2f}" y2="{y_of(y1):.2f}" stroke="steelblue"/>'
-    )
+    ]
     if result.baseline is not None:
         yb = y_of(result.baseline)
         parts.append(
@@ -492,9 +461,7 @@ def write_sweep_svg(result: SweepResult, path) -> None:
         f'<circle class="extrapolated" cx="{x_of(result.extrapolated_at):.2f}" '
         f'cy="{y_of(result.extrapolated_value):.2f}" r="4" fill="crimson"/>'
     )
-    parts.append("</svg>")
-    with replacing(path) as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts)
 
 
 # --- run configuration ---------------------------------------------------------

@@ -114,10 +114,16 @@ class _Induced:
         self.pops = graph.populations[nodes].tolist()
 
     def _set_edges(self, edge_a: np.ndarray, edge_b: np.ndarray) -> None:
-        """Keep the local edge list and the adjacency built from it."""
+        """Keep the local edge list and the adjacency built from it. Raises
+        ``DisconnectedSubset`` when they do not connect the subset: Wilson's
+        walk would never reach the tree from another component."""
+        self.adj = neighbor_lists(self.m, edge_a, edge_b)
+        if component_labels(self.adj).any():
+            raise errors.DisconnectedSubset(
+                f"subset of {self.m} nodes does not induce a connected subgraph"
+            )
         self.edge_a = edge_a
         self.edge_b = edge_b
-        self.adj = neighbor_lists(self.m, edge_a, edge_b)
         self.deg = [len(nbrs) for nbrs in self.adj]
         self._walk = None
 
@@ -129,9 +135,6 @@ class _Induced:
             exact = [d == 1 or d > _TABLE_DEGREE for d in self.deg]
             self._walk = (_walk_rows(self.adj), exact)
         return self._walk
-
-    def connected(self) -> bool:
-        return not component_labels(self.adj).any()
 
 
 @dataclass
@@ -324,12 +327,7 @@ def random_spanning_tree(
     Deterministic given the rng state. Raises ``DisconnectedSubset`` when the
     induced subgraph is not connected.
     """
-    induced = _Induced(graph, subset)
-    if not induced.connected():
-        raise errors.DisconnectedSubset(
-            f"subset of {induced.m} nodes does not induce a connected subgraph"
-        )
-    return _draw_tree(induced, rng, method)
+    return _draw_tree(_Induced(graph, subset), rng, method)
 
 
 def _draw_tree(induced, rng, method) -> SpanningTree:
@@ -397,13 +395,10 @@ def bipartition_region(
     Draws up to ``max_tree_retries`` spanning trees, searching each for a
     balanced cut; returns ``(part1, part2)`` node arrays aligned to
     ``target_pops``, or ``None`` once the budget is exhausted. Both parts are
-    connected by construction (each is one side of a tree cut).
+    connected by construction (each is one side of a tree cut). Raises
+    ``DisconnectedSubset`` when ``subset`` is not connected.
     """
     induced = _Induced(graph, subset)
-    if not induced.connected():
-        raise errors.DisconnectedSubset(
-            f"subset of {induced.m} nodes does not induce a connected subgraph"
-        )
     for _ in range(max_tree_retries):
         tree = _draw_tree(induced, rng, method)
         cut = find_balanced_cut(tree, target_pops, tolerance, rng)

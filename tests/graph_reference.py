@@ -5,6 +5,8 @@ the graph builder checked nodes when it stored one record per node. The
 vectorized checks over node columns must report the same node with the same
 error.
 """
+import math
+
 from mapchain import errors
 
 
@@ -12,7 +14,7 @@ def first_node_fault(nodes):
     """The error for the first faulty node in node order, or ``None``.
 
     Within a node: a repeated precinct id, then a negative population, then
-    an area and a perimeter that are not > 0.
+    an area and a perimeter that are not finite and > 0.
     """
     seen = set()
     for node in nodes:
@@ -25,8 +27,8 @@ def first_node_fault(nodes):
             return errors.InvalidNodeData(
                 f"{node.precinct_id}: population {node.population} < 0"
             )
-        if not node.area > 0:
-            return errors.InvalidNodeData(f"{node.precinct_id}: area must be > 0")
-        if not node.perimeter > 0:
-            return errors.InvalidNodeData(f"{node.precinct_id}: perimeter must be > 0")
+        if not (math.isfinite(node.area) and node.area > 0):
+            return errors.InvalidNodeData(f"{node.precinct_id}: area must be finite and > 0")
+        if not (math.isfinite(node.perimeter) and node.perimeter > 0):
+            return errors.InvalidNodeData(f"{node.precinct_id}: perimeter must be finite and > 0")
     return None

@@ -175,6 +175,21 @@ def test_invariant_check_raises(grid4, band4, mcfg2, monkeypatch):
         )
 
 
+def _disconnected_split(graph, subset, targets, tolerance, rng, **kwargs):
+    # two rows of four: the first row's left half with the second row's right
+    # half, and the rest; equal in size, and neither side connected
+    return subset[[0, 1, 6, 7]], subset[[2, 3, 4, 5]]
+
+
+def test_periodic_check_catches_a_split_district(grid4, band4, mcfg2, monkeypatch):
+    monkeypatch.setattr("mapchain.chain.bipartition_region", _disconnected_split)
+    with pytest.raises(errors.ChainInvariantViolated, match="step 0: contiguity"):
+        run_chain(
+            grid4, band4, 1, 0.01, PERMISSIVE, mcfg2,
+            np.random.default_rng(0), validate_every=1,
+        )
+
+
 _OPTIMISED_CHECKS = """
 import sys
 import numpy as np

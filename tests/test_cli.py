@@ -3,6 +3,7 @@ import shutil
 from dataclasses import fields
 
 import contextlib
+import hashlib
 import io
 
 import pytest
@@ -385,6 +386,27 @@ def test_unreadable_csv_exits_3_with_one_error_line(workdir, capsys, name, tail,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, row, column, value", [
+    pytest.param("nodes.csv", 1, "area", "inf", id="area-inf"),
+    pytest.param("nodes.csv", 1, "perimeter", "inf", id="perimeter-inf"),
+    pytest.param("edges.csv", 2, "shared_perimeter", "nan", id="shared-nan"),
+    pytest.param("edges.csv", 2, "shared_perimeter", "inf", id="shared-inf"),
+])
+@pytest.mark.parametrize("command", ["chain", "score"])
+def test_non_finite_geometry_exits_3_with_one_error_line(workdir, capsys, command,
+                                                         name, row, column, value):
+    # row 1 of nodes.csv is p0; row 2 of edges.csv is the internal edge p0,p4
+    path = workdir / "tests" / "fixtures" / "grid4" / name
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows[row][rows[0].index(column)] = value
+    path.write_text("".join(",".join(cells) + "\n" for cells in rows))
+    assert main([command, "--config", CFG]) == 3
+    err = capsys.readouterr().err
+    expected = "InvalidNodeData: p0:" if name == "nodes.csv" else "InvalidEdge: edge (0, 4):"
+    assert err.startswith(f"ERROR {expected}")
+    assert err.count("\n") == 1
+
+
 def test_config_not_utf8_exits_2_with_one_error_line(workdir, capsys):
     with open(CFG, "ab") as fh:
         fh.write(b"# \xff\n")
@@ -454,3 +476,25 @@ def test_worker_pool_is_capped_at_the_cpu_count(workdir, monkeypatch):
     assert (workdir / "out/capped/trace.csv").read_bytes() == (
         workdir / "out/serial/trace.csv"
     ).read_bytes()
+
+
+# sha256 of what the fixture config's chain and sweep runs write: every byte of
+# these files must stay as it is (trace.csv is pinned by its golden file)
+_OUTPUT_SHA256 = [
+    ("chain", "hist_seats_avg.svg",
+     "51b7bca4689821c9749ee5d9a73d01e7b5b634fa691f0e36cfbcd5bf1908c2dd"),
+    ("chain", "hist_seats_index.svg",
+     "391208acc8eb2248c0068a5b038706f02e2dc6b83193bb72cd630ee3add80a7d"),
+    ("chain", "summary.csv", "a12e13f95f2d825612dcfa4e25c4eca42c3c8548a3df4c5f154c17b879b724f7"),
+    ("chain", "acf.csv", "7c630947cc0e4bbe6efcf41dacb5f3c1bd4244ebb90911be5e048a6fd40c17d3"),
+    ("sweep", "sweep.csv", "7869882e0f387917c22388d3d1d3c22afccc051994200c965e0c5aa4bdbb2e3e"),
+    ("sweep", "sweep.svg", "c3b04c6d492cfb001e68a818c764e74e13983300432e6cf6c105bece17f9b41f"),
+]
+
+
+@pytest.mark.parametrize("command, name, sha256", _OUTPUT_SHA256,
+                         ids=[f"{command}-{name}" for command, name, _ in _OUTPUT_SHA256])
+def test_output_bytes_are_pinned(workdir, command, name, sha256):
+    assert main([command, "--config", CFG, "--set", "out_dir=out/pinned"]) == 0
+    written = (workdir / "out" / "pinned" / name).read_bytes()
+    assert hashlib.sha256(written).hexdigest() == sha256

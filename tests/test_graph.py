@@ -85,6 +85,15 @@ def test_dangling_edge_and_self_loop_and_duplicate():
         )
 
 
+@pytest.mark.parametrize("shared", [-1.0, float("nan"), float("inf"), float("-inf")])
+def test_shared_perimeter_must_be_finite_and_nonnegative(shared):
+    nodes = [PrecinctNode(f"p{i}", 1, "C0", "M0", 1.0, 4.0) for i in range(3)]
+    edges = [AdjacencyEdge(0, 1, 0.0), AdjacencyEdge(1, 2, shared)]
+    with pytest.raises(errors.InvalidEdge, match=r"edge \(1, 2\): shared_perimeter .* must be"):
+        build_graph(nodes, edges, small_election(3))
+    assert build_graph(nodes, edges[:1] + [AdjacencyEdge(1, 2, 0.0)], small_election(3)).n == 3
+
+
 def test_missing_vote_column_length():
     nodes = [
         PrecinctNode("p0", 1, "C0", "M0", 1.0, 4.0),
@@ -109,7 +118,8 @@ def test_bad_node_scalars():
 _FAULTS = st.one_of(
     st.tuples(st.just("precinct_id"), st.integers(0, 11).map(lambda j: f"p{j}")),
     st.tuples(st.just("population"), st.integers(-10**12, -1)),
-    st.tuples(st.sampled_from(["area", "perimeter"]), st.sampled_from([0.0, -1.0, float("nan")])),
+    st.tuples(st.sampled_from(["area", "perimeter"]),
+              st.sampled_from([0.0, -1.0, float("nan"), float("inf")])),
 )
 
 
@@ -305,12 +315,15 @@ def test_induced_adjacency_on_irregular_graphs(data):
     pairs = data.draw(irregular_edges(n))
     g = build_graph(unit_nodes(n), [AdjacencyEdge(a, b) for a, b in pairs], small_election(n))
     subset = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    if not _flood_fill_connected(g, subset):
+        with pytest.raises(errors.DisconnectedSubset):
+            _Induced(g, subset)
+        return
     induced = _Induced(g, subset)
     local = {v: i for i, v in enumerate(subset)}
     for i, v in enumerate(subset):
         inside = {a if b == v else b for a, b in pairs if v in (a, b)} & local.keys()
         assert induced.adj[i] == sorted(local[u] for u in inside)
-    assert induced.connected() == _flood_fill_connected(g, subset)
 
 
 @given(st.data())
