@@ -1,6 +1,8 @@
 """CSV ingestion and serialization, run configuration, and SVG histograms.
 
-File formats (all UTF-8, comma-delimited, header row required):
+File formats (all UTF-8, comma-delimited, header row required; lines end in
+LF, CRLF or CR; cells may be quoted as in RFC 4180; blank rows are skipped,
+and "row N" in a message counts non-blank records, the header as row 1):
 
 * ``nodes.csv``: precinct_id, population, county_id, muni_id, area,
   perimeter, then one ``<contest>_D``/``<contest>_R`` column pair per
@@ -13,6 +15,11 @@ File formats (all UTF-8, comma-delimited, header row required):
 * ``trace.csv``: step, accepted, then the fixed metric columns documented
   in ``TRACE_COLUMNS``.
 
+A plain file, such as mapchain writes (no quote, no lone CR, the same cell
+count on every line, no blank row), is split into columns straight from its
+text; any other goes through ``csv``, which reads it the same way and
+reports its faults.
+
 The run configuration is a flat ``key = value`` text file whose keys match
 :class:`RunConfig` fields exactly; unknown keys are errors.
 """
@@ -23,6 +30,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -50,11 +58,64 @@ def _read_columns(path, required, rows_required=False) -> tuple:
     """``(header, columns)`` of a CSV file, where ``columns`` maps each header
     name to the tuple of its cells, unstripped.
 
-    Raises ``MissingFile``, ``IngestError`` for text that is not UTF-8 or
-    that ``csv`` refuses (a cell over its field limit), ``EmptyFile`` for a
-    file without a header row (or, when ``rows_required``, without data
-    rows), ``BadNumericField`` for a row shorter than the header, then
-    ``MissingColumn`` for the first absent ``required`` name.
+    The file's text is split at its commas and line breaks when that reads
+    it exactly as ``csv`` would (:func:`_split_columns`); any other file goes
+    through ``csv`` (:func:`_csv_columns`), which alone reads quoted cells and
+    reports faulty files. Raises ``MissingFile``, the errors of
+    :func:`_csv_columns`, then ``MissingColumn`` for the first absent
+    ``required`` name.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise errors.MissingFile(f"{path}: no such file") from None
+    split = _split_columns(data)
+    header, columns = split if split else _csv_columns(path, rows_required)
+    for name in required:
+        if name not in header:
+            raise errors.MissingColumn(name)
+    return header, columns
+
+
+def _split_columns(data: bytes):
+    """``(header, columns)`` of the file contents ``data`` split at every
+    comma and line break, or None where ``csv`` might read them otherwise:
+    text that is not UTF-8, holds a ``"`` or a CR outside a CRLF, has fewer
+    than two lines, a line whose comma count differs from the header's, a
+    line longer than ``csv.field_size_limit()`` or a line whose first cell
+    is blank (``csv`` skips a line whose cells are all blank). Splitting the
+    rest matches ``csv``'s default dialect cell for cell.
+    """
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n")
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:  # the last line break ends a line; it does not start one
+        lines.pop()
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    commas = lines[0].count(",")
+    if any(count != commas for count in map(str.count, lines, repeat(","))):
+        return None
+    n = commas + 1
+    cells = ",".join(lines).split(",")
+    if not all(map(str.strip, cells[::n])):
+        return None
+    header = [h.strip() for h in cells[:n]]
+    return header, {name: tuple(cells[n + i::n]) for i, name in enumerate(header)}
+
+
+def _csv_columns(path, rows_required) -> tuple:
+    """``(header, columns)`` of a CSV file read through ``csv``.
+
+    Raises ``IngestError`` for text that is not UTF-8 or that ``csv`` refuses
+    (a cell over its field limit), ``EmptyFile`` for a file without a header
+    row (or, when ``rows_required``, without data rows) and
+    ``BadNumericField`` for a row shorter than the header.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -78,9 +139,6 @@ def _read_columns(path, required, rows_required=False) -> tuple:
         )
     if rows_required and not rows:
         raise errors.EmptyFile(f"{path}: header but no data rows")
-    for name in required:
-        if name not in header:
-            raise errors.MissingColumn(name)
     cells = list(zip(*rows)) or [()] * len(header)
     return header, {name: cells[i] for i, name in enumerate(header)}
 
@@ -116,28 +174,33 @@ def read_nodes(path):
     for order, (column, kind) in enumerate(checks):
         if kind is None:  # nonnegative votes in contest ``column``, where both cells parsed
             dem, rep = values[f"{column}_D"], values[f"{column}_R"]
-            if min(dem, default=0) < 0 or min(rep, default=0) < 0:
-                negative = (i for i, (d, r) in enumerate(zip(dem, rep)) if d < 0 or r < 0)
-                i = next(negative, None)
-                if i is not None:
-                    faults.append((i, order, errors.NonNumericVotes(
-                        f"{path}: row {i + 2}: negative votes in contest {column!r}"
-                    )))
+            rows = min(dem.size, rep.size)
+            negative = np.flatnonzero((dem[:rows] < 0) | (rep[:rows] < 0))
+            if negative.size:
+                i = int(negative[0])
+                faults.append((i, order, errors.NonNumericVotes(
+                    f"{path}: row {i + 2}: negative votes in contest {column!r}"
+                )))
             continue
         raw = col[column]  # int and float ignore surrounding whitespace
-        values[column] = parsed = _parse_column(raw, kind)
+        parsed = _parse_column(raw, kind)
         cls = errors.NonNumericVotes if column.endswith(("_D", "_R")) else errors.BadNumericField
         if len(parsed) < len(raw):
             i = len(parsed)
             faults.append((i, order, cls(
                 f"{path}: row {i + 2}, column {column!r}: not numeric: {raw[i].strip()!r}"
             )))
-        if kind is int and parsed and not _INT64_MIN <= min(parsed) <= max(parsed) <= _INT64_MAX:
-            i = next(i for i, v in enumerate(parsed) if not _INT64_MIN <= v <= _INT64_MAX)
-            faults.append((i, order, cls(
-                f"{path}: row {i + 2}, column {column!r}: out of the 64-bit integer range: "
-                f"{raw[i].strip()!r}"
-            )))
+        if kind is int:
+            try:
+                parsed = np.array(parsed, dtype=np.int64)
+            except OverflowError:  # a fault at row i outranks every later one in this column
+                i = next(i for i, v in enumerate(parsed) if not _INT64_MIN <= v <= _INT64_MAX)
+                faults.append((i, order, cls(
+                    f"{path}: row {i + 2}, column {column!r}: out of the 64-bit integer range: "
+                    f"{raw[i].strip()!r}"
+                )))
+                parsed = np.array(parsed[:i], dtype=np.int64)
+        values[column] = parsed
     if faults:
         raise min(faults, key=lambda fault: fault[:2])[2]
 
@@ -146,11 +209,7 @@ def read_nodes(path):
         for name in NODE_COLUMNS
     }
     contests = [
-        Contest(
-            name,
-            np.array(values[f"{name}_D"], dtype=np.int64),
-            np.array(values[f"{name}_R"], dtype=np.int64),
-        )
+        Contest(name, values[f"{name}_D"], values[f"{name}_R"])
         for name in contest_names
     ]
     return columns, ElectionSet(contests)

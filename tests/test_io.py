@@ -1,8 +1,14 @@
+import csv
+import dataclasses
+import io
 import os
 import runpy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from io_reference import read_columns as reference_read_columns
 
 from mapchain import errors
 from mapchain.chain import run_chain
@@ -11,6 +17,7 @@ from mapchain.graph import canonical_form
 from mapchain.io import (
     TRACE_COLUMNS,
     RunConfig,
+    _read_columns,
     histogram_counts,
     read_assignment,
     read_config,
@@ -231,6 +238,129 @@ def test_read_assignment_lists_the_first_missing_precincts(tmp_path):
     assert str(err.value) == (
         f"{path}: precincts missing from assignment: {missing[:8]}..."
     )
+
+
+_FIELD_LIMIT = csv.field_size_limit()
+_ONE_IN_FIVE = st.sampled_from([False, False, False, False, True])
+
+
+@st.composite
+def csv_files(draw):
+    """The bytes of a CSV file: a rectangle of plain cells, then a few of the
+    things that make ``csv`` read text otherwise than a split at every comma
+    and line break would."""
+    n = draw(st.integers(1, 4))
+    name = st.text(alphabet="ab1", min_size=1, max_size=2)
+    cell = st.text(alphabet="ab1 \t\x00", max_size=3)
+    n_rows = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6]))
+    rows = draw(st.lists(
+        st.tuples(name, st.lists(cell, min_size=n - 1, max_size=n - 1)),
+        min_size=n_rows, max_size=n_rows,
+    ))
+    rows = [[first, *rest] for first, rest in rows]
+    for fault in draw(st.lists(st.sampled_from(
+        ["quoted", "ragged", "blank row", "blank first cell", "limit"]
+    ), max_size=2 if rows else 0)):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i])))
+        if fault == "quoted":  # commas, line breaks and doubled quotes inside quotes
+            inner = draw(st.text(alphabet='a ,\n\r"', max_size=4))
+            rows[i][j:j + 1] = ['"' + inner.replace('"', '""') + '"']
+        elif fault == "ragged":
+            rows[i] = rows[i][:j] if draw(st.booleans()) else rows[i] + ["x"] * j
+        elif fault == "blank row":
+            rows.insert(i, draw(st.sampled_from([[], [""], [" "], ["", ""], [" ", "\t", ""]])))
+        elif fault == "blank first cell":
+            rows[i][:1] = [draw(st.sampled_from(["", " ", "\t"]))]
+        else:  # a cell at the csv field limit, one under or one over it
+            rows[i][j:j + 1] = ["y" * (_FIELD_LIMIT + draw(st.integers(-1, 1)))]
+    lone_cr = draw(_ONE_IN_FIVE)
+    ending = st.sampled_from(["\n", "\r\n", "\r"] if lone_cr else ["\n", "\r\n"])
+    text = "".join(",".join(row) + draw(ending) for row in rows)
+    if not draw(st.booleans()):  # no line break after the last line
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text  # a byte order mark
+    data = text.encode("utf-8")
+    if draw(_ONE_IN_FIVE):  # a byte that is not UTF-8, or a cut-off character
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"])) + data[i:]
+    return data
+
+
+def _outcome(read, path, required, rows_required):
+    try:
+        return read(path, required, rows_required)
+    except errors.MapchainError as e:
+        return type(e), str(e)
+
+
+@given(csv_files(), st.lists(st.sampled_from(["a", "b", "1"]), max_size=2), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_column_reader_matches_the_csv_reader(tmp_path_factory, data, required, rows_required):
+    """Whichever way a file is read, the columns, or the error class and
+    message, are those that reading every file through ``csv`` gives."""
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(data)
+    assert _outcome(_read_columns, path, required, rows_required) == _outcome(
+        reference_read_columns, path, required, rows_required
+    )
+
+
+def _graph_fields(graph):
+    """Every field of ``graph`` as plain Python values, to compare graphs."""
+    values = {f.name: getattr(graph, f.name) for f in dataclasses.fields(graph)}
+    values["elections"] = [(c.name, c.dem.tolist(), c.rep.tolist()) for c in graph.elections]
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+
+
+def _copy_fixture(directory, rewrite):
+    """The grid4 nodes, edges and assignment files, each rewritten by
+    ``rewrite(text)`` into ``directory``; returns the three paths."""
+    paths = []
+    for name in ("nodes.csv", "edges.csv", "assignment.csv"):
+        with open(os.path.join(GRID4, name), newline="", encoding="utf-8") as fh:
+            (directory / name).write_text(rewrite(fh.read()), encoding="utf-8", newline="")
+        paths.append(directory / name)
+    return paths
+
+
+def _quote_every_cell(text):
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL).writerows(csv.reader(io.StringIO(text)))
+    return out.getvalue()
+
+
+def test_written_files_are_split_without_csv(tmp_path, monkeypatch):
+    """Files as mapchain writes them (CRLF), and their LF copies, are read
+    without ``csv``; a copy with every cell quoted reads through ``csv`` to
+    the same graph and plan."""
+    expected = read_graph(os.path.join(GRID4, "nodes.csv"), os.path.join(GRID4, "edges.csv"))
+    plan, names = read_assignment(os.path.join(GRID4, "assignment.csv"), expected)
+    quoted = _copy_fixture(tmp_path, _quote_every_cell)
+    assert all('"' in path.read_text() for path in quoted)
+    csv_reads = []
+    reader = csv.reader
+    monkeypatch.setattr("mapchain.io.csv.reader", lambda *a: csv_reads.append(a) or reader(*a))
+    graph = read_graph(*quoted[:2])
+    assert _graph_fields(graph) == _graph_fields(expected) and len(csv_reads) == 2
+    again, again_names = read_assignment(quoted[2], graph)
+    assert again.assignment.tolist() == plan.assignment.tolist() and again_names == names
+
+    def refuse(*args):
+        raise AssertionError("read through csv")
+
+    monkeypatch.setattr("mapchain.io.csv.reader", refuse)
+    lf = tmp_path / "lf"
+    lf.mkdir()
+    for nodes, edges, assignment in (
+        [os.path.join(GRID4, name) for name in ("nodes.csv", "edges.csv", "assignment.csv")],
+        _copy_fixture(lf, lambda text: text.replace("\r\n", "\n")),
+    ):
+        graph = read_graph(nodes, edges)
+        assert _graph_fields(graph) == _graph_fields(expected)
+        again, again_names = read_assignment(assignment, graph)
+        assert again.assignment.tolist() == plan.assignment.tolist() and again_names == names
 
 
 def test_writers_reproduce_the_committed_fixture(tmp_path):
