@@ -77,6 +77,10 @@ class PairTable:
         return np.array_equal(self.cross, _cut_edges(self.graph, plan))
 
 
+# The acceptance counters a ChainState keeps and a ChainTrace reports
+COUNTERS = ("proposed", "accepted", "rejected_by_constraint", "rejected_no_cut")
+
+
 @dataclass
 class ChainState:
     """Mutable state of one recombination chain."""
@@ -353,10 +357,8 @@ def run_chain(
                 raise errors.ChainInvariantViolated(
                     f"step {t}: the pair table differs from a from-scratch count"
                 )
-    trace.proposed = state.proposed
-    trace.accepted = state.accepted
-    trace.rejected_by_constraint = state.rejected_by_constraint
-    trace.rejected_no_cut = state.rejected_no_cut
+    for name in COUNTERS:
+        setattr(trace, name, getattr(state, name))
     return trace
 
 

@@ -9,6 +9,7 @@ default PCG64, so identical configs produce identical output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -18,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import errors
-from .chain import ChainTrace, run_chain, tree_ensemble
+from .chain import COUNTERS, ChainTrace, run_chain, tree_ensemble
 from .constraints import ConstraintGate
 from .diagnostics import autocorrelation, estimate_burn_in, burn_thin, constraint_sweep
 from .io import (
@@ -120,10 +121,9 @@ def _run_chains(graph, plan, cfg: RunConfig, mcfg):
 
 def _concat_post_burn(traces, burn: int, thin: int) -> ChainTrace:
     kept = [burn_thin(trace, burn, thin) for trace in traces]
-    counters = ("proposed", "accepted", "rejected_by_constraint", "rejected_no_cut")
     return ChainTrace(
         np.concatenate([trace.rows for trace in kept]),
-        **{name: sum(getattr(trace, name) for trace in traces) for name in counters},
+        **{name: sum(getattr(trace, name) for trace in traces) for name in COUNTERS},
     )
 
 
@@ -134,12 +134,18 @@ def _write_ensemble_outputs(cfg, combined, raw_trace, reference):
     write_summary(combined, os.path.join(cfg.out_dir, "summary.csv"))
     series = raw_trace.series("seats_avg")
     max_lag = min(cfg.acf_max_lag, series.size - 2)
+    acf = None
     if max_lag >= 1:
         try:
             acf = autocorrelation(series, max_lag)
-            write_acf_csv(acf, os.path.join(cfg.out_dir, "acf.csv"))
         except errors.ZeroVariance:
             print("note: seats_avg series is constant; skipping acf.csv")
+    acf_path = os.path.join(cfg.out_dir, "acf.csv")
+    if acf is not None:
+        write_acf_csv(acf, acf_path)
+    else:  # an earlier run's acf.csv would describe another trace
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(acf_path)
     for metric, column in (("seats_avg", "seats_avg"), ("seats_index", "seats_index")):
         write_histogram_svg(
             combined.series(metric),
@@ -160,11 +166,7 @@ def cmd_chain(cfg: RunConfig) -> int:
     reference = score_plan(graph, plan, mcfg)
     trace_path = _write_ensemble_outputs(cfg, combined, traces[0], reference)
     print(f"chains={cfg.n_chains} steps={cfg.steps} burn_in={burn} thinning={cfg.thinning}")
-    print(
-        f"proposed={combined.proposed} accepted={combined.accepted} "
-        f"rejected_by_constraint={combined.rejected_by_constraint} "
-        f"rejected_no_cut={combined.rejected_no_cut}"
-    )
+    print(" ".join(f"{name}={getattr(combined, name)}" for name in COUNTERS))
     print(f"wrote {trace_path}")
     return 0
 

@@ -447,27 +447,29 @@ def is_contiguous(graph: PrecinctGraph, plan: Plan) -> list:
 
 
 def district_perimeter_area(graph: PrecinctGraph, plan: Plan):
-    """Per-district ``(perimeters, areas)`` arrays.
-
-    perimeter(d) = sum of node perimeters in d minus twice the shared
-    boundary over edges internal to d. Raises ``NegativePerimeter`` when the
-    result is not strictly positive (the shared_perimeter inputs then violate
-    the per-edge bound).
-    """
-    assign = plan.assignment
-    k = plan.k
-    areas = np.bincount(assign, weights=graph.areas, minlength=k)
-    perims = np.bincount(assign, weights=graph.perimeters, minlength=k)
-    internal = assign[graph.edge_a] == assign[graph.edge_b]
-    if internal.any():
-        shared = np.bincount(
-            assign[graph.edge_a[internal]],
-            weights=graph.edge_shared[internal],
-            minlength=k,
-        )
-        perims = perims - 2.0 * shared
+    """Per-district ``(perimeters, areas)`` arrays (:func:`district_geometry`);
+    raises ``NegativePerimeter`` when a perimeter is not strictly positive
+    (the shared_perimeter inputs then violate the per-edge bound)."""
+    perims, areas = district_geometry(
+        graph, plan.assignment, np.arange(graph.n), plan.assignment, plan.k
+    )
     require_positive_perimeters(perims)
     return perims, areas
+
+
+def district_geometry(graph: PrecinctGraph, assignment, nodes, local, size: int):
+    """``(perimeters, areas)`` of the ``size`` districts holding ``nodes``
+    (ascending) under ``assignment``, ``local`` being each node's district
+    among them: perimeter(d) is the sum of node perimeters in d minus twice
+    the shared boundary of the edges internal to d. Nodes and edges are added
+    in ascending order, as ``np.bincount`` adds a whole plan, so a district's
+    sums are the same whichever other districts are asked for."""
+    areas = np.bincount(local, graph.areas[nodes], size)
+    perimeters = np.bincount(local, graph.perimeters[nodes], size)
+    edges, width = lower_end_edges(graph, nodes)
+    inside = assignment[graph.edge_a[edges]] == assignment[graph.edge_b[edges]]
+    shared = np.bincount(np.repeat(local, width)[inside], graph.edge_shared[edges[inside]], size)
+    return perimeters - 2.0 * shared, areas
 
 
 def require_positive_perimeters(perims: np.ndarray) -> None:

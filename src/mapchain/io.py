@@ -2,7 +2,8 @@
 
 File formats (all UTF-8, comma-delimited, header row required; lines end in
 LF, CRLF or CR; cells may be quoted as in RFC 4180; blank rows are skipped,
-and "row N" in a message counts non-blank records, the header as row 1):
+and "row N" in a message counts non-blank records, the header as row 1; a
+column that a reader reads may appear only once):
 
 * ``nodes.csv``: precinct_id, population, county_id, muni_id, area,
   perimeter, then one ``<contest>_D``/``<contest>_R`` column pair per
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, fields
@@ -71,7 +73,7 @@ def _read_columns(path, required, rows_required=False) -> tuple:
     except FileNotFoundError:
         raise errors.MissingFile(f"{path}: no such file") from None
     split = _split_columns(data)
-    header, columns = split if split else _csv_columns(path, rows_required)
+    header, columns = split if split else _csv_columns(path, data, rows_required)
     for name in required:
         if name not in header:
             raise errors.MissingColumn(name)
@@ -109,20 +111,18 @@ def _split_columns(data: bytes):
     return header, {name: tuple(cells[n + i::n]) for i, name in enumerate(header)}
 
 
-def _csv_columns(path, rows_required) -> tuple:
-    """``(header, columns)`` of a CSV file read through ``csv``.
+def _csv_columns(path, data: bytes, rows_required) -> tuple:
+    """``(header, columns)`` of the file contents ``data`` read through ``csv``,
+    decoded as they stream, as ``open`` decodes a file.
 
     Raises ``IngestError`` for text that is not UTF-8 or that ``csv`` refuses
     (a cell over its field limit), ``EmptyFile`` for a file without a header
     row (or, when ``rows_required``, without data rows) and
     ``BadNumericField`` for a row shorter than the header.
     """
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if "".join(row).strip()]
-    except FileNotFoundError:
-        raise errors.MissingFile(f"{path}: no such file") from None
+        rows = [row for row in reader if "".join(row).strip()]
     except UnicodeDecodeError as e:
         raise errors.IngestError(f"{path}: not UTF-8 text ({e.reason})") from None
     except csv.Error as e:
@@ -143,6 +143,21 @@ def _csv_columns(path, rows_required) -> tuple:
     return header, {name: cells[i] for i, name in enumerate(header)}
 
 
+def _require_once(path, header, names) -> None:
+    """Raise ``IngestError`` for the first of ``names``, the columns a reader
+    reads, that ``header`` holds more than once: which copy to read is unclear."""
+    for name in names:
+        if header.count(name) > 1:
+            raise errors.IngestError(f"{path}: column {name!r} appears more than once")
+
+
+def _raise_first(faults) -> None:
+    """Raise the error of the first bad row, and within it of the first check:
+    ``faults`` holds ``(row index, rank of the check in its row, error)``."""
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
+
+
 def read_nodes(path):
     """Parse nodes.csv into ``(columns, elections)``, where ``columns`` maps
     each name in ``NODE_COLUMNS`` to its values in row order, as
@@ -152,6 +167,8 @@ def read_nodes(path):
     be nonnegative integers.
     """
     header, col = _read_columns(path, NODE_COLUMNS, rows_required=True)
+    _require_once(path, header, [name for name in header
+                                 if name in NODE_COLUMNS or name.endswith(("_D", "_R"))])
 
     contest_names = []
     for name in header:
@@ -170,39 +187,20 @@ def read_nodes(path):
     checks = [("population", int), ("area", float), ("perimeter", float)]
     for name in contest_names:
         checks += [(f"{name}_D", int), (f"{name}_R", int), (name, None)]
-    values, faults = {}, []  # faults: (row index, check index, error)
-    for order, (column, kind) in enumerate(checks):
+    values, faults = {}, []
+    for rank, (column, kind) in enumerate(checks):
         if kind is None:  # nonnegative votes in contest ``column``, where both cells parsed
             dem, rep = values[f"{column}_D"], values[f"{column}_R"]
             rows = min(dem.size, rep.size)
             negative = np.flatnonzero((dem[:rows] < 0) | (rep[:rows] < 0))
             if negative.size:
                 i = int(negative[0])
-                faults.append((i, order, errors.NonNumericVotes(
+                faults.append((i, rank, errors.NonNumericVotes(
                     f"{path}: row {i + 2}: negative votes in contest {column!r}"
                 )))
             continue
-        raw = col[column]  # int and float ignore surrounding whitespace
-        parsed = _parse_column(raw, kind)
-        cls = errors.NonNumericVotes if column.endswith(("_D", "_R")) else errors.BadNumericField
-        if len(parsed) < len(raw):
-            i = len(parsed)
-            faults.append((i, order, cls(
-                f"{path}: row {i + 2}, column {column!r}: not numeric: {raw[i].strip()!r}"
-            )))
-        if kind is int:
-            try:
-                parsed = np.array(parsed, dtype=np.int64)
-            except OverflowError:  # a fault at row i outranks every later one in this column
-                i = next(i for i, v in enumerate(parsed) if not _INT64_MIN <= v <= _INT64_MAX)
-                faults.append((i, order, cls(
-                    f"{path}: row {i + 2}, column {column!r}: out of the 64-bit integer range: "
-                    f"{raw[i].strip()!r}"
-                )))
-                parsed = np.array(parsed[:i], dtype=np.int64)
-        values[column] = parsed
-    if faults:
-        raise min(faults, key=lambda fault: fault[:2])[2]
+        values[column] = _parse_column(path, column, col[column], kind, rank, faults)
+    _raise_first(faults)
 
     columns = {
         name: values[name] if name in values else [cell.strip() for cell in col[name]]
@@ -218,11 +216,14 @@ def read_nodes(path):
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
-def _parse_column(raw, kind) -> list:
-    """The cells of one column converted by ``kind`` in one pass; when a cell
-    does not convert, the converted cells before it."""
+def _parse_column(path, column, raw, kind, rank, faults) -> np.ndarray:
+    """The cells ``raw`` of ``column`` converted by ``kind`` (``int`` to int64,
+    or ``float``; both ignore surrounding whitespace) in one pass. Where a cell
+    does not convert, or an int lies outside int64, the cells before it, and
+    the cell's fault added to ``faults`` at check ``rank``."""
+    cls = errors.NonNumericVotes if column.endswith(("_D", "_R")) else errors.BadNumericField
     try:
-        return list(map(kind, raw))
+        parsed = list(map(kind, raw))
     except ValueError:
         parsed = []
         for cell in raw:
@@ -230,7 +231,19 @@ def _parse_column(raw, kind) -> list:
                 parsed.append(kind(cell))
             except ValueError:
                 break
-        return parsed
+        i = len(parsed)
+        faults.append((i, rank, cls(
+            f"{path}: row {i + 2}, column {column!r}: not numeric: {raw[i].strip()!r}"
+        )))
+    try:
+        return np.array(parsed, dtype=np.int64 if kind is int else np.float64)
+    except OverflowError:  # a fault at row i outranks every later one in this column
+        i = next(i for i, v in enumerate(parsed) if not _INT64_MIN <= v <= _INT64_MAX)
+        faults.append((i, rank, cls(
+            f"{path}: row {i + 2}, column {column!r}: out of the 64-bit integer range: "
+            f"{raw[i].strip()!r}"
+        )))
+        return np.array(parsed[:i], dtype=np.int64)
 
 
 def read_edges(path, node_index: dict) -> tuple:
@@ -242,39 +255,31 @@ def read_edges(path, node_index: dict) -> tuple:
     (``DuplicateEdge``) or an unknown precinct (``DanglingEdge``), checked
     in that order within a row.
     """
-    _, col = _read_columns(path, ("src", "dst"))
+    header, col = _read_columns(path, ("src", "dst"))
+    _require_once(path, header, ("src", "dst", "shared_perimeter"))
     src = [cell.strip() for cell in col["src"]]
     dst = [cell.strip() for cell in col["dst"]]
-    raw_shared = (
-        [cell.strip() for cell in col["shared_perimeter"]]
-        if "shared_perimeter" in col
-        else [""] * len(src)
-    )
-    shared, bad_number = [], len(src)
-    for i, raw in enumerate(raw_shared):
-        try:
-            shared.append(float(raw) if raw else 1.0)
-        except ValueError:
-            bad_number = i
-            break
-    edge_a = np.array([node_index.get(s, -1) for s in src[:bad_number]], dtype=np.int64)
-    edge_b = np.array([node_index.get(d, -1) for d in dst[:bad_number]], dtype=np.int64)
-    dangling = np.flatnonzero((edge_a < 0) | (edge_b < 0))
-    first_bad = int(dangling[0]) if dangling.size else bad_number
-    repeated = repeated_pairs(edge_a[:first_bad], edge_b[:first_bad])
+    # a blank or absent shared_perimeter is 1
+    raw_shared = [cell.strip() or "1" for cell in col.get("shared_perimeter", [""] * len(src))]
+    faults = []
+    shared = _parse_column(path, "shared_perimeter", raw_shared, float, 0, faults)
+    edge_a = np.array([node_index.get(s, -1) for s in src], dtype=np.int64)
+    edge_b = np.array([node_index.get(d, -1) for d in dst], dtype=np.int64)
+    # a repeat of a pair with an unknown end comes after the row that first had it
+    repeated = repeated_pairs(edge_a, edge_b)
     if repeated.size:
         i = int(repeated[0])
         pair = (src[i], dst[i]) if src[i] <= dst[i] else (dst[i], src[i])
-        raise errors.DuplicateEdge(f"{path}: row {i + 2}: duplicate edge {pair}")
-    if first_bad < bad_number:
-        unknown = src[first_bad] if src[first_bad] not in node_index else dst[first_bad]
-        raise errors.DanglingEdge(f"{path}: row {first_bad + 2}: unknown precinct {unknown!r}")
-    if bad_number < len(src):
-        raise errors.BadNumericField(
-            f"{path}: row {bad_number + 2}, column 'shared_perimeter': "
-            f"not numeric: {raw_shared[bad_number]!r}"
-        )
-    return edge_a, edge_b, np.array(shared, dtype=np.float64)
+        faults.append((i, 1, errors.DuplicateEdge(f"{path}: row {i + 2}: duplicate edge {pair}")))
+    dangling = np.flatnonzero((edge_a < 0) | (edge_b < 0))
+    if dangling.size:
+        i = int(dangling[0])
+        unknown = src[i] if src[i] not in node_index else dst[i]
+        faults.append((i, 2, errors.DanglingEdge(
+            f"{path}: row {i + 2}: unknown precinct {unknown!r}"
+        )))
+    _raise_first(faults)
+    return edge_a, edge_b, shared
 
 
 def read_graph(nodes_path, edges_path) -> PrecinctGraph:
@@ -294,23 +299,27 @@ def read_assignment(path, graph: PrecinctGraph):
     (``UnknownPrecinct``) or one an earlier row already assigned
     (``DuplicatePrecinctId``); then ``MissingPrecinct`` lists absent ones.
     """
-    _, col = _read_columns(path, ("precinct_id", "district"))
+    header, col = _read_columns(path, ("precinct_id", "district"))
+    _require_once(path, header, ("precinct_id", "district"))
     pids = [cell.strip() for cell in col["precinct_id"]]
     labels = [cell.strip() for cell in col["district"]]
     index = np.array([graph.node_index.get(pid, -1) for pid in pids], dtype=np.int64)
+    faults = []
     unknown = np.flatnonzero(index < 0)
-    first_bad = int(unknown[0]) if unknown.size else len(pids)
-    order = np.argsort(index[:first_bad], kind="stable")  # equal ids keep their row order
+    if unknown.size:
+        i = int(unknown[0])
+        faults.append((i, 0, errors.UnknownPrecinct(
+            f"{path}: row {i + 2}: unknown precinct {pids[i]!r}"
+        )))
+    # a repeat of an unknown precinct comes after the row that first had it
+    order = np.argsort(index, kind="stable")  # equal ids keep their row order
     repeated = order[1:][index[order[1:]] == index[order[:-1]]]
     if repeated.size:
         i = int(repeated.min())
-        raise errors.DuplicatePrecinctId(
+        faults.append((i, 1, errors.DuplicatePrecinctId(
             f"{path}: row {i + 2}: precinct {pids[i]!r} assigned twice"
-        )
-    if unknown.size:
-        raise errors.UnknownPrecinct(
-            f"{path}: row {first_bad + 2}: unknown precinct {pids[first_bad]!r}"
-        )
+        )))
+    _raise_first(faults)
     names = dict(enumerate(dict.fromkeys(labels)))
     label_of = {name: label for label, name in names.items()}
     assignment = np.full(graph.n, -1, dtype=np.int64)
@@ -401,14 +410,13 @@ def write_summary(trace: ChainTrace, path) -> None:
 
 
 def write_acf_csv(acf: AcfSeries, path) -> None:
-    _write_csv(path, ["lag", "rho"],
-               ([str(int(lag)), repr(float(rho))] for lag, rho in zip(acf.lags, acf.rho)))
+    _write_csv(path, ["lag", "rho"], zip(acf.lags.tolist(), acf.rho.tolist()))
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Observed points get fitted=0; the extrapolated point gets fitted=1."""
-    rows = [[str(p.cap), repr(p.mean), repr(p.std), str(p.n), "0"] for p in result.points]
-    rows.append([repr(result.extrapolated_at), repr(result.extrapolated_value), "", "", "1"])
+    rows = [[p.cap, p.mean, p.std, p.n, 0] for p in result.points]
+    rows.append([result.extrapolated_at, result.extrapolated_value, "", "", 1])
     _write_csv(path, ["cap", "mean", "std", "n", "fitted"], rows)
 
 

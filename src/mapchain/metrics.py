@@ -30,8 +30,8 @@ from .graph import (
     Contest,
     Plan,
     PrecinctGraph,
+    district_geometry,
     district_perimeter_area,
-    lower_end_edges,
     require_positive_perimeters,
 )
 
@@ -298,15 +298,9 @@ class PlanTally:
         for row, contest in enumerate(graph.elections):
             self.dem[row, districts] = np.bincount(local, contest.dem[nodes], size)
             self.rep[row, districts] = np.bincount(local, contest.rep[nodes], size)
-        self.areas[districts] = np.bincount(local, graph.areas[nodes], size)
-        perimeters = np.bincount(local, graph.perimeters[nodes], size)
-        # keep the edges whose ends share a district, in ascending edge order
-        edges, width = lower_end_edges(graph, nodes)
-        assignment = move.plan.assignment
-        inside = assignment[graph.edge_a[edges]] == assignment[graph.edge_b[edges]]
-        shared = np.bincount(np.repeat(local, width)[inside],
-                             graph.edge_shared[edges[inside]], size)
-        self.perimeters[districts] = perimeters - 2.0 * shared
+        self.perimeters[districts], self.areas[districts] = district_geometry(
+            graph, move.plan.assignment, nodes, local, size
+        )
         for matrix, counts in zip(self.unit_counts, move.unit_counts):
             matrix[:, districts] = counts
         self.unit_pieces = move.unit_pieces

@@ -13,7 +13,6 @@ import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from . import errors
 from .graph import Plan, PrecinctGraph, canonical_form
@@ -165,6 +164,10 @@ def naive_score(graph: PrecinctGraph, plan: Plan, config: MetricsConfig) -> Metr
     Pure-python loops, ``statistics`` for mean/median, scipy's normal CDF:
     nothing shared with the metrics module beyond the report container.
     """
+    # imported here: scipy.stats takes longer to load than the rest of
+    # mapchain, and no command scores through this reference
+    from scipy.stats import norm
+
     k = plan.k
     assign = [int(x) for x in plan.assignment]
 

@@ -71,30 +71,28 @@ def column_lean_contest(rows: int, cols: int, name: str, dem_by_col,
     ``dem_by_col[c]`` is the Democratic vote count out of ``turnout`` in
     column c; noise perturbs each node's split by at most ``noise`` votes.
     """
-    rng = np.random.default_rng(seed)
-    dem = np.empty(rows * cols, dtype=np.int64)
-    for r in range(rows):
-        for c in range(cols):
-            d = int(dem_by_col[c])
-            if noise:
-                d += int(rng.integers(-noise, noise + 1))
-            dem[r * cols + c] = min(max(d, 0), turnout)
-    rep = turnout - dem
-    return Contest(name=name, dem=dem, rep=rep.astype(np.int64))
+    return _lean_contest(rows, cols, name, lambda r, c: dem_by_col[c], turnout, noise, seed)
 
 
 def row_lean_contest(rows: int, cols: int, name: str, dem_by_row,
                      turnout: int = 100, noise: int = 0, seed: int = 0) -> Contest:
+    """:func:`column_lean_contest` with the Democratic votes set per row."""
+    return _lean_contest(rows, cols, name, lambda r, c: dem_by_row[r], turnout, noise, seed)
+
+
+def _lean_contest(rows, cols, name, dem_at, turnout, noise, seed) -> Contest:
+    """Contest whose node at row r, column c has ``dem_at(r, c)`` Democratic
+    votes out of ``turnout``, each moved by a noise draw in ``-noise..noise``
+    (drawn in row-major node order) and clipped to ``0..turnout``."""
     rng = np.random.default_rng(seed)
     dem = np.empty(rows * cols, dtype=np.int64)
     for r in range(rows):
         for c in range(cols):
-            d = int(dem_by_row[r])
+            d = int(dem_at(r, c))
             if noise:
                 d += int(rng.integers(-noise, noise + 1))
             dem[r * cols + c] = min(max(d, 0), turnout)
-    rep = turnout - dem
-    return Contest(name=name, dem=dem, rep=rep.astype(np.int64))
+    return Contest(name=name, dem=dem, rep=(turnout - dem).astype(np.int64))
 
 
 def grid_graph(rows: int, cols: int, contests=None, county_mode: str = "columns",

@@ -1,13 +1,19 @@
-"""Reference for ``io._read_columns``: every file read through ``csv``.
+"""References for the CSV readers of ``mapchain.io``.
 
-The column reader as it was before plain files were split from their text:
-``csv.reader`` over the whole file, one row list per record. The reader
-must return the same ``(header, columns)`` for every file, or raise the same
-error class with the same message.
+``read_columns`` is the column reader as it was before plain files were
+split from their text: ``csv.reader`` over the whole file, one row list per
+record. ``read_edges`` and ``read_assignment`` are the edge and assignment
+readers as they were before every reader raised its first fault through one
+rule: each finds its faults by cutting its arrays at the first bad row of
+the check before. The readers must return the same values for every file,
+or raise the same error class with the same message.
 """
 import csv
 
+import numpy as np
+
 from mapchain import errors
+from mapchain.graph import Plan, repeated_pairs
 
 
 def read_columns(path, required, rows_required=False) -> tuple:
@@ -48,3 +54,76 @@ def read_columns(path, required, rows_required=False) -> tuple:
     cells = list(zip(*rows)) or [()] * len(header)
     return header, {name: cells[i] for i, name in enumerate(header)}
 
+
+
+def read_edges(path, node_index: dict) -> tuple:
+    """``(edge_a, edge_b, edge_shared)`` of an edges.csv; the first bad row
+    raises, checked within a row for its number, a repeated pair, then an
+    unknown precinct."""
+    _, col = read_columns(path, ("src", "dst"))
+    src = [cell.strip() for cell in col["src"]]
+    dst = [cell.strip() for cell in col["dst"]]
+    raw_shared = (
+        [cell.strip() for cell in col["shared_perimeter"]]
+        if "shared_perimeter" in col
+        else [""] * len(src)
+    )
+    shared, bad_number = [], len(src)
+    for i, raw in enumerate(raw_shared):
+        try:
+            shared.append(float(raw) if raw else 1.0)
+        except ValueError:
+            bad_number = i
+            break
+    edge_a = np.array([node_index.get(s, -1) for s in src[:bad_number]], dtype=np.int64)
+    edge_b = np.array([node_index.get(d, -1) for d in dst[:bad_number]], dtype=np.int64)
+    dangling = np.flatnonzero((edge_a < 0) | (edge_b < 0))
+    first_bad = int(dangling[0]) if dangling.size else bad_number
+    repeated = repeated_pairs(edge_a[:first_bad], edge_b[:first_bad])
+    if repeated.size:
+        i = int(repeated[0])
+        pair = (src[i], dst[i]) if src[i] <= dst[i] else (dst[i], src[i])
+        raise errors.DuplicateEdge(f"{path}: row {i + 2}: duplicate edge {pair}")
+    if first_bad < bad_number:
+        unknown = src[first_bad] if src[first_bad] not in node_index else dst[first_bad]
+        raise errors.DanglingEdge(f"{path}: row {first_bad + 2}: unknown precinct {unknown!r}")
+    if bad_number < len(src):
+        raise errors.BadNumericField(
+            f"{path}: row {bad_number + 2}, column 'shared_perimeter': "
+            f"not numeric: {raw_shared[bad_number]!r}"
+        )
+    return edge_a, edge_b, np.array(shared, dtype=np.float64)
+
+
+def read_assignment(path, graph):
+    """``(plan, names)`` of an assignment.csv; the first bad row raises, an
+    unknown precinct or a repeated one, then ``MissingPrecinct``."""
+    _, col = read_columns(path, ("precinct_id", "district"))
+    pids = [cell.strip() for cell in col["precinct_id"]]
+    labels = [cell.strip() for cell in col["district"]]
+    index = np.array([graph.node_index.get(pid, -1) for pid in pids], dtype=np.int64)
+    unknown = np.flatnonzero(index < 0)
+    first_bad = int(unknown[0]) if unknown.size else len(pids)
+    order = np.argsort(index[:first_bad], kind="stable")
+    repeated = order[1:][index[order[1:]] == index[order[:-1]]]
+    if repeated.size:
+        i = int(repeated.min())
+        raise errors.DuplicatePrecinctId(
+            f"{path}: row {i + 2}: precinct {pids[i]!r} assigned twice"
+        )
+    if unknown.size:
+        raise errors.UnknownPrecinct(
+            f"{path}: row {first_bad + 2}: unknown precinct {pids[first_bad]!r}"
+        )
+    names = dict(enumerate(dict.fromkeys(labels)))
+    label_of = {name: label for label, name in names.items()}
+    assignment = np.full(graph.n, -1, dtype=np.int64)
+    assignment[index] = [label_of[name] for name in labels]
+    missing = np.flatnonzero(assignment < 0)
+    if missing.size:
+        raise errors.MissingPrecinct(
+            f"{path}: precincts missing from assignment: "
+            f"{[graph.precinct_ids[i] for i in missing[:8]]}"
+            + ("..." if missing.size > 8 else "")
+        )
+    return Plan(assignment, len(names)), names

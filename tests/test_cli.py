@@ -5,11 +5,15 @@ from dataclasses import fields
 import contextlib
 import hashlib
 import io
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mapchain
 from mapchain.cli import main
 from mapchain.io import RunConfig, write_assignment
 from mapchain.synth import band_plan, grid4_graph
@@ -498,3 +502,152 @@ def test_output_bytes_are_pinned(workdir, command, name, sha256):
     assert main([command, "--config", CFG, "--set", "out_dir=out/pinned"]) == 0
     written = (workdir / "out" / "pinned" / name).read_bytes()
     assert hashlib.sha256(written).hexdigest() == sha256
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats serves only the oracle's naive_score, and loading it takes
+    # longer than loading the rest of the program
+    src = os.path.dirname(os.path.dirname(mapchain.__file__))
+    code = "import sys, mapchain.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
+
+
+def _append_column(path, name, value):
+    """Add a column ``name`` holding ``value`` on every row to the CSV ``path``."""
+    header, *rows = path.read_text().splitlines()
+    path.write_text("".join(f"{row},{cell}\n" for row, cell in
+                            zip([header, *rows], [name] + [value] * len(rows))))
+
+
+@pytest.mark.parametrize("name, column", [
+    ("nodes.csv", "population"),
+    ("nodes.csv", "PRES_R"),
+    ("edges.csv", "dst"),
+    ("edges.csv", "shared_perimeter"),
+    ("assignment.csv", "district"),
+])
+def test_repeated_column_exits_3_with_one_error_line(workdir, capsys, name, column):
+    _append_column(workdir / "tests" / "fixtures" / "grid4" / name, column, "5")
+    assert main(["score", "--config", CFG]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"ERROR IngestError: tests/fixtures/grid4/{name}: "
+                   f"column {column!r} appears more than once\n")
+
+
+def test_trailing_blank_columns_are_read(workdir):
+    assert main(["chain", "--config", CFG, "--set", "out_dir=out/plain"]) == 0
+    for name in ("nodes.csv", "edges.csv", "assignment.csv"):
+        path = workdir / "tests" / "fixtures" / "grid4" / name
+        path.write_text("".join(f"{line},,\n" for line in path.read_text().splitlines()))
+    assert main(["chain", "--config", CFG, "--set", "out_dir=out/blank"]) == 0
+    assert (workdir / "out/blank/trace.csv").read_bytes() == (
+        workdir / "out/plain/trace.csv"
+    ).read_bytes()
+
+
+def _uniform_votes(workdir):
+    """A copy of the fixture's nodes.csv in which every precinct votes 60:40,
+    so every plan wins every seat; returns its path."""
+    header, *rows = (workdir / "tests/fixtures/grid4/nodes.csv").read_text().splitlines()
+    votes = ",".join(["60", "40"] * 2)
+    (workdir / "uniform.csv").write_text(
+        "".join(f"{line}\n" for line in [header] + [row.rsplit(",", 4)[0] + "," + votes
+                                                   for row in rows])
+    )
+    return "uniform.csv"
+
+
+@pytest.mark.parametrize("rerun", ["no lags", "constant series"])
+def test_a_run_without_acf_removes_the_earlier_acf_csv(workdir, capsys, rerun):
+    assert main(["chain", "--config", CFG]) == 0
+    assert (workdir / "out/grid4/acf.csv").exists()
+    settings = (["acf_max_lag=0", "seed=9"] if rerun == "no lags"
+                else [f"nodes={_uniform_votes(workdir)}"])
+    assert main(["chain", "--config", CFG] + [arg for s in settings for arg in ("--set", s)]) == 0
+    assert not (workdir / "out/grid4/acf.csv").exists()
+    assert (workdir / "out/grid4/trace.csv").exists()
+    if rerun == "constant series":
+        assert "seats_avg series is constant; skipping acf.csv" in capsys.readouterr().out
+
+
+def test_set_without_equals_sign_exits_2(workdir, capsys):
+    assert main(["chain", "--config", CFG, "--set", "steps"]) == 2
+    assert capsys.readouterr().err == "ERROR ConfigError: --set expects key=value, got 'steps'\n"
+
+
+def test_config_line_without_equals_sign_exits_2(workdir, capsys):
+    with open(CFG, "a", encoding="utf-8") as fh:
+        fh.write("steps 10\n")
+    n_lines = len(open(CFG, encoding="utf-8").read().splitlines())
+    assert main(["chain", "--config", CFG]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR ConfigError: {CFG}: line {n_lines}: expected key = value\n"
+    )
+
+
+def test_sweep_needs_two_distinct_caps(workdir, capsys):
+    assert main(["sweep", "--config", CFG, "--set", "sweep_caps=2,2"]) == 2
+    assert capsys.readouterr().err == (
+        "ERROR ConfigError: sweep_caps needs at least 2 distinct caps\n"
+    )
+
+
+def test_sweep_extrapolates_to_the_configured_cap(workdir):
+    assert main(["sweep", "--config", CFG, "--set", "steps=20", "--set", "burn_in=2",
+                 "--set", "n_plans=8", "--set", "sweep_replicates=1",
+                 "--set", "sweep_extrapolate_cap=10", "--set", "out_dir=out/ex"]) == 0
+    rows = [row.split(",") for row in
+            (workdir / "out/ex/sweep.csv").read_text().splitlines()]
+    assert [row[0] for row in rows] == ["cap", "2", "3", "4", "10.0"]
+    assert rows[-1][2:] == ["", "", "1"]
+    # the fitted row lies on the least-squares line through the observed points
+    slope, intercept = np.polyfit([float(r[0]) for r in rows[1:-1]],
+                                  [float(r[1]) for r in rows[1:-1]], 1)
+    assert float(rows[-1][1]) == pytest.approx(intercept + slope * 10)
+
+
+def _accept_flags(path):
+    return [row.split(",")[1] for row in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("weight", ["gibbs_weight_county", "gibbs_weight_muni"])
+def test_gibbs_chain_with_one_split_weight(workdir, capsys, weight):
+    assert main(["chain", "--config", CFG, "--set", "out_dir=out/free"]) == 0
+    capsys.readouterr()
+    assert main(["chain", "--config", CFG, "--set", "mode=gibbs",
+                 "--set", "gibbs_weight_district_county=0", "--set", f"{weight}=3",
+                 "--set", "out_dir=out/gibbs"]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("proposed="))
+    counters = dict(cell.split("=") for cell in line.split())
+    assert int(counters["rejected_by_constraint"]) > 0
+    assert _accept_flags(workdir / "out/gibbs/trace.csv") != _accept_flags(
+        workdir / "out/free/trace.csv"
+    )
+
+
+def test_vote_column_without_its_pair_exits_3(workdir, capsys):
+    path = workdir / "tests" / "fixtures" / "grid4" / "nodes.csv"
+    path.write_text(path.read_text().replace("PRES_D", "PRES_X", 1))
+    assert main(["score", "--config", CFG]) == 3
+    assert capsys.readouterr().err == "ERROR MissingColumn: missing required column: 'PRES_D'\n"
+
+
+def test_node_file_without_contests_exits_2(workdir, capsys):
+    path = workdir / "tests" / "fixtures" / "grid4" / "nodes.csv"
+    path.write_text("".join(line.rsplit(",", 4)[0] + "\n"
+                            for line in path.read_text().splitlines()))
+    assert main(["score", "--config", CFG, "--set", "contests="]) == 2
+    assert capsys.readouterr().err == "ERROR ConfigError: node file declares no contests\n"
+
+
+def test_edge_pair_choice_on_a_one_district_plan_exits_4(workdir, capsys):
+    path = workdir / "one.csv"
+    path.write_text("precinct_id,district\n" + "".join(f"p{i},A\n" for i in range(16)))
+    assert main(["chain", "--config", CFG, "--set", "assignment=one.csv",
+                 "--set", "pair_selection=edges"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR NoAdjacentDistrictPair:") and err.count("\n") == 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import io_reference
 from io_reference import read_columns as reference_read_columns
 
 from mapchain import errors
@@ -31,7 +32,7 @@ from mapchain.io import (
     write_trace,
 )
 from mapchain.metrics import MetricsConfig
-from mapchain.synth import band_plan, grid4_graph
+from mapchain.synth import band_plan, grid4_graph, grid_graph
 
 GRID4 = os.path.join(os.path.dirname(__file__), "fixtures", "grid4")
 GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "golden")
@@ -304,6 +305,87 @@ def test_column_reader_matches_the_csv_reader(tmp_path_factory, data, required, 
     path.write_bytes(data)
     assert _outcome(_read_columns, path, required, rows_required) == _outcome(
         reference_read_columns, path, required, rows_required
+    )
+
+
+_SIX = grid_graph(2, 3)  # precincts p0..p5
+_UNKNOWN = st.sampled_from(["p9", "zz"])
+
+
+@st.composite
+def edge_files(draw):
+    """The text of an edges.csv over p0..p5 with faults planted in its rows:
+    unknown precincts at either end, repeated pairs in either order, and bad
+    and blank shared_perimeter cells; the column itself may be absent."""
+    number = st.sampled_from(["1", "0.5", " 2 ", "1e400", "-1"])
+    rows = draw(st.lists(st.lists(st.sampled_from(_SIX.precinct_ids), min_size=2, max_size=2)
+                         .map(lambda pair: pair + ["1"]), max_size=6))
+    for row in rows:
+        row[2] = draw(number)
+    for fault in draw(st.lists(st.sampled_from(
+        ["unknown", "repeat", "bad number", "blank number"]
+    ), max_size=3 if rows else 0)):
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "unknown":
+            rows[i][draw(st.integers(0, 1))] = draw(_UNKNOWN)
+        elif fault == "repeat":
+            pair = rows[i][:2] if draw(st.booleans()) else rows[i][1::-1]
+            rows.insert(draw(st.integers(i + 1, len(rows))), pair + [draw(number)])
+        elif fault == "bad number":
+            rows[i][2] = draw(st.sampled_from(["x", "1..2", " -"]))
+        else:
+            rows[i][2] = draw(st.sampled_from(["", " ", "\t"]))
+    width = 3 if draw(st.booleans()) else 2
+    return "".join(",".join(row[:width]) + "\n"
+                   for row in [["src", "dst", "shared_perimeter"]] + rows)
+
+
+@st.composite
+def assignment_files(draw):
+    """The text of an assignment.csv over p0..p5 with faults planted in its
+    rows: unknown precincts, repeated ones and absent ones."""
+    rows = [[pid, draw(st.sampled_from(["A", "B", " C "]))]
+            for pid in draw(st.permutations(_SIX.precinct_ids))]
+    for fault in draw(st.lists(st.sampled_from(["unknown", "repeat", "absent"]), max_size=3)):
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "unknown":
+            rows.insert(i, [draw(_UNKNOWN), "A"])
+        elif fault == "repeat":
+            rows.insert(draw(st.integers(i + 1, len(rows))), [rows[i][0], "B"])
+        elif len(rows) > 1:
+            del rows[i]
+    return "".join(",".join(row) + "\n" for row in [["precinct_id", "district"]] + rows)
+
+
+def _reader_outcome(read, path, *args):
+    """What ``read`` returns, as plain values, or the class and message it raises."""
+    try:
+        result = read(path, *args)
+    except errors.MapchainError as e:
+        return type(e), str(e)
+    if isinstance(result[0], np.ndarray):
+        return [(array.dtype, array.tolist()) for array in result]
+    plan, names = result
+    return plan.k, plan.assignment.tolist(), names
+
+
+@given(edge_files())
+@settings(max_examples=300, deadline=None)
+def test_edge_reader_matches_the_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "edges.csv"
+    path.write_text(text)
+    assert _reader_outcome(read_edges, path, _SIX.node_index) == _reader_outcome(
+        io_reference.read_edges, path, _SIX.node_index
+    )
+
+
+@given(assignment_files())
+@settings(max_examples=300, deadline=None)
+def test_assignment_reader_matches_the_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "assignment.csv"
+    path.write_text(text)
+    assert _reader_outcome(read_assignment, path, _SIX) == _reader_outcome(
+        io_reference.read_assignment, path, _SIX
     )
 
 
