@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import os
 import sys
 import time
@@ -275,6 +276,8 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     tolerance = cfg.pop_tolerance
     catalog = enumerate_partitions(graph, k, tolerance)
     os.makedirs(cfg.out_dir, exist_ok=True)
+    for stale in glob.glob(os.path.join(glob.escape(cfg.out_dir), "catalog_*.csv")):
+        os.remove(stale)  # an earlier catalog's files
     for i, plan in enumerate(catalog.plans):
         write_assignment(plan, graph, os.path.join(cfg.out_dir, f"catalog_{i:04d}.csv"))
     print(f"catalog size: {len(catalog)} (k={k}, tolerance={tolerance:g})")

@@ -17,9 +17,11 @@ column that a reader reads may appear only once):
   in ``TRACE_COLUMNS``.
 
 A plain file, such as mapchain writes (no quote, no lone CR, the same cell
-count on every line, no blank row), is split into columns straight from its
-text; any other goes through ``csv``, which reads it the same way and
-reports its faults.
+count on every line, no blank row), is split into columns at the positions
+of its comma and line-break bytes, and each column decoded once; a nodes.csv
+count column whose cells are all plain digits is read as numbers straight
+from those bytes. Any other file goes through ``csv``, which reads it the
+same way and reports its faults.
 
 The run configuration is a flat ``key = value`` text file whose keys match
 :class:`RunConfig` fields exactly; unknown keys are errors.
@@ -32,7 +34,6 @@ import io
 import math
 import os
 from dataclasses import dataclass, fields
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -56,23 +57,27 @@ from .trees import TREE_METHODS
 TRACE_COLUMNS = ("step", "accepted") + tuple(col for col, _ in TRACE_METRIC_FIELDS)
 
 
-def _read_columns(path, required, rows_required=False) -> tuple:
+def _read_columns(path, required, rows_required=False, integer=None) -> tuple:
     """``(header, columns)`` of a CSV file, where ``columns`` maps each header
     name to the tuple of its cells, unstripped.
 
-    The file's text is split at its commas and line breaks when that reads
-    it exactly as ``csv`` would (:func:`_split_columns`); any other file goes
-    through ``csv`` (:func:`_csv_columns`), which alone reads quoted cells and
-    reports faulty files. Raises ``MissingFile``, the errors of
-    :func:`_csv_columns`, then ``MissingColumn`` for the first absent
-    ``required`` name.
+    The file's bytes are split at their commas and line breaks when that
+    reads them exactly as ``csv`` would (:func:`_split_columns`); there a
+    column whose name ``integer(name)`` accepts and whose every cell is 1 to
+    18 ASCII digits comes back as an int64 array instead. Any other file goes
+    through ``csv`` (:func:`_csv_columns`), which alone reads quoted cells
+    and reports faulty files. Raises ``MissingFile``, ``IngestError`` for a
+    path that cannot be read, the errors of :func:`_csv_columns`, then
+    ``MissingColumn`` for the first absent ``required`` name.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         raise errors.MissingFile(f"{path}: no such file") from None
-    split = _split_columns(data)
+    except OSError as e:
+        raise errors.IngestError(f"{path}: cannot read ({e.strerror})") from None
+    split = _split_columns(data, integer)
     header, columns = split if split else _csv_columns(path, data, rows_required)
     for name in required:
         if name not in header:
@@ -80,35 +85,79 @@ def _read_columns(path, required, rows_required=False) -> tuple:
     return header, columns
 
 
-def _split_columns(data: bytes):
+def _split_columns(data: bytes, integer=None):
     """``(header, columns)`` of the file contents ``data`` split at every
     comma and line break, or None where ``csv`` might read them otherwise:
-    text that is not UTF-8, holds a ``"`` or a CR outside a CRLF, has fewer
-    than two lines, a line whose comma count differs from the header's, a
-    line longer than ``csv.field_size_limit()`` or a line whose first cell
-    is blank (``csv`` skips a line whose cells are all blank). Splitting the
-    rest matches ``csv``'s default dialect cell for cell.
+    bytes that are not UTF-8, hold a ``"`` or a CR outside a CRLF, have fewer
+    than two lines, a line whose cell count differs from the header's, a
+    line of more bytes than ``csv.field_size_limit()`` or a line whose first
+    cell is blank (``csv`` skips a line whose cells are all blank). Splitting
+    the rest matches ``csv``'s default dialect cell for cell: a comma or LF
+    byte never occurs inside a multi-byte UTF-8 character. A column is its
+    cells decoded once, or, where ``integer(name)``, their int64 values if
+    every cell is 1 to 18 ASCII digits (:func:`_digit_cells`).
     """
     try:
-        text = data.decode("utf-8").replace("\r\n", "\n")
+        data.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    if '"' in text or "\r" in text:
+    data = data.replace(b"\r\n", b"\n")
+    if b'"' in data or b"\r" in data:
         return None
-    lines = text.split("\n")
-    if not lines[-1]:  # the last line break ends a line; it does not start one
-        lines.pop()
-    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+    if not data.endswith(b"\n"):  # so that every line, the last one too, ends in a line break
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))  # the separator after each cell
+    line_break = buf[ends] == ord("\n")
+    n = int(line_break.argmax()) + 1  # the header's cell count
+    if ends.size < 2 * n or ends.size % n or not (line_break.reshape(-1, n) == line_break[:n]).all():
         return None
-    commas = lines[0].count(",")
-    if any(count != commas for count in map(str.count, lines, repeat(","))):
+    ends = ends.reshape(-1, n)
+    if np.diff(ends[:, -1], prepend=-1).max() - 1 > csv.field_size_limit():
         return None
-    n = commas + 1
-    cells = ",".join(lines).split(",")
-    if not all(map(str.strip, cells[::n])):
+    header = [h.strip() for h in data[:ends[0, -1]].decode("utf-8").split(",")]
+    if not header[0]:
         return None
-    header = [h.strip() for h in cells[:n]]
-    return header, {name: tuple(cells[n + i::n]) for i, name in enumerate(header)}
+    columns = {}
+    for j, name in enumerate(header):
+        # a data cell starts after the comma before it or the line break of the line before
+        cells = buf, (ends[1:, j - 1] if j else ends[:-1, -1]) + 1, ends[1:, j]
+        column = _digit_cells(*cells) if integer and integer(name) else None
+        if column is None:
+            column = _decode_cells(*cells)
+            if j == 0 and not all(map(str.strip, column)):
+                return None
+        columns[name] = column
+    return header, columns
+
+
+def _decode_cells(buf, starts, ends) -> tuple:
+    """The cells ``buf[starts[i]:ends[i]]`` as str: their bytes, each with the
+    separator after it (a column's cells all end alike), gathered, decoded
+    once and split once."""
+    lengths = ends - starts + 1
+    # the steps from each gathered byte to the next, summed in place into their
+    # positions: one position array at a time, where np.repeat needs three
+    step = np.ones(lengths.sum(), dtype=np.intp)
+    step[0] = starts[0]
+    step[np.cumsum(lengths[:-1])] = starts[1:] - ends[:-1]
+    text = buf[np.cumsum(step, out=step)].tobytes().decode("utf-8")
+    return tuple(text[:-1].split(text[-1]))
+
+
+def _digit_cells(buf, starts, ends):
+    """The int64 values of the cells ``buf[starts[i]:ends[i]]`` if every cell
+    is 1 to 18 ASCII digits, which cannot overflow int64; else None."""
+    lengths = ends - starts
+    if lengths.min() < 1 or lengths.max() > 18:
+        return None
+    values = np.zeros(lengths.size, dtype=np.int64)
+    for k in range(lengths.max(), 0, -1):  # the k-th digit from each cell's end; 0 past its start
+        digits = np.where(lengths >= k, buf[ends - k] - np.uint8(ord("0")), 0)
+        if digits.max() > 9:  # a byte below "0" wraps past 9
+            return None
+        values = values * 10 + digits
+    return values
 
 
 def _csv_columns(path, data: bytes, rows_required) -> tuple:
@@ -158,6 +207,11 @@ def _raise_first(faults) -> None:
         raise min(faults, key=lambda fault: fault[:2])[2]
 
 
+def _is_count(name) -> bool:
+    """Whether nodes.csv's column ``name`` holds integers: population and votes."""
+    return name == "population" or name.endswith(("_D", "_R"))
+
+
 def read_nodes(path):
     """Parse nodes.csv into ``(columns, elections)``, where ``columns`` maps
     each name in ``NODE_COLUMNS`` to its values in row order, as
@@ -166,7 +220,7 @@ def read_nodes(path):
     Every ``<name>_D`` column must pair with ``<name>_R``; vote cells must
     be nonnegative integers.
     """
-    header, col = _read_columns(path, NODE_COLUMNS, rows_required=True)
+    header, col = _read_columns(path, NODE_COLUMNS, rows_required=True, integer=_is_count)
     _require_once(path, header, [name for name in header
                                  if name in NODE_COLUMNS or name.endswith(("_D", "_R"))])
 
@@ -218,9 +272,12 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 
 def _parse_column(path, column, raw, kind, rank, faults) -> np.ndarray:
     """The cells ``raw`` of ``column`` converted by ``kind`` (``int`` to int64,
-    or ``float``; both ignore surrounding whitespace) in one pass. Where a cell
-    does not convert, or an int lies outside int64, the cells before it, and
-    the cell's fault added to ``faults`` at check ``rank``."""
+    or ``float``; both ignore surrounding whitespace) in one pass, or ``raw``
+    itself where the column reader already parsed it. Where a cell does not
+    convert, or an int lies outside int64, the cells before it, and the
+    cell's fault added to ``faults`` at check ``rank``."""
+    if isinstance(raw, np.ndarray):
+        return raw
     cls = errors.NonNumericVotes if column.endswith(("_D", "_R")) else errors.BadNumericField
     try:
         parsed = list(map(kind, raw))
@@ -680,6 +737,8 @@ def read_config(path, overrides: Optional[dict] = None) -> RunConfig:
                 raw_values[key] = (f"{path}: line {line_no}", raw)
     except FileNotFoundError:
         raise errors.ConfigError(f"config file not found: {path}") from None
+    except OSError as e:
+        raise errors.ConfigError(f"{path}: cannot read ({e.strerror})") from None
     except UnicodeDecodeError as e:
         raise errors.ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
     for key, raw in (overrides or {}).items():

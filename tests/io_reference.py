@@ -5,15 +5,17 @@ split from their text: ``csv.reader`` over the whole file, one row list per
 record. ``read_edges`` and ``read_assignment`` are the edge and assignment
 readers as they were before every reader raised its first fault through one
 rule: each finds its faults by cutting its arrays at the first bad row of
-the check before. The readers must return the same values for every file,
-or raise the same error class with the same message.
+the check before. ``read_nodes`` is the node reader as it was before integer
+columns were parsed from their bytes: every cell through ``int()`` or
+``float()``. The readers must return the same values for every file, or
+raise the same error class with the same message.
 """
 import csv
 
 import numpy as np
 
 from mapchain import errors
-from mapchain.graph import Plan, repeated_pairs
+from mapchain.graph import NODE_COLUMNS, Contest, ElectionSet, Plan, repeated_pairs
 
 
 def read_columns(path, required, rows_required=False) -> tuple:
@@ -54,6 +56,80 @@ def read_columns(path, required, rows_required=False) -> tuple:
     cells = list(zip(*rows)) or [()] * len(header)
     return header, {name: cells[i] for i, name in enumerate(header)}
 
+
+def read_nodes(path):
+    """``(columns, elections)`` of a nodes.csv; the first bad row raises, and
+    within it the first check in the order of the row's cells."""
+    header, col = read_columns(path, NODE_COLUMNS, rows_required=True)
+    for name in header:
+        if (name in NODE_COLUMNS or name.endswith(("_D", "_R"))) and header.count(name) > 1:
+            raise errors.IngestError(f"{path}: column {name!r} appears more than once")
+    contest_names = []
+    for name in header:
+        if name.endswith("_D"):
+            base = name[:-2]
+            if f"{base}_R" not in col:
+                raise errors.MissingColumn(f"{base}_R")
+            contest_names.append(base)
+        elif name.endswith("_R"):
+            base = name[:-2]
+            if f"{base}_D" not in col:
+                raise errors.MissingColumn(f"{base}_D")
+    checks = [("population", int), ("area", float), ("perimeter", float)]
+    for name in contest_names:
+        checks += [(f"{name}_D", int), (f"{name}_R", int), (name, None)]
+    values, faults = {}, []
+    for rank, (column, kind) in enumerate(checks):
+        if kind is None:
+            dem, rep = values[f"{column}_D"], values[f"{column}_R"]
+            rows = min(dem.size, rep.size)
+            negative = np.flatnonzero((dem[:rows] < 0) | (rep[:rows] < 0))
+            if negative.size:
+                i = int(negative[0])
+                faults.append((i, rank, errors.NonNumericVotes(
+                    f"{path}: row {i + 2}: negative votes in contest {column!r}"
+                )))
+            continue
+        values[column] = _parse_column(path, column, col[column], kind, rank, faults)
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
+    columns = {
+        name: values[name] if name in values else [cell.strip() for cell in col[name]]
+        for name in NODE_COLUMNS
+    }
+    contests = [
+        Contest(name, values[f"{name}_D"], values[f"{name}_R"]) for name in contest_names
+    ]
+    return columns, ElectionSet(contests)
+
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def _parse_column(path, column, raw, kind, rank, faults) -> np.ndarray:
+    cls = errors.NonNumericVotes if column.endswith(("_D", "_R")) else errors.BadNumericField
+    try:
+        parsed = list(map(kind, raw))
+    except ValueError:
+        parsed = []
+        for cell in raw:
+            try:
+                parsed.append(kind(cell))
+            except ValueError:
+                break
+        i = len(parsed)
+        faults.append((i, rank, cls(
+            f"{path}: row {i + 2}, column {column!r}: not numeric: {raw[i].strip()!r}"
+        )))
+    try:
+        return np.array(parsed, dtype=np.int64 if kind is int else np.float64)
+    except OverflowError:
+        i = next(i for i, v in enumerate(parsed) if not _INT64_MIN <= v <= _INT64_MAX)
+        faults.append((i, rank, cls(
+            f"{path}: row {i + 2}, column {column!r}: out of the 64-bit integer range: "
+            f"{raw[i].strip()!r}"
+        )))
+        return np.array(parsed[:i], dtype=np.int64)
 
 
 def read_edges(path, node_index: dict) -> tuple:

@@ -272,6 +272,29 @@ def test_enumerate_command(workdir, capsys):
     assert files[0] == "catalog_0000.csv"
 
 
+def test_enumerate_rerun_removes_the_earlier_catalog(workdir, capsys):
+    args = ["enumerate", "--config", CFG, "--set", "out_dir=out/cat"]
+    assert main(args + ["--set", "districts=4"]) == 0
+    assert main(args + ["--set", "districts=8"]) == 0
+    assert "catalog size: 36" in capsys.readouterr().out
+    files = sorted(os.listdir(workdir / "out/cat"))
+    assert files == [f"catalog_{i:04d}.csv" for i in range(36)]
+
+
+def test_config_directory_exits_2(workdir, capsys):
+    (workdir / "cfgdir").mkdir()
+    assert main(["chain", "--config", "cfgdir"]) == 2
+    assert capsys.readouterr().err == "ERROR ConfigError: cfgdir: cannot read (Is a directory)\n"
+
+
+def test_nodes_directory_exits_3(workdir, capsys):
+    (workdir / "nodesdir").mkdir()
+    assert main(["chain", "--config", CFG, "--set", "nodes=nodesdir"]) == 3
+    assert capsys.readouterr().err == (
+        "ERROR IngestError: nodesdir: cannot read (Is a directory)\n"
+    )
+
+
 def test_unknown_config_key_exits_2(workdir, capsys):
     code = main(["chain", "--config", CFG, "--set", "bogus=1"])
     assert code == 2
@@ -581,7 +604,8 @@ def test_set_without_equals_sign_exits_2(workdir, capsys):
 def test_config_line_without_equals_sign_exits_2(workdir, capsys):
     with open(CFG, "a", encoding="utf-8") as fh:
         fh.write("steps 10\n")
-    n_lines = len(open(CFG, encoding="utf-8").read().splitlines())
+    with open(CFG, encoding="utf-8") as fh:
+        n_lines = len(fh.read().splitlines())
     assert main(["chain", "--config", CFG]) == 2
     assert capsys.readouterr().err == (
         f"ERROR ConfigError: {CFG}: line {n_lines}: expected key = value\n"

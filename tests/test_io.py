@@ -389,6 +389,58 @@ def test_assignment_reader_matches_the_reference(tmp_path_factory, text):
     )
 
 
+_INT_CELLS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.sampled_from([
+        "0", "007", "000000000000000000", "999999999999999999", "100000000000000000",
+        "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+        "-9223372036854775809", "0009223372036854775807", "99999999999999999999",
+        "+7", "-3", "-0", " 7", "7 ", "\t12", " 5\t", "1_000", "\u0663", "\u00b2", "",
+    ]),
+)
+
+
+@st.composite
+def node_files(draw):
+    """The bytes of a nodes.csv whose integer cells mix plain digits with the
+    cells ``int()`` reads otherwise or refuses, with ids in multi-byte UTF-8,
+    columns in any order, LF or CRLF line ends and no final line break."""
+    header = list(draw(st.permutations(
+        ["precinct_id", "population", "county_id", "muni_id", "area", "perimeter",
+         "A_D", "A_R", "B_D", "B_R"])))
+    ids = st.sampled_from(["p0", "p1", "\u00e91", "\u533a\u57df", "\u00df9"])
+    cells = {"precinct_id": ids, "county_id": st.sampled_from(["C", "\u00c7"]),
+             "muni_id": st.just("M"), "area": st.sampled_from(["1.0", " 2.5", "3"]),
+             "perimeter": st.sampled_from(["4.0", "0.5"])}
+    rows = [",".join(draw(cells.get(name, _INT_CELLS)) for name in header)
+            for _ in range(draw(st.integers(1, 5)))]
+    text = draw(st.sampled_from(["\n", "\r\n"])).join([",".join(header)] + rows)
+    return (text + draw(st.sampled_from(["", "\n", "\r\n"]))).encode("utf-8")
+
+
+def _nodes_outcome(read, path):
+    """The columns and contests ``read`` returns, as dtypes and plain values,
+    or the class and message it raises."""
+    try:
+        columns, elections = read(path)
+    except errors.MapchainError as e:
+        return type(e), str(e)
+    plain = {name: (values.dtype, values.tolist()) if isinstance(values, np.ndarray) else values
+             for name, values in columns.items()}
+    return plain, [(c.name, c.dem.dtype, c.dem.tolist(), c.rep.dtype, c.rep.tolist())
+                   for c in elections]
+
+
+@given(node_files())
+@settings(max_examples=300, deadline=None)
+def test_node_reader_matches_the_reference(tmp_path_factory, data):
+    """Integer columns parsed from their bytes read as every cell through
+    ``int()`` does: the same arrays, or the same first bad row."""
+    path = tmp_path_factory.getbasetemp() / "nodes.csv"
+    path.write_bytes(data)
+    assert _nodes_outcome(read_nodes, path) == _nodes_outcome(io_reference.read_nodes, path)
+
+
 def _graph_fields(graph):
     """Every field of ``graph`` as plain Python values, to compare graphs."""
     values = {f.name: getattr(graph, f.name) for f in dataclasses.fields(graph)}
@@ -490,7 +542,8 @@ def test_trace_golden_file(tmp_path):
     )
     out = tmp_path / "trace.csv"
     write_trace(trace, out)
-    golden = open(os.path.join(GOLDEN, "trace_seed7.csv"), "rb").read()
+    with open(os.path.join(GOLDEN, "trace_seed7.csv"), "rb") as fh:
+        golden = fh.read()
     assert out.read_bytes() == golden
 
 
