@@ -21,7 +21,7 @@ from . import errors
 from .constraints import ConstraintGate, gate_accept, split_report
 from .graph import Plan, PrecinctGraph, concat_ranges, district_populations, is_contiguous
 from .metrics import MetricsConfig, MetricsReport, PlanTally, score_plan
-from .trees import bipartition_region
+from .trees import _Induced, bipartition_region
 
 PAIR_SELECTION = ("uniform", "edges")
 
@@ -38,14 +38,15 @@ class PairTable:
     them has an end among their nodes. :meth:`move` drops the entries that
     touch the two districts and re-reads the edges incident to their nodes,
     gathered through an incident-edge index built once: node v's edges, at
-    either end, are ``incident[start[v]:start[v + 1]]``. A step so costs
+    either end, are ``incident[start[v]:start[v] + degree[v]]``. A step so costs
     O(region + k), not O(n + m).
     """
 
     def __init__(self, graph: PrecinctGraph, plan: Plan, pair_selection: str):
         ends = np.concatenate([graph.edge_a, graph.edge_b])
         self.incident = np.tile(np.arange(graph.n_edges), 2)[np.argsort(ends, kind="stable")]
-        self.start = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=graph.n))])
+        self.degree = np.bincount(ends, minlength=graph.n)
+        self.start = np.cumsum(self.degree) - self.degree
         self.graph = graph
         by_edge = pair_selection == "edges"
         self.keys = None if by_edge else _adjacent_keys(graph, plan)
@@ -55,15 +56,14 @@ class PairTable:
         """Make this the table of ``plan``, which differs from the table's
         plan only in the two ``districts``; ``nodes`` are all their nodes."""
         graph, (d1, d2) = self.graph, districts
-        first = self.start[nodes]
-        edges = self.incident[concat_ranges(first, self.start[nodes + 1] - first)]
+        edges = self.incident[concat_ranges(self.start[nodes], self.degree[nodes])]
         a = plan.assignment[graph.edge_a[edges]]
         b = plan.assignment[graph.edge_b[edges]]
         cut = a != b
         if self.keys is not None:
             lo, hi = np.divmod(self.keys, plan.k)
             kept = self.keys[(lo != d1) & (lo != d2) & (hi != d1) & (hi != d2)]
-            self.keys = _union(kept, _pair_keys(a[cut], b[cut], plan.k))
+            self.keys = _union(kept, _pair_keys(a, b, plan.k)[cut])
         else:
             # the old cross edges that touch the two districts are among ``edges``
             at = np.searchsorted(self.cross, edges)
@@ -369,20 +369,23 @@ def random_tree_plan(
     rng: np.random.Generator,
     retry_budget: int = 50,
     tree_method: str = "uniform",
+    whole: "_Induced | None" = None,
 ):
     """One whole plan by recursive balanced bipartition, or None on failure.
 
     Each stage splits a region into halves targeted to carry ceil(k'/2) and
     floor(k'/2) districts with proportional populations; recursion stops at
     single-district regions. Absence (a stage exhausting ``retry_budget``)
-    is a value, not an error; callers retry or report.
+    is a value, not an error; callers retry or report. ``whole`` is the
+    subgraph induced on every node, which the first stage splits, for a
+    caller that draws many plans; it is built here when not given.
     """
     if not 1 <= k <= graph.n:
         raise ValueError(f"k must lie in 1..{graph.n}, got {k}")
     labels = np.full(graph.n, -1, dtype=np.int64)
     next_label = 0
 
-    def rec(region: np.ndarray, kk: int) -> bool:
+    def rec(region: np.ndarray, kk: int, induced=None) -> bool:
         nonlocal next_label
         if kk == 1:
             labels[region] = next_label
@@ -400,12 +403,13 @@ def random_tree_plan(
             rng,
             max_tree_retries=retry_budget,
             method=tree_method,
+            induced=induced,
         )
         if parts is None:
             return False
         return rec(parts[0], k1) and rec(parts[1], k2)
 
-    if rec(np.arange(graph.n, dtype=np.int64), k):
+    if rec(np.arange(graph.n, dtype=np.int64), k, whole):
         return Plan(labels, k)
     return None
 
@@ -429,11 +433,13 @@ def tree_ensemble(
     if n_plans < 1:
         raise ValueError("n_plans must be >= 1")
     trace = ChainTrace.empty(n_plans)
+    whole = _Induced(graph, np.arange(graph.n, dtype=np.int64))
     failures = 0
     t = 0
     while t < n_plans:
         plan = random_tree_plan(
-            graph, k, tolerance, rng, retry_budget=retry_budget, tree_method=tree_method
+            graph, k, tolerance, rng, retry_budget=retry_budget, tree_method=tree_method,
+            whole=whole,
         )
         if plan is None:
             failures += 1

@@ -165,7 +165,9 @@ class PrecinctGraph:
     column indexed by node ordinal; ``county_codes``/``muni_codes`` index
     ``county_names``/``muni_names``. Adjacency is stored once, as edge arrays
     sorted by ``(edge_a, edge_b)`` with ``edge_a < edge_b``; ``edge_shared``
-    is each edge's shared boundary.
+    is each edge's shared boundary. ``votes`` holds every contest's Democratic
+    counts, then every contest's Republican counts, one row each in contest
+    order; each ``Contest`` of ``elections`` has two of its rows as arrays.
     """
 
     precinct_ids: tuple
@@ -181,6 +183,7 @@ class PrecinctGraph:
     edge_a: np.ndarray
     edge_b: np.ndarray
     edge_shared: np.ndarray
+    votes: np.ndarray
 
     @property
     def n(self) -> int:
@@ -387,15 +390,10 @@ def build_graph_from_arrays(
                 raise errors.InvalidNodeData(
                     f"contest {contest.name!r} side {side}: negative vote count"
                 )
+    votes = np.array([c.dem for c in elections] + [c.rep for c in elections],
+                     dtype=np.int64).reshape(2 * len(elections), n)
     elections = ElectionSet(
-        [
-            Contest(
-                c.name,
-                np.ascontiguousarray(c.dem, dtype=np.int64),
-                np.ascontiguousarray(c.rep, dtype=np.int64),
-            )
-            for c in elections
-        ]
+        [Contest(c.name, votes[i], votes[len(elections) + i]) for i, c in enumerate(elections)]
     )
 
     labels = graph_components(n, edge_a, edge_b)
@@ -422,6 +420,7 @@ def build_graph_from_arrays(
         edge_a=edge_a,
         edge_b=edge_b,
         edge_shared=edge_shared,
+        votes=votes,
     )
 
 

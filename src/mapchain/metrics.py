@@ -7,11 +7,12 @@ across the sample and computes metrics once on the summed contest. The index
 convention overweights high-turnout contests and interacts badly with
 nonlinear metrics; both are reported so they can be compared.
 
-Each metric has one formula, over per-district arrays with one row per
-contest and the districts on the last axis. ``score_plan`` applies it to
-all of a :class:`PlanTally`'s rows at once; the public whole-plan helpers
-(``district_shares``, ``efficiency_gap``, ``seats_won``, ...) apply it to
-the one row of a single contest's ``np.bincount`` sums.
+The public whole-plan helpers (``district_shares``, ``efficiency_gap``,
+``seats_won``, ...) compute one contest's metric from whole per-district
+arrays. ``score_plan`` reads the same metrics off a :class:`PlanTally`,
+which keeps every sum across districts that the report needs and updates
+them for moved districts only; the tests hold its reports equal, bit for
+bit, to reports built from the whole-plan helpers.
 
 Sign conventions: shares are two-party Democratic; efficiency gap and
 mean-median are positive for pro-Republican advantage.
@@ -19,7 +20,9 @@ mean-median are positive for pro-Republican advantage.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +37,11 @@ from .graph import (
     district_perimeter_area,
     require_positive_perimeters,
 )
+
+
+_FOUR_PI = 4.0 * math.pi
+_SQRT2 = math.sqrt(2.0)
+_SCALE = 1 << 1074  # 2**1074 * x is a whole number for every finite double x
 
 
 @dataclass(frozen=True)
@@ -100,83 +108,54 @@ def _resolve_contest(graph: PrecinctGraph, contest) -> Contest:
     return graph.elections.get(contest)
 
 
-def _shares(dem, rep, contests) -> np.ndarray:
-    """Democratic two-party share of every district, from vote arrays with
-    one row per contest and the districts on the last axis; ``contests``
-    names the rows for the error a voteless district raises."""
+def _shares(dem, rep, contest: str) -> np.ndarray:
+    """Democratic two-party share of every district, from its vote totals;
+    ``contest`` names them for the error a voteless district raises."""
     total = dem + rep
     if (total == 0).any():
-        row, d = np.argwhere(total == 0)[0]
-        raise errors.ZeroVotesDistrict(int(d), contests[row])
+        raise errors.ZeroVotesDistrict(int(np.argmax(total == 0)), contest)
     return dem / total
 
 
-def _ties(shares) -> np.ndarray:
-    """Districts at share exactly 0.5, per row."""
-    return (shares == 0.5).sum(axis=-1)
-
-
-def _seats(shares) -> np.ndarray:
-    """Democratic seats per row: share > 0.5 wins outright, exact ties count 0.5."""
-    return (shares > 0.5).sum(axis=-1) + 0.5 * _ties(shares)
-
-
-def _seat_probabilities(shares, sigma: float) -> list:
-    """Each district's ``normal_cdf((share - 0.5) / sigma)``, one list per row."""
-    return [[normal_cdf(x) for x in row] for row in ((shares - 0.5) / sigma).tolist()]
-
-
-def _efficiency_gaps(dem, rep) -> np.ndarray:
-    """(Dem wasted - Rep wasted) / total votes per row; positive is pro-Republican.
+def _efficiency_gap(dem, rep) -> float:
+    """(Dem wasted - Rep wasted) / total votes; positive is pro-Republican.
 
     The loser wastes every vote; the winner wastes votes beyond half the
     district total, so at an exact tie each side wastes 0. Twice each
     district's wasted votes is then a whole number for whole vote counts, so
-    the row sums are exact and halving them gives the correctly rounded sums
+    the sums are exact and halving them gives the correctly rounded sums
     whatever the district order; the same holds for the total.
     """
-    dem_wasted = np.where(dem >= rep, dem - rep, 2 * dem).sum(axis=-1) / 2
-    rep_wasted = np.where(rep >= dem, rep - dem, 2 * rep).sum(axis=-1) / 2
-    return (dem_wasted - rep_wasted) / (dem + rep).sum(axis=-1)
-
-
-def _mean_medians(shares) -> list:
-    """Mean minus median of each row's shares; positive when Democratic
-    voters are packed (median below mean), i.e. pro-Republican, matching the
-    efficiency gap. ``math.fsum`` keeps the mean independent of district order."""
-    return [math.fsum(row) / len(row) - m
-            for row, m in zip(shares.tolist(), np.median(shares, axis=-1).tolist())]
-
-
-def _polsby_popper(perims: np.ndarray, areas: np.ndarray) -> float:
-    return math.fsum(4.0 * math.pi * areas / (perims * perims)) / perims.size
+    dem_wasted = np.where(dem >= rep, dem - rep, 2 * dem).sum() / 2
+    rep_wasted = np.where(rep >= dem, rep - dem, 2 * rep).sum() / 2
+    return float((dem_wasted - rep_wasted) / (dem + rep).sum())
 
 
 def _plan_votes(plan: Plan, contest: Contest):
-    """Per-district ``(dem, rep)`` totals of ``contest``, as one-row arrays."""
-    return tuple(np.bincount(plan.assignment, weights=votes, minlength=plan.k)[None]
+    """Per-district ``(dem, rep)`` totals of ``contest``."""
+    return tuple(np.bincount(plan.assignment, weights=votes, minlength=plan.k)
                  for votes in (contest.dem, contest.rep))
 
 
 def district_shares(graph: PrecinctGraph, plan: Plan, contest) -> np.ndarray:
     """Per-district Democratic two-party voteshare for one contest."""
     c = _resolve_contest(graph, contest)
-    return _shares(*_plan_votes(plan, c), (c.name,))[0]
+    return _shares(*_plan_votes(plan, c), c.name)
 
 
 def count_ties(shares) -> int:
     """Number of districts with share exactly 0.5."""
-    return int(_ties(np.asarray(shares)))
+    return int((np.asarray(shares) == 0.5).sum())
 
 
 def seats_won(shares) -> float:
     """Democratic seats: share > 0.5 wins outright, exact ties count 0.5."""
-    return float(_seats(np.asarray(shares, dtype=np.float64)))
+    return float((np.asarray(shares, dtype=np.float64) > 0.5).sum() + 0.5 * count_ties(shares))
 
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via erf; accurate to ~1e-15."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
 def seats_fractional(shares, sigma: float = 0.05) -> float:
@@ -186,32 +165,38 @@ def seats_fractional(shares, sigma: float = 0.05) -> float:
     approaches the outright seat count (ties kept at 0.5). fsum keeps the
     result independent of district ordering.
     """
-    return math.fsum(_seat_probabilities(np.asarray(shares, dtype=np.float64)[None], sigma)[0])
+    x = (np.asarray(shares, dtype=np.float64) - 0.5) / sigma
+    return math.fsum(normal_cdf(value) for value in x.tolist())
 
 
 def efficiency_gap_from_votes(dem, rep) -> float:
     """Efficiency gap of per-district whole vote counts; positive is pro-Republican."""
-    dem, rep = (np.asarray(votes, dtype=np.float64)[None] for votes in (dem, rep))
-    _shares(dem, rep, ("<votes>",))  # raises ZeroVotesDistrict for a voteless district
-    return float(_efficiency_gaps(dem, rep)[0])
+    dem, rep = (np.asarray(votes, dtype=np.float64) for votes in (dem, rep))
+    _shares(dem, rep, "<votes>")  # raises ZeroVotesDistrict for a voteless district
+    return _efficiency_gap(dem, rep)
 
 
 def efficiency_gap(graph: PrecinctGraph, plan: Plan, contest) -> float:
     """Efficiency gap of one contest; positive favors Republicans."""
     c = _resolve_contest(graph, contest)
     dem, rep = _plan_votes(plan, c)
-    _shares(dem, rep, (c.name,))
-    return float(_efficiency_gaps(dem, rep)[0])
+    _shares(dem, rep, c.name)
+    return _efficiency_gap(dem, rep)
 
 
 def mean_median(shares) -> float:
-    """Mean minus median of district Democratic shares (pro-Republican positive)."""
-    return _mean_medians(np.asarray(shares, dtype=np.float64)[None])[0]
+    """Mean minus median of district Democratic shares; positive when
+    Democratic voters are packed (median below mean), i.e. pro-Republican,
+    matching the efficiency gap. ``math.fsum`` keeps the mean independent of
+    district order."""
+    shares = np.asarray(shares, dtype=np.float64)
+    return math.fsum(shares.tolist()) / shares.size - float(np.median(shares))
 
 
 def polsby_popper(graph: PrecinctGraph, plan: Plan) -> float:
     """Unweighted district mean of 4*pi*area/perimeter^2."""
-    return _polsby_popper(*district_perimeter_area(graph, plan))
+    perims, areas = district_perimeter_area(graph, plan)
+    return math.fsum(_FOUR_PI * areas / (perims * perims)) / perims.size
 
 
 def vote_index(graph: PrecinctGraph, contest_sample) -> Contest:
@@ -223,6 +208,98 @@ def vote_index(graph: PrecinctGraph, contest_sample) -> Contest:
     rep = np.sum([c.rep for c in contests], axis=0, dtype=np.int64)
     name = "index(" + "+".join(c.name for c in contests) + ")"
     return Contest(name=name, dem=dem, rep=rep)
+
+
+def _exact(x: float) -> int:
+    """``x * 2**1074`` as an int, for any finite double ``x``. Sums of these are
+    exact, and ``sum / _SCALE`` is the correctly rounded sum of the floats,
+    which is what ``math.fsum`` returns."""
+    p, q = x.as_integer_ratio()
+    return p << (1075 - q.bit_length())
+
+
+class KeptRow:
+    """Every sum across districts that ``score_plan`` reads off one row (a
+    contest, or the vote index) of a plan, kept under updates of a few
+    districts.
+
+    Per district it keeps the row's votes and share, and the share and its
+    ``normal_cdf`` term as ``_exact`` ints. Across districts it keeps the
+    shares sorted, exact sums of the shares and of the terms, the win and tie
+    counts, twice the wasted votes of each side (as ``_efficiency_gap``
+    counts them) and the total votes, all as ints. A new row holds no
+    district; :meth:`update` adds each district it is given and takes out
+    that district's old entry, if it has one.
+    """
+
+    __slots__ = ("dem", "rep", "shares", "exact_shares", "exact_cdf", "ranked", "share_sum",
+                 "cdf_sum", "wins", "ties", "dem_wasted2", "rep_wasted2", "total")
+
+    def __init__(self, k: int):
+        self.dem = [0] * k
+        self.rep = [0] * k
+        self.shares = [0.0] * k
+        self.exact_shares = [0] * k
+        self.exact_cdf = [0] * k
+        self.ranked = []
+        self.share_sum = self.cdf_sum = self.wins = self.ties = 0
+        self.dem_wasted2 = self.rep_wasted2 = self.total = 0
+
+    def update(self, districts: list, dems: list, reps: list, sigma: float) -> None:
+        """Give ``districts`` the votes ``dems`` and ``reps``, never both 0."""
+        dem_of, rep_of, shares, ranked = self.dem, self.rep, self.shares, self.ranked
+        exact_shares, exact_cdf = self.exact_shares, self.exact_cdf
+        share_sum, cdf_sum, wins, ties = self.share_sum, self.cdf_sum, self.wins, self.ties
+        dem_wasted2, rep_wasted2, total = self.dem_wasted2, self.rep_wasted2, self.total
+        for d, dem, rep in zip(districts, dems, reps):
+            old_dem, old_rep = dem_of[d], rep_of[d]
+            if old_dem or old_rep:  # d is in the row: take its old entry out
+                old = shares[d]
+                del ranked[bisect_left(ranked, old)]
+                share_sum -= exact_shares[d]
+                cdf_sum -= exact_cdf[d]
+                if old > 0.5:
+                    wins -= 1
+                elif old == 0.5:
+                    ties -= 1
+                dem_wasted2 -= old_dem - old_rep if old_dem >= old_rep else 2 * old_dem
+                rep_wasted2 -= old_rep - old_dem if old_rep >= old_dem else 2 * old_rep
+                total -= old_dem + old_rep
+            share = dem / (dem + rep)
+            insort(ranked, share)
+            exact_shares[d] = x = _exact(share)
+            exact_cdf[d] = y = _exact(normal_cdf((share - 0.5) / sigma))
+            share_sum += x
+            cdf_sum += y
+            if share > 0.5:
+                wins += 1
+            elif share == 0.5:
+                ties += 1
+            dem_wasted2 += dem - rep if dem >= rep else 2 * dem
+            rep_wasted2 += rep - dem if rep >= dem else 2 * rep
+            total += dem + rep
+            dem_of[d], rep_of[d], shares[d] = dem, rep, share
+        self.share_sum, self.cdf_sum, self.wins, self.ties = share_sum, cdf_sum, wins, ties
+        self.dem_wasted2, self.rep_wasted2, self.total = dem_wasted2, rep_wasted2, total
+
+    def seats(self) -> float:
+        """Democratic seats: share > 0.5 wins outright, exact ties count 0.5."""
+        return self.wins + 0.5 * self.ties
+
+    def seats_fractional(self) -> float:
+        """The sum of the ``normal_cdf`` terms."""
+        return self.cdf_sum / _SCALE
+
+    def efficiency_gap(self) -> float:
+        """(Dem wasted - Rep wasted) / total votes, as ``_efficiency_gap``."""
+        return (self.dem_wasted2 / 2 - self.rep_wasted2 / 2) / self.total
+
+    def mean_median(self) -> float:
+        """Mean minus median of the shares, as ``mean_median``."""
+        ranked = self.ranked
+        k = len(ranked)
+        median = ranked[k // 2] if k % 2 else (ranked[k // 2 - 1] + ranked[k // 2]) / 2
+        return self.share_sum / _SCALE / k - median
 
 
 class TallyMove(NamedTuple):
@@ -239,39 +316,48 @@ class TallyMove(NamedTuple):
 
 
 class PlanTally:
-    """Per-district sums of one plan, from which ``score_plan`` reads its report.
+    """Per-district sums of one plan, and the sums across districts that
+    ``score_plan`` reads its report from.
 
     Built once from a whole plan; :meth:`propose` and :meth:`apply` move it
     to a plan that differs only in a few districts (a ReCom step's two) by
     recounting those districts from their own nodes, so a step costs
     O(region + k + units), not O(n). It holds, per district: dem and rep
-    votes for every contest of the graph (int64), area, and perimeter net of
-    twice the shared boundary of its internal edges; per county and
-    municipality, a dense int32 unit x district node-count matrix and the
-    number of districts each unit touches; and a cache of each district's
-    ``normal_cdf`` term per contest of the last config scored.
+    votes for every contest of the graph (``votes``, laid out as
+    ``graph.votes``), area, and perimeter net of twice the shared boundary of
+    its internal edges; per county and municipality, a dense int32 unit x
+    district node-count matrix and the number of districts each unit touches.
+
+    For the config it last scored, :meth:`kept_rows` keeps a
+    :class:`KeptRow` per contest and one for their vote index; the tally
+    also keeps the Polsby-Popper terms as ``_exact`` ints and their sum.
+    Only the districts moved since the last read are updated there, so
+    reading a ReCom step's report costs O(rows * log k); a new tally, or
+    another config, updates all k districts the same way.
 
     Every report equals a from-scratch one bit for bit. Vote sums are
     integers. A float sum of a district is recomputed from its nodes and
     internal edges in ascending global order, the order ``np.bincount`` adds
     in, never by adding and subtracting deltas. Sums across districts are
-    ``math.fsum`` or exact integer sums, neither of which depends on order.
+    exact integers, which do not depend on order.
     """
 
     def __init__(self, graph: PrecinctGraph, plan: Plan):
         k = plan.k
         self.graph = graph
         self.plan = plan
-        self.dem = np.zeros((len(graph.elections), k), dtype=np.int64)
-        self.rep = np.zeros((len(graph.elections), k), dtype=np.int64)
+        self.votes = np.zeros((graph.votes.shape[0], k), dtype=np.int64)
         self.areas = np.zeros(k)
         self.perimeters = np.zeros(k)
         self.unit_counts = tuple(np.zeros((n, k), dtype=np.int32) for _, n in unit_codes(graph))
         self.unit_pieces = tuple(np.zeros(n, dtype=np.int64) for _, n in unit_codes(graph))
         self.splits = None
-        self._cdf_key = None
-        self._cdf = None
-        self._stale = np.ones(k, dtype=bool)  # districts whose cdf terms are out of date
+        self.rows = None  # the KeptRow list of the config last read, keyed by _key
+        self._key = None
+        self._vote_rows = None  # rows of ``votes`` with that config's dem, and its rep
+        self._exact_pp = [0] * k  # each district's Polsby-Popper term, as an _exact int
+        self._pp_sum = 0
+        self._stale = np.ones(k, dtype=bool)  # districts moved since the last read
         self.apply(self.propose(plan, np.arange(k), np.arange(graph.n)))
 
     def propose(self, plan: Plan, districts: np.ndarray, nodes: np.ndarray) -> TallyMove:
@@ -295,9 +381,10 @@ class PlanTally:
         """Make this the tally of ``move.plan``, recounting only ``move.districts``."""
         graph, nodes, local, districts = self.graph, move.nodes, move.local, move.districts
         size = districts.size
-        for row, contest in enumerate(graph.elections):
-            self.dem[row, districts] = np.bincount(local, contest.dem[nodes], size)
-            self.rep[row, districts] = np.bincount(local, contest.rep[nodes], size)
+        # one gather of every contest's votes, district by district (none is empty)
+        order = np.argsort(local, kind="stable")
+        starts = np.searchsorted(local[order], np.arange(size))
+        self.votes[:, districts] = np.add.reduceat(graph.votes[:, nodes[order]], starts, axis=1)
         self.perimeters[districts], self.areas[districts] = district_geometry(
             graph, move.plan.assignment, nodes, local, size
         )
@@ -308,23 +395,50 @@ class PlanTally:
         self._stale[districts] = True
         self.plan = move.plan
 
-    def seat_probabilities(self, config: MetricsConfig, shares: np.ndarray) -> list:
-        """Each district's ``normal_cdf((share - 0.5) / sigma)`` per contest of
-        ``config``, as one list per contest, given their ``shares``; only the
-        districts moved since the last call with the same config are
-        recomputed."""
+    def kept_rows(self, config: MetricsConfig) -> list:
+        """The :class:`KeptRow` of each contest of ``config``, then of their
+        vote index, with every district moved since the last read updated
+        there and in the Polsby-Popper sum.
+
+        Raises ``ZeroVotesDistrict`` for the first voteless district of the
+        first contest that has one, then ``NegativePerimeter``, as a score
+        from scratch would, and then leaves the kept sums as they were."""
         key = (config.contests, config.fractional_sigma)
-        if key != self._cdf_key:
-            self._cdf_key = key
-            self._cdf = [[0.0] * shares.shape[1] for _ in range(shares.shape[0])]
+        if key != self._key:
+            contests = [self.graph.elections.index(name) for name in config.contests]
+            self._key = key
+            self._vote_rows = (contests, [len(self.graph.elections) + c for c in contests])
+            self.rows = [KeptRow(self.plan.k) for _ in range(len(contests) + 1)]
             self._stale[:] = True
         stale = np.flatnonzero(self._stale)
-        fresh = _seat_probabilities(shares[:, stale], config.fractional_sigma)
-        for terms, row in zip(self._cdf, fresh):
-            for d, value in zip(stale.tolist(), row):
-                terms[d] = value
-        self._stale[:] = False
-        return self._cdf
+        districts = stale.tolist()
+        votes = self.votes[:, stale].tolist()
+        dem_rows, rep_rows = self._vote_rows
+        dems = [votes[r] for r in dem_rows]
+        reps = [votes[r] for r in rep_rows]
+        for contest, row_dem, row_rep in zip(config.contests, dems, reps):
+            totals = list(map(add, row_dem, row_rep))
+            if 0 in totals:
+                raise errors.ZeroVotesDistrict(districts[totals.index(0)], contest)
+        areas, perims = self.areas[stale].tolist(), self.perimeters[stale].tolist()
+        if perims and min(perims) <= 0:
+            require_positive_perimeters(self.perimeters)
+        # the vote index row: each district's votes summed over the contests
+        dems.append(list(map(sum, zip(*dems))))
+        reps.append(list(map(sum, zip(*reps))))
+        for row, row_dem, row_rep in zip(self.rows, dems, reps):
+            row.update(districts, row_dem, row_rep, config.fractional_sigma)
+        exact_pp = self._exact_pp
+        for d, area, perim in zip(districts, areas, perims):
+            x = _exact(_FOUR_PI * area / (perim * perim))
+            self._pp_sum += x - exact_pp[d]
+            exact_pp[d] = x
+        self._stale[stale] = False
+        return self.rows
+
+    def polsby_popper(self) -> float:
+        """Unweighted district mean of 4*pi*area/perimeter^2, as of the last read."""
+        return self._pp_sum / _SCALE / self.plan.k
 
 
 def score_plan(
@@ -336,34 +450,21 @@ def score_plan(
         tally = PlanTally(graph, plan)
     elif tally.plan is not plan:
         raise ValueError("tally describes another plan")
-    rows = [graph.elections.index(name) for name in config.contests]
-    n_contests = len(rows)
-    # one row per contest, then the vote index (the contests' sum)
-    dem = tally.dem[rows]
-    rep = tally.rep[rows]
-    dem = np.vstack([dem, dem.sum(axis=0)])
-    rep = np.vstack([rep, rep.sum(axis=0)])
-    # the index row is 0 only where every contest row is, so a voteless
-    # district is always reported under a contest's name
-    shares = _shares(dem, rep, config.contests)
-    seats = _seats(shares).tolist()
-    egs = _efficiency_gaps(dem, rep).tolist()
-    mms = _mean_medians(shares)
-    frac = [math.fsum(terms) for terms in tally.seat_probabilities(config, shares[:n_contests])]
-    require_positive_perimeters(tally.perimeters)
+    *rows, index = tally.kept_rows(config)
+    n = len(rows)
     splits = tally.splits
     return MetricsReport(
-        seats_avg=math.fsum(seats[:n_contests]) / n_contests,
-        seats_fractional=math.fsum(frac) / n_contests,
-        seats_index=seats[n_contests],
-        efficiency_gap=math.fsum(egs[:n_contests]) / n_contests,
-        mean_median=math.fsum(mms[:n_contests]) / n_contests,
-        efficiency_gap_index=egs[n_contests],
-        mean_median_index=mms[n_contests],
-        polsby_popper=_polsby_popper(tally.perimeters, tally.areas),
+        seats_avg=math.fsum(row.seats() for row in rows) / n,
+        seats_fractional=math.fsum(row.seats_fractional() for row in rows) / n,
+        seats_index=index.seats(),
+        efficiency_gap=math.fsum(row.efficiency_gap() for row in rows) / n,
+        mean_median=math.fsum(row.mean_median() for row in rows) / n,
+        efficiency_gap_index=index.efficiency_gap(),
+        mean_median_index=index.mean_median(),
+        polsby_popper=tally.polsby_popper(),
         county_splits=splits.county_splits,
         muni_splits=splits.muni_splits,
         per_district_county_penalty=splits.per_district_county_penalty,
         pieces_count=splits.pieces_count,
-        tie_districts=int(_ties(shares).sum()),
+        tie_districts=sum(row.ties for row in rows) + index.ties,
     )

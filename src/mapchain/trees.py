@@ -389,6 +389,7 @@ def bipartition_region(
     rng: np.random.Generator,
     max_tree_retries: int = 50,
     method: str = "uniform",
+    induced: "_Induced | None" = None,
 ):
     """Split ``subset`` into two connected, population-balanced parts.
 
@@ -396,9 +397,12 @@ def bipartition_region(
     balanced cut; returns ``(part1, part2)`` node arrays aligned to
     ``target_pops``, or ``None`` once the budget is exhausted. Both parts are
     connected by construction (each is one side of a tree cut). Raises
-    ``DisconnectedSubset`` when ``subset`` is not connected.
+    ``DisconnectedSubset`` when ``subset`` is not connected. ``induced`` is
+    ``subset``'s induced subgraph, for a caller that splits one subset many
+    times; it is built here when not given.
     """
-    induced = _Induced(graph, subset)
+    if induced is None:
+        induced = _Induced(graph, subset)
     for _ in range(max_tree_retries):
         tree = _draw_tree(induced, rng, method)
         cut = find_balanced_cut(tree, target_pops, tolerance, rng)

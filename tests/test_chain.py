@@ -211,7 +211,13 @@ def unbalanced_split(graph, subset, *args, **kwargs):
 
 def corrupted_apply(tally, step_move):
     apply(tally, step_move)
-    tally.dem[0, step_move.districts[0]] += 1
+    tally.votes[0, step_move.districts[0]] += 1
+
+
+def corrupted_kept_sum(tally, step_move):
+    apply(tally, step_move)
+    if tally.rows is not None:  # kept since the tally's first score
+        tally.rows[0].share_sum *= 2
 
 
 def corrupted_move(table, plan, districts, nodes):
@@ -223,6 +229,7 @@ def corrupted_move(table, plan, districts, nodes):
 CORRUPTIONS = (
     ("population window", mapchain.chain, "bipartition_region", unbalanced_split, 1, 1),
     ("tally", PlanTally, "apply", corrupted_apply, 10, 5),
+    ("kept sum", PlanTally, "apply", corrupted_kept_sum, 10, 5),
     ("pair table", PairTable, "move", corrupted_move, 10, 5),
 )
 for check, owner, attribute, corrupted, steps, validate_every in CORRUPTIONS:
@@ -266,6 +273,12 @@ def test_invariant_check_survives_python_O(optimised_outcomes):
 def test_tally_check_survives_python_O(optimised_outcomes):
     assert optimised_outcomes["tally"] == "raised", (
         "run_chain kept scoring off a corrupted tally"
+    )
+
+
+def test_kept_sum_check_survives_python_O(optimised_outcomes):
+    assert optimised_outcomes["kept sum"] == "raised", (
+        "run_chain kept scoring off a corrupted kept share sum"
     )
 
 
@@ -443,7 +456,23 @@ def test_corrupt_tally_raises_at_the_next_check(grid4, band4, mcfg2, monkeypatch
 
     def corrupted(tally, move):
         apply(tally, move)
-        tally.dem[0, move.districts[0]] += 1
+        tally.votes[0, move.districts[0]] += 1
+
+    monkeypatch.setattr(PlanTally, "apply", corrupted)
+    with pytest.raises(errors.ChainInvariantViolated, match="step 4: the tally"):
+        run_chain(
+            grid4, band4, 10, 0.01, PERMISSIVE, mcfg2,
+            np.random.default_rng(0), validate_every=5,
+        )
+
+
+def test_corrupt_kept_sum_raises_at_the_next_check(grid4, band4, mcfg2, monkeypatch):
+    apply = PlanTally.apply
+
+    def corrupted(tally, move):
+        apply(tally, move)
+        if tally.rows is not None:  # kept since the tally's first score
+            tally.rows[0].share_sum *= 2
 
     monkeypatch.setattr(PlanTally, "apply", corrupted)
     with pytest.raises(errors.ChainInvariantViolated, match="step 4: the tally"):

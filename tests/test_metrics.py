@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from mapchain import errors
 from mapchain.graph import Contest, ElectionSet, Plan, build_graph
 from mapchain.metrics import (
     MetricsConfig,
+    PlanTally,
     count_ties,
     district_shares,
     efficiency_gap,
@@ -23,6 +25,7 @@ from mapchain.metrics import (
 )
 from mapchain.synth import grid_graph
 
+import score_reference
 from conftest import (
     edges_of, make_path_graph, make_two_node_graph, nodes_of, pathology_graph,
 )
@@ -266,3 +269,70 @@ def test_metrics_config_validation():
 def test_unknown_contest(grid4, band4):
     with pytest.raises(errors.UnknownContest):
         district_shares(grid4, band4, "GOVERNOR")
+
+
+def _outcome(score):
+    """The report ``score()`` returns, floats as hex so that equal is bit for
+    bit, or the district and contest of the ``ZeroVotesDistrict`` it raises."""
+    try:
+        report = score()
+    except errors.ZeroVotesDistrict as e:
+        return "ZeroVotesDistrict", e.district, e.contest
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report))
+
+
+# contest subsets and sigmas that a tally is read under in turn
+_CONFIGS = (
+    MetricsConfig(("A", "B")),
+    MetricsConfig(("A", "B"), 0.3),
+    MetricsConfig(("C",), 0.1),
+    MetricsConfig(("C", "A", "B")),
+)
+
+
+@st.composite
+def tally_moves(draw):
+    """A path graph whose votes (0, 1 or 2 a side per node) give districts of
+    share exactly 0.5, districts of equal share and voteless districts; a
+    plan with odd or even k; and moves, each of which reassigns the nodes of
+    a few districts among those districts, with a config to read after it."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n))
+    votes = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    contests = [Contest(name, np.array(draw(votes)), np.array(draw(votes))) for name in "ABC"]
+    graph = make_path_graph(n, contests=contests)
+
+    def covering(m, labels):
+        """``m`` draws from ``labels``, each label at least once."""
+        picks = list(labels) + draw(st.lists(st.sampled_from(labels), min_size=m - len(labels),
+                                             max_size=m - len(labels)))
+        return np.array(draw(st.permutations(picks)))
+
+    assignment = covering(n, range(k))
+    plans = [(None, Plan(assignment, k), draw(st.sampled_from(_CONFIGS)))]
+    for _ in range(draw(st.integers(1, 6))):
+        districts = np.array(sorted(draw(st.sets(st.integers(0, k - 1), min_size=1,
+                                                 max_size=min(k, 3)))))
+        nodes = np.flatnonzero(np.isin(assignment, districts))
+        assignment = assignment.copy()
+        assignment[nodes] = covering(nodes.size, districts.tolist())
+        plans.append((districts, Plan(assignment, k), draw(st.sampled_from(_CONFIGS))))
+    return graph, plans
+
+
+@given(tally_moves())
+@settings(max_examples=150, deadline=None)
+def test_kept_sums_match_the_reference_under_moves(case):
+    # each read of a moved tally, under any config, scores as the whole-plan
+    # reference and a fresh tally do, or names the same voteless district
+    graph, plans = case
+    tally = None
+    for districts, plan, config in plans:
+        if tally is None:
+            tally = PlanTally(graph, plan)
+        else:
+            nodes = np.flatnonzero(np.isin(plan.assignment, districts))
+            tally.apply(tally.propose(plan, districts, nodes))
+        kept = _outcome(lambda: score_plan(graph, plan, config, tally))
+        assert kept == _outcome(lambda: score_reference.score_plan(graph, plan, config))
+        assert kept == _outcome(lambda: score_plan(graph, plan, config))
