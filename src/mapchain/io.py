@@ -664,13 +664,15 @@ class RunConfig:
                 f"sweep_caps must all be >= 0, got {list(self.sweep_caps)}"
             )
         if self.burn_in < -1:
-            raise errors.ConfigError("burn_in must be >= 0, or -1 for auto")
+            raise errors.ConfigError(f"burn_in must be >= 0, or -1 for auto, got {self.burn_in}")
         if not 0.0 < self.pop_tolerance < 1.0:
             raise errors.ConfigError(
                 f"pop_tolerance must lie in (0, 1), got {self.pop_tolerance}"
             )
         if not 0.0 < self.fractional_sigma < 0.5:
-            raise errors.ConfigError("fractional_sigma must lie in (0, 0.5)")
+            raise errors.ConfigError(
+                f"fractional_sigma must lie in (0, 0.5), got {self.fractional_sigma}"
+            )
         for key, allowed in (
             ("mode", GATE_MODES),
             ("tree_method", TREE_METHODS),

@@ -11,8 +11,10 @@ The public whole-plan helpers (``district_shares``, ``efficiency_gap``,
 ``seats_won``, ...) compute one contest's metric from whole per-district
 arrays. ``score_plan`` reads the same metrics off a :class:`PlanTally`,
 which keeps every sum across districts that the report needs and updates
-them for moved districts only; the tests hold its reports equal, bit for
-bit, to reports built from the whole-plan helpers.
+them for moved districts only: per row, one record of integer counts per
+district and their sums, the shares sorted, and float sums held exactly
+(``_ExactSum``). The tests hold its reports equal, bit for bit, to reports
+built from the whole-plan helpers.
 
 Sign conventions: shares are two-party Democratic; efficiency gap and
 mean-median are positive for pro-Republican advantage.
@@ -210,12 +212,39 @@ def vote_index(graph: PrecinctGraph, contest_sample) -> Contest:
     return Contest(name=name, dem=dem, rep=rep)
 
 
-def _exact(x: float) -> int:
-    """``x * 2**1074`` as an int, for any finite double ``x``. Sums of these are
-    exact, and ``sum / _SCALE`` is the correctly rounded sum of the floats,
-    which is what ``math.fsum`` returns."""
-    p, q = x.as_integer_ratio()
-    return p << (1075 - q.bit_length())
+class _ExactSum:
+    """One float per district, each held as its exact int ``x * 2**1074``,
+    and their running total. Sums of these ints are exact, so :meth:`value`,
+    ``total / _SCALE``, is the correctly rounded sum of the floats, which is
+    what ``math.fsum`` returns, whatever order they were set in."""
+
+    __slots__ = ("terms", "total")
+
+    def __init__(self, k: int):
+        self.terms = [0] * k
+        self.total = 0
+
+    def set(self, d: int, x: float) -> None:
+        """Make ``x``, a finite float, district ``d``'s term."""
+        p, q = x.as_integer_ratio()
+        term = p << (1075 - q.bit_length())
+        self.total += term - self.terms[d]
+        self.terms[d] = term
+
+    def value(self) -> float:
+        return self.total / _SCALE
+
+
+def _record(dem: int, rep: int) -> tuple:
+    """One district's share, then its counts: win and tie (each 0 or 1),
+    twice each side's wasted votes (as ``_efficiency_gap`` counts them) and
+    its total votes."""
+    share = dem / (dem + rep)
+    return (share, share > 0.5, share == 0.5, dem - rep if dem >= rep else 2 * dem,
+            rep - dem if rep >= dem else 2 * rep, dem + rep)
+
+
+_NO_RECORD = (None, 0, 0, 0, 0, 0)  # the record of a district not yet in a row
 
 
 class KeptRow:
@@ -223,83 +252,70 @@ class KeptRow:
     contest, or the vote index) of a plan, kept under updates of a few
     districts.
 
-    Per district it keeps the row's votes and share, and the share and its
-    ``normal_cdf`` term as ``_exact`` ints. Across districts it keeps the
-    shares sorted, exact sums of the shares and of the terms, the win and tie
-    counts, twice the wasted votes of each side (as ``_efficiency_gap``
-    counts them) and the total votes, all as ints. A new row holds no
-    district; :meth:`update` adds each district it is given and takes out
-    that district's old entry, if it has one.
+    Per district it keeps its ``_record`` (share and counts) and the share
+    as a term of an :class:`_ExactSum`; a row built with a ``sigma`` (a
+    contest's) also keeps the district's ``normal_cdf`` term for fractional
+    seats in a second one. Across districts it keeps the shares sorted
+    (``ranked``) and the sum of each count (``counts``). A new row holds no
+    district; :meth:`update` takes each district's old record out, if it
+    has one, and adds its new one.
     """
 
-    __slots__ = ("dem", "rep", "shares", "exact_shares", "exact_cdf", "ranked", "share_sum",
-                 "cdf_sum", "wins", "ties", "dem_wasted2", "rep_wasted2", "total")
+    __slots__ = ("records", "ranked", "shares", "seat_terms", "sigma", "counts")
 
-    def __init__(self, k: int):
-        self.dem = [0] * k
-        self.rep = [0] * k
-        self.shares = [0.0] * k
-        self.exact_shares = [0] * k
-        self.exact_cdf = [0] * k
+    def __init__(self, k: int, sigma: float | None = None):
+        self.records = [_NO_RECORD] * k
         self.ranked = []
-        self.share_sum = self.cdf_sum = self.wins = self.ties = 0
-        self.dem_wasted2 = self.rep_wasted2 = self.total = 0
+        self.shares = _ExactSum(k)
+        self.seat_terms = None if sigma is None else _ExactSum(k)
+        self.sigma = sigma
+        self.counts = (0, 0, 0, 0, 0)
 
-    def update(self, districts: list, dems: list, reps: list, sigma: float) -> None:
+    def update(self, districts: list, dems: list, reps: list) -> None:
         """Give ``districts`` the votes ``dems`` and ``reps``, never both 0."""
-        dem_of, rep_of, shares, ranked = self.dem, self.rep, self.shares, self.ranked
-        exact_shares, exact_cdf = self.exact_shares, self.exact_cdf
-        share_sum, cdf_sum, wins, ties = self.share_sum, self.cdf_sum, self.wins, self.ties
-        dem_wasted2, rep_wasted2, total = self.dem_wasted2, self.rep_wasted2, self.total
+        records, ranked, sigma = self.records, self.ranked, self.sigma
+        set_share = self.shares.set
+        set_seat_term = None if sigma is None else self.seat_terms.set
+        wins, ties, dem_wasted2, rep_wasted2, total = self.counts
         for d, dem, rep in zip(districts, dems, reps):
-            old_dem, old_rep = dem_of[d], rep_of[d]
-            if old_dem or old_rep:  # d is in the row: take its old entry out
-                old = shares[d]
-                del ranked[bisect_left(ranked, old)]
-                share_sum -= exact_shares[d]
-                cdf_sum -= exact_cdf[d]
-                if old > 0.5:
-                    wins -= 1
-                elif old == 0.5:
-                    ties -= 1
-                dem_wasted2 -= old_dem - old_rep if old_dem >= old_rep else 2 * old_dem
-                rep_wasted2 -= old_rep - old_dem if old_rep >= old_dem else 2 * old_rep
-                total -= old_dem + old_rep
-            share = dem / (dem + rep)
+            old_share, w0, t0, dw0, rw0, n0 = records[d]
+            if old_share is not None:
+                del ranked[bisect_left(ranked, old_share)]
+            records[d] = share, w, t, dw, rw, n = _record(dem, rep)
             insort(ranked, share)
-            exact_shares[d] = x = _exact(share)
-            exact_cdf[d] = y = _exact(normal_cdf((share - 0.5) / sigma))
-            share_sum += x
-            cdf_sum += y
-            if share > 0.5:
-                wins += 1
-            elif share == 0.5:
-                ties += 1
-            dem_wasted2 += dem - rep if dem >= rep else 2 * dem
-            rep_wasted2 += rep - dem if rep >= dem else 2 * rep
-            total += dem + rep
-            dem_of[d], rep_of[d], shares[d] = dem, rep, share
-        self.share_sum, self.cdf_sum, self.wins, self.ties = share_sum, cdf_sum, wins, ties
-        self.dem_wasted2, self.rep_wasted2, self.total = dem_wasted2, rep_wasted2, total
+            set_share(d, share)
+            if set_seat_term is not None:
+                set_seat_term(d, normal_cdf((share - 0.5) / sigma))
+            wins += w - w0
+            ties += t - t0
+            dem_wasted2 += dw - dw0
+            rep_wasted2 += rw - rw0
+            total += n - n0
+        self.counts = wins, ties, dem_wasted2, rep_wasted2, total
 
     def seats(self) -> float:
         """Democratic seats: share > 0.5 wins outright, exact ties count 0.5."""
-        return self.wins + 0.5 * self.ties
+        return self.counts[0] + 0.5 * self.counts[1]
+
+    def ties(self) -> int:
+        """Districts of share exactly 0.5."""
+        return self.counts[1]
 
     def seats_fractional(self) -> float:
-        """The sum of the ``normal_cdf`` terms."""
-        return self.cdf_sum / _SCALE
+        """The sum of the ``normal_cdf`` terms (a row built with a sigma)."""
+        return self.seat_terms.value()
 
     def efficiency_gap(self) -> float:
         """(Dem wasted - Rep wasted) / total votes, as ``_efficiency_gap``."""
-        return (self.dem_wasted2 / 2 - self.rep_wasted2 / 2) / self.total
+        _, _, dem_wasted2, rep_wasted2, total = self.counts
+        return (dem_wasted2 / 2 - rep_wasted2 / 2) / total
 
     def mean_median(self) -> float:
         """Mean minus median of the shares, as ``mean_median``."""
         ranked = self.ranked
         k = len(ranked)
         median = ranked[k // 2] if k % 2 else (ranked[k // 2 - 1] + ranked[k // 2]) / 2
-        return self.share_sum / _SCALE / k - median
+        return self.shares.value() / k - median
 
 
 class TallyMove(NamedTuple):
@@ -329,11 +345,11 @@ class PlanTally:
     district node-count matrix and the number of districts each unit touches.
 
     For the config it last scored, :meth:`kept_rows` keeps a
-    :class:`KeptRow` per contest and one for their vote index; the tally
-    also keeps the Polsby-Popper terms as ``_exact`` ints and their sum.
-    Only the districts moved since the last read are updated there, so
-    reading a ReCom step's report costs O(rows * log k); a new tally, or
-    another config, updates all k districts the same way.
+    :class:`KeptRow` per contest, with the config's sigma, and one for their
+    vote index, without; the tally also keeps the Polsby-Popper terms in an
+    :class:`_ExactSum`. Only the districts moved since the last read are
+    updated there, so reading a ReCom step's report costs O(rows * log k); a
+    new tally, or another config, updates all k districts the same way.
 
     Every report equals a from-scratch one bit for bit. Vote sums are
     integers. A float sum of a district is recomputed from its nodes and
@@ -355,8 +371,7 @@ class PlanTally:
         self.rows = None  # the KeptRow list of the config last read, keyed by _key
         self._key = None
         self._vote_rows = None  # rows of ``votes`` with that config's dem, and its rep
-        self._exact_pp = [0] * k  # each district's Polsby-Popper term, as an _exact int
-        self._pp_sum = 0
+        self._pp_terms = _ExactSum(k)  # each district's Polsby-Popper term
         self._stale = np.ones(k, dtype=bool)  # districts moved since the last read
         self.apply(self.propose(plan, np.arange(k), np.arange(graph.n)))
 
@@ -408,7 +423,8 @@ class PlanTally:
             contests = [self.graph.elections.index(name) for name in config.contests]
             self._key = key
             self._vote_rows = (contests, [len(self.graph.elections) + c for c in contests])
-            self.rows = [KeptRow(self.plan.k) for _ in range(len(contests) + 1)]
+            k = self.plan.k
+            self.rows = [KeptRow(k, config.fractional_sigma) for _ in contests] + [KeptRow(k)]
             self._stale[:] = True
         stale = np.flatnonzero(self._stale)
         districts = stale.tolist()
@@ -427,18 +443,16 @@ class PlanTally:
         dems.append(list(map(sum, zip(*dems))))
         reps.append(list(map(sum, zip(*reps))))
         for row, row_dem, row_rep in zip(self.rows, dems, reps):
-            row.update(districts, row_dem, row_rep, config.fractional_sigma)
-        exact_pp = self._exact_pp
+            row.update(districts, row_dem, row_rep)
+        set_pp_term = self._pp_terms.set
         for d, area, perim in zip(districts, areas, perims):
-            x = _exact(_FOUR_PI * area / (perim * perim))
-            self._pp_sum += x - exact_pp[d]
-            exact_pp[d] = x
+            set_pp_term(d, _FOUR_PI * area / (perim * perim))
         self._stale[stale] = False
         return self.rows
 
     def polsby_popper(self) -> float:
         """Unweighted district mean of 4*pi*area/perimeter^2, as of the last read."""
-        return self._pp_sum / _SCALE / self.plan.k
+        return self._pp_terms.value() / self.plan.k
 
 
 def score_plan(
@@ -466,5 +480,5 @@ def score_plan(
         muni_splits=splits.muni_splits,
         per_district_county_penalty=splits.per_district_county_penalty,
         pieces_count=splits.pieces_count,
-        tie_districts=sum(row.ties for row in rows) + index.ties,
+        tie_districts=sum(row.ties() for row in rows) + index.ties(),
     )

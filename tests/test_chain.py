@@ -217,7 +217,7 @@ def corrupted_apply(tally, step_move):
 def corrupted_kept_sum(tally, step_move):
     apply(tally, step_move)
     if tally.rows is not None:  # kept since the tally's first score
-        tally.rows[0].share_sum *= 2
+        tally.rows[0].shares.total *= 2
 
 
 def corrupted_move(table, plan, districts, nodes):
@@ -472,7 +472,7 @@ def test_corrupt_kept_sum_raises_at_the_next_check(grid4, band4, mcfg2, monkeypa
     def corrupted(tally, move):
         apply(tally, move)
         if tally.rows is not None:  # kept since the tally's first score
-            tally.rows[0].share_sum *= 2
+            tally.rows[0].shares.total *= 2
 
     monkeypatch.setattr(PlanTally, "apply", corrupted)
     with pytest.raises(errors.ChainInvariantViolated, match="step 4: the tally"):

@@ -1,7 +1,10 @@
+import ast
+import pathlib
 import pickle
 
 import pytest
 
+import mapchain
 from mapchain import errors
 
 ERROR_CLASSES = sorted(
@@ -27,3 +30,17 @@ def test_error_survives_pickle_round_trip(cls):
     assert str(copy) == str(error)
     assert copy.args == error.args
     assert vars(copy) == vars(error)
+
+
+def test_no_assert_statement_in_the_package():
+    # invariant checks raise errors, so that they still run under python -O,
+    # which strips every assert statement
+    modules = sorted(pathlib.Path(mapchain.__file__).parent.rglob("*.py"))
+    assert len(modules) > 1
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import os
+import re
 import runpy
 
 import numpy as np
@@ -656,14 +657,17 @@ def test_config_unknown_key(tmp_path):
         ("n_chains", "0"),
         ("hist_bins", "0"),
         ("fractional_sigma", "0.7"),
+        ("burn_in", "-2"),
         ("tree_method", "bogus"),
         ("pair_selection", "bogus"),
     ],
 )
 def test_config_rejects_out_of_range(tmp_path, key, value):
+    # the message names the key and gives the bad value
     path = tmp_path / "run.cfg"
     path.write_text(f"nodes = n.csv\nedges = e.csv\n{key} = {value}\n")
-    with pytest.raises(errors.ConfigError):
+    got = rf"(got {re.escape(value)}|{re.escape(repr(value))})"
+    with pytest.raises(errors.ConfigError, match=rf"\b{key}\b.*{got}"):
         read_config(path)
 
 

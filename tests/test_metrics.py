@@ -11,6 +11,7 @@ from mapchain.graph import Contest, ElectionSet, Plan, build_graph
 from mapchain.metrics import (
     MetricsConfig,
     PlanTally,
+    _ExactSum,
     count_ties,
     district_shares,
     efficiency_gap,
@@ -336,3 +337,33 @@ def test_kept_sums_match_the_reference_under_moves(case):
         kept = _outcome(lambda: score_plan(graph, plan, config, tally))
         assert kept == _outcome(lambda: score_reference.score_plan(graph, plan, config))
         assert kept == _outcome(lambda: score_plan(graph, plan, config))
+
+
+# floats in [0, 1]: subnormals, both zeros, one half and ordinary values
+_TERMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324, 2.2250738585072014e-308]),
+    st.floats(0.0, 1e-300),
+    st.floats(0.0, 1.0),
+)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.tuples(st.integers(0, k - 1), _TERMS)))
+))
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_is_the_fsum_of_the_current_terms(case):
+    # after any sequence of sets, overwrites included, the kept sum reads as
+    # math.fsum of each district's latest float, bit for bit
+    k, sets = case
+    kept, terms = _ExactSum(k), [0.0] * k
+    assert kept.value() == 0.0
+    for d, x in sets:
+        kept.set(d, x)
+        terms[d] = x
+        assert kept.value().hex() == math.fsum(terms).hex()
+
+
+def test_score_plan_rejects_a_tally_of_another_plan(grid4, band4, mcfg2):
+    relabelled = Plan(band4.k - 1 - band4.assignment, band4.k)
+    with pytest.raises(ValueError, match="another plan"):
+        score_plan(grid4, relabelled, mcfg2, PlanTally(grid4, band4))
