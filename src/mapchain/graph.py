@@ -34,6 +34,7 @@ class PrecinctNode:
 # The node attributes, in nodes.csv column order; also the keys of the node
 # columns that build_graph_from_arrays takes.
 NODE_COLUMNS = tuple(f.name for f in fields(PrecinctNode))
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -335,7 +336,8 @@ def build_graph_from_arrays(
     perimeter that is not finite and > 0 (``InvalidNodeData``), checked in
     that order within a node. Then raises ``InvalidEdge`` (a self-loop, or a
     shared perimeter that is not finite and >= 0), ``MissingVoteColumn``,
-    ``InvalidNodeData`` for negative votes, or
+    ``InvalidNodeData`` for negative votes or for a population or vote
+    column whose total exceeds ``2**63 - 1``, or
     :class:`~mapchain.errors.DisconnectedGraph` (listing components).
     """
     ids = tuple(columns["precinct_id"])
@@ -392,6 +394,13 @@ def build_graph_from_arrays(
                 )
     votes = np.array([c.dem for c in elections] + [c.rep for c in elections],
                      dtype=np.int64).reshape(2 * len(elections), n)
+    # an int64 sum of a column whose total exceeds 2**63 - 1 wraps; the exact
+    # total is taken only where max * n could be that large
+    labels = ["population"] + [f"contest {c.name!r} side {s}" for s in "DR" for c in elections]
+    for label, column in zip(labels, [populations, *votes]):
+        total = sum(column.tolist()) if int(column.max()) * n > _INT64_MAX else 0
+        if total > _INT64_MAX:
+            raise errors.InvalidNodeData(f"{label}: total {total} exceeds 2**63 - 1")
     elections = ElectionSet(
         [Contest(c.name, votes[i], votes[len(elections) + i]) for i, c in enumerate(elections)]
     )

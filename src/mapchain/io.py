@@ -1,9 +1,10 @@
 """CSV ingestion and serialization, run configuration, and SVG histograms.
 
-File formats (all UTF-8, comma-delimited, header row required; lines end in
-LF, CRLF or CR; cells may be quoted as in RFC 4180; blank rows are skipped,
-and "row N" in a message counts non-blank records, the header as row 1; a
-column that a reader reads may appear only once):
+File formats (all UTF-8, one leading byte order mark dropped, comma-delimited,
+header row required; lines end in LF, CRLF or CR; cells may be quoted as in
+RFC 4180; blank rows are skipped, and "row N" in a message counts non-blank
+records, the header as row 1; a column that a reader reads may appear only
+once):
 
 * ``nodes.csv``: precinct_id, population, county_id, muni_id, area,
   perimeter, then one ``<contest>_D``/``<contest>_R`` column pair per
@@ -23,11 +24,13 @@ count column whose cells are all plain digits is read as numbers straight
 from those bytes. Any other file goes through ``csv``, which reads it the
 same way and reports its faults.
 
-The run configuration is a flat ``key = value`` text file whose keys match
+The run configuration is a flat ``key = value`` UTF-8 text file, read as the
+CSV files are with one leading byte order mark dropped, whose keys match
 :class:`RunConfig` fields exactly; unknown keys are errors.
 """
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import io
@@ -66,9 +69,10 @@ def _read_columns(path, required, rows_required=False, integer=None) -> tuple:
     column whose name ``integer(name)`` accepts and whose every cell is 1 to
     18 ASCII digits comes back as an int64 array instead. Any other file goes
     through ``csv`` (:func:`_csv_columns`), which alone reads quoted cells
-    and reports faulty files. Raises ``MissingFile``, ``IngestError`` for a
-    path that cannot be read, the errors of :func:`_csv_columns`, then
-    ``MissingColumn`` for the first absent ``required`` name.
+    and reports faulty files. One leading UTF-8 byte order mark is dropped
+    first. Raises ``MissingFile``, ``IngestError`` for a path that cannot be
+    read, the errors of :func:`_csv_columns`, then ``MissingColumn`` for the
+    first absent ``required`` name.
     """
     try:
         with open(path, "rb") as fh:
@@ -77,6 +81,7 @@ def _read_columns(path, required, rows_required=False, integer=None) -> tuple:
         raise errors.MissingFile(f"{path}: no such file") from None
     except OSError as e:
         raise errors.IngestError(f"{path}: cannot read ({e.strerror})") from None
+    data = data.removeprefix(codecs.BOM_UTF8)  # as a spreadsheet's "CSV UTF-8" writes it
     split = _split_columns(data, integer)
     header, columns = split if split else _csv_columns(path, data, rows_required)
     for name in required:
@@ -723,7 +728,7 @@ def read_config(path, overrides: Optional[dict] = None) -> RunConfig:
     (e.g. CLI flags) win over file values."""
     raw_values = {}  # key -> (where it was set, raw value)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):

@@ -10,11 +10,11 @@ nonlinear metrics; both are reported so they can be compared.
 The public whole-plan helpers (``district_shares``, ``efficiency_gap``,
 ``seats_won``, ...) compute one contest's metric from whole per-district
 arrays. ``score_plan`` reads the same metrics off a :class:`PlanTally`,
-which keeps every sum across districts that the report needs and updates
-them for moved districts only: per row, one record of integer counts per
-district and their sums, the shares sorted, and float sums held exactly
-(``_ExactSum``). The tests hold its reports equal, bit for bit, to reports
-built from the whole-plan helpers.
+which keeps what the report reads across districts and updates it for moved
+districts only: per row, one record of share and integer counts per
+district, the counts' sums and the shares sorted; float sums are
+``math.fsum`` of the kept terms, taken when read. The tests hold its reports
+equal, bit for bit, to reports built from the whole-plan helpers.
 
 Sign conventions: shares are two-party Democratic; efficiency gap and
 mean-median are positive for pro-Republican advantage.
@@ -22,7 +22,7 @@ mean-median are positive for pro-Republican advantage.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, fields
 from operator import add
 from typing import NamedTuple
@@ -43,7 +43,6 @@ from .graph import (
 
 _FOUR_PI = 4.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
-_SCALE = 1 << 1074  # 2**1074 * x is a whole number for every finite double x
 
 
 @dataclass(frozen=True)
@@ -212,39 +211,14 @@ def vote_index(graph: PrecinctGraph, contest_sample) -> Contest:
     return Contest(name=name, dem=dem, rep=rep)
 
 
-class _ExactSum:
-    """One float per district, each held as its exact int ``x * 2**1074``,
-    and their running total. Sums of these ints are exact, so :meth:`value`,
-    ``total / _SCALE``, is the correctly rounded sum of the floats, which is
-    what ``math.fsum`` returns, whatever order they were set in."""
-
-    __slots__ = ("terms", "total")
-
-    def __init__(self, k: int):
-        self.terms = [0] * k
-        self.total = 0
-
-    def set(self, d: int, x: float) -> None:
-        """Make ``x``, a finite float, district ``d``'s term."""
-        p, q = x.as_integer_ratio()
-        term = p << (1075 - q.bit_length())
-        self.total += term - self.terms[d]
-        self.terms[d] = term
-
-    def value(self) -> float:
-        return self.total / _SCALE
-
-
 def _record(dem: int, rep: int) -> tuple:
-    """One district's share, then its counts: win and tie (each 0 or 1),
-    twice each side's wasted votes (as ``_efficiency_gap`` counts them) and
-    its total votes."""
-    share = dem / (dem + rep)
-    return (share, share > 0.5, share == 0.5, dem - rep if dem >= rep else 2 * dem,
+    """One district's share, then its counts: twice each side's wasted votes
+    (as ``_efficiency_gap`` counts them) and its total votes."""
+    return (dem / (dem + rep), dem - rep if dem >= rep else 2 * dem,
             rep - dem if rep >= dem else 2 * rep, dem + rep)
 
 
-_NO_RECORD = (None, 0, 0, 0, 0, 0)  # the record of a district not yet in a row
+_NO_RECORD = (None, 0, 0, 0)  # the record of a district not yet in a row
 
 
 class KeptRow:
@@ -252,62 +226,57 @@ class KeptRow:
     contest, or the vote index) of a plan, kept under updates of a few
     districts.
 
-    Per district it keeps its ``_record`` (share and counts) and the share
-    as a term of an :class:`_ExactSum`; a row built with a ``sigma`` (a
-    contest's) also keeps the district's ``normal_cdf`` term for fractional
-    seats in a second one. Across districts it keeps the shares sorted
-    (``ranked``) and the sum of each count (``counts``). A new row holds no
-    district; :meth:`update` takes each district's old record out, if it
-    has one, and adds its new one.
+    Per district it keeps its ``_record`` (share and counts); a row built
+    with a ``sigma`` (a contest's) also keeps the district's ``normal_cdf``
+    term for fractional seats. Across districts it keeps the shares sorted
+    (``ranked``), from which seats and ties are counted, and the sum of each
+    count (``counts``). Float sums are ``math.fsum`` of the current terms,
+    taken when read. A new row holds no district; :meth:`update` takes each
+    district's old record out, if it has one, and adds its new one.
     """
 
-    __slots__ = ("records", "ranked", "shares", "seat_terms", "sigma", "counts")
+    __slots__ = ("records", "ranked", "seat_terms", "sigma", "counts")
 
     def __init__(self, k: int, sigma: float | None = None):
         self.records = [_NO_RECORD] * k
         self.ranked = []
-        self.shares = _ExactSum(k)
-        self.seat_terms = None if sigma is None else _ExactSum(k)
+        self.seat_terms = None if sigma is None else [0.0] * k
         self.sigma = sigma
-        self.counts = (0, 0, 0, 0, 0)
+        self.counts = (0, 0, 0)
 
     def update(self, districts: list, dems: list, reps: list) -> None:
         """Give ``districts`` the votes ``dems`` and ``reps``, never both 0."""
-        records, ranked, sigma = self.records, self.ranked, self.sigma
-        set_share = self.shares.set
-        set_seat_term = None if sigma is None else self.seat_terms.set
-        wins, ties, dem_wasted2, rep_wasted2, total = self.counts
+        records, ranked, seat_terms, sigma = self.records, self.ranked, self.seat_terms, self.sigma
+        dem_wasted2, rep_wasted2, total = self.counts
         for d, dem, rep in zip(districts, dems, reps):
-            old_share, w0, t0, dw0, rw0, n0 = records[d]
+            old_share, dw0, rw0, n0 = records[d]
             if old_share is not None:
                 del ranked[bisect_left(ranked, old_share)]
-            records[d] = share, w, t, dw, rw, n = _record(dem, rep)
+            records[d] = share, dw, rw, n = _record(dem, rep)
             insort(ranked, share)
-            set_share(d, share)
-            if set_seat_term is not None:
-                set_seat_term(d, normal_cdf((share - 0.5) / sigma))
-            wins += w - w0
-            ties += t - t0
+            if seat_terms is not None:
+                seat_terms[d] = normal_cdf((share - 0.5) / sigma)
             dem_wasted2 += dw - dw0
             rep_wasted2 += rw - rw0
             total += n - n0
-        self.counts = wins, ties, dem_wasted2, rep_wasted2, total
+        self.counts = dem_wasted2, rep_wasted2, total
 
     def seats(self) -> float:
         """Democratic seats: share > 0.5 wins outright, exact ties count 0.5."""
-        return self.counts[0] + 0.5 * self.counts[1]
+        ranked = self.ranked
+        return len(ranked) - bisect_right(ranked, 0.5) + 0.5 * self.ties()
 
     def ties(self) -> int:
         """Districts of share exactly 0.5."""
-        return self.counts[1]
+        return bisect_right(self.ranked, 0.5) - bisect_left(self.ranked, 0.5)
 
     def seats_fractional(self) -> float:
         """The sum of the ``normal_cdf`` terms (a row built with a sigma)."""
-        return self.seat_terms.value()
+        return math.fsum(self.seat_terms)
 
     def efficiency_gap(self) -> float:
         """(Dem wasted - Rep wasted) / total votes, as ``_efficiency_gap``."""
-        _, _, dem_wasted2, rep_wasted2, total = self.counts
+        dem_wasted2, rep_wasted2, total = self.counts
         return (dem_wasted2 / 2 - rep_wasted2 / 2) / total
 
     def mean_median(self) -> float:
@@ -315,7 +284,7 @@ class KeptRow:
         ranked = self.ranked
         k = len(ranked)
         median = ranked[k // 2] if k % 2 else (ranked[k // 2 - 1] + ranked[k // 2]) / 2
-        return self.shares.value() / k - median
+        return math.fsum(ranked) / k - median
 
 
 class TallyMove(NamedTuple):
@@ -346,16 +315,18 @@ class PlanTally:
 
     For the config it last scored, :meth:`kept_rows` keeps a
     :class:`KeptRow` per contest, with the config's sigma, and one for their
-    vote index, without; the tally also keeps the Polsby-Popper terms in an
-    :class:`_ExactSum`. Only the districts moved since the last read are
-    updated there, so reading a ReCom step's report costs O(rows * log k); a
-    new tally, or another config, updates all k districts the same way.
+    vote index, without; the tally also keeps each district's Polsby-Popper
+    term. Only the districts moved since the last read are updated there, so
+    a ReCom step's read updates in O(rows * log k) and then takes one
+    ``math.fsum`` over k terms per float sum; a new tally, or another config,
+    updates all k districts the same way.
 
     Every report equals a from-scratch one bit for bit. Vote sums are
     integers. A float sum of a district is recomputed from its nodes and
     internal edges in ascending global order, the order ``np.bincount`` adds
     in, never by adding and subtracting deltas. Sums across districts are
-    exact integers, which do not depend on order.
+    integer sums or ``math.fsum``, the correctly rounded sum, and neither
+    depends on order.
     """
 
     def __init__(self, graph: PrecinctGraph, plan: Plan):
@@ -371,7 +342,7 @@ class PlanTally:
         self.rows = None  # the KeptRow list of the config last read, keyed by _key
         self._key = None
         self._vote_rows = None  # rows of ``votes`` with that config's dem, and its rep
-        self._pp_terms = _ExactSum(k)  # each district's Polsby-Popper term
+        self._pp_terms = [0.0] * k  # each district's Polsby-Popper term
         self._stale = np.ones(k, dtype=bool)  # districts moved since the last read
         self.apply(self.propose(plan, np.arange(k), np.arange(graph.n)))
 
@@ -413,11 +384,13 @@ class PlanTally:
     def kept_rows(self, config: MetricsConfig) -> list:
         """The :class:`KeptRow` of each contest of ``config``, then of their
         vote index, with every district moved since the last read updated
-        there and in the Polsby-Popper sum.
+        there and in the Polsby-Popper terms.
 
         Raises ``ZeroVotesDistrict`` for the first voteless district of the
         first contest that has one, then ``NegativePerimeter``, as a score
-        from scratch would, and then leaves the kept sums as they were."""
+        from scratch would, then ``InvalidNodeData`` naming every district
+        whose Polsby-Popper term is not finite, and then leaves the kept
+        values as they were."""
         key = (config.contests, config.fractional_sigma)
         if key != self._key:
             contests = [self.graph.elections.index(name) for name in config.contests]
@@ -436,23 +409,30 @@ class PlanTally:
             totals = list(map(add, row_dem, row_rep))
             if 0 in totals:
                 raise errors.ZeroVotesDistrict(districts[totals.index(0)], contest)
-        areas, perims = self.areas[stale].tolist(), self.perimeters[stale].tolist()
-        if perims and min(perims) <= 0:
+        perims = self.perimeters[stale]
+        if perims.size and perims.min() <= 0:
             require_positive_perimeters(self.perimeters)
+        with np.errstate(all="ignore"):
+            pp_terms = _FOUR_PI * self.areas[stale] / (perims * perims)
+        finite = np.isfinite(pp_terms)
+        if not finite.all():
+            raise errors.InvalidNodeData(
+                f"districts {stale[~finite].tolist()} have a Polsby-Popper term "
+                "4*pi*area/perimeter^2 that is not finite; check area and perimeter inputs"
+            )
         # the vote index row: each district's votes summed over the contests
         dems.append(list(map(sum, zip(*dems))))
         reps.append(list(map(sum, zip(*reps))))
         for row, row_dem, row_rep in zip(self.rows, dems, reps):
             row.update(districts, row_dem, row_rep)
-        set_pp_term = self._pp_terms.set
-        for d, area, perim in zip(districts, areas, perims):
-            set_pp_term(d, _FOUR_PI * area / (perim * perim))
+        for d, term in zip(districts, pp_terms.tolist()):
+            self._pp_terms[d] = term
         self._stale[stale] = False
         return self.rows
 
     def polsby_popper(self) -> float:
         """Unweighted district mean of 4*pi*area/perimeter^2, as of the last read."""
-        return self._pp_terms.value() / self.plan.k
+        return math.fsum(self._pp_terms) / self.plan.k
 
 
 def score_plan(

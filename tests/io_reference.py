@@ -29,7 +29,7 @@ def read_columns(path, required, rows_required=False) -> tuple:
     ``MissingColumn`` for the first absent ``required`` name.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [row for row in reader if "".join(row).strip()]
     except FileNotFoundError:

@@ -217,7 +217,8 @@ def corrupted_apply(tally, step_move):
 def corrupted_kept_sum(tally, step_move):
     apply(tally, step_move)
     if tally.rows is not None:  # kept since the tally's first score
-        tally.rows[0].shares.total *= 2
+        dem_wasted2, rep_wasted2, total = tally.rows[0].counts
+        tally.rows[0].counts = dem_wasted2, rep_wasted2, 2 * total
 
 
 def corrupted_move(table, plan, districts, nodes):
@@ -278,7 +279,7 @@ def test_tally_check_survives_python_O(optimised_outcomes):
 
 def test_kept_sum_check_survives_python_O(optimised_outcomes):
     assert optimised_outcomes["kept sum"] == "raised", (
-        "run_chain kept scoring off a corrupted kept share sum"
+        "run_chain kept scoring off a corrupted kept vote total"
     )
 
 
@@ -472,7 +473,8 @@ def test_corrupt_kept_sum_raises_at_the_next_check(grid4, band4, mcfg2, monkeypa
     def corrupted(tally, move):
         apply(tally, move)
         if tally.rows is not None:  # kept since the tally's first score
-            tally.rows[0].shares.total *= 2
+            dem_wasted2, rep_wasted2, total = tally.rows[0].counts
+            tally.rows[0].counts = dem_wasted2, rep_wasted2, 2 * total
 
     monkeypatch.setattr(PlanTally, "apply", corrupted)
     with pytest.raises(errors.ChainInvariantViolated, match="step 4: the tally"):

@@ -413,25 +413,56 @@ def test_unreadable_csv_exits_3_with_one_error_line(workdir, capsys, name, tail,
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("name, row, column, value", [
-    pytest.param("nodes.csv", 1, "area", "inf", id="area-inf"),
-    pytest.param("nodes.csv", 1, "perimeter", "inf", id="perimeter-inf"),
-    pytest.param("edges.csv", 2, "shared_perimeter", "nan", id="shared-nan"),
-    pytest.param("edges.csv", 2, "shared_perimeter", "inf", id="shared-inf"),
+def _set_cells(path, column, value, rows=None):
+    """Set ``column`` to ``value`` in the given data rows (1 is the first;
+    every row when None) of a fixture CSV."""
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    for row in rows or range(1, len(lines)):
+        lines[row][lines[0].index(column)] = value
+    path.write_text("".join(",".join(cells) + "\n" for cells in lines))
+
+
+@pytest.mark.parametrize("name, row, column, value, expected", [
+    pytest.param("nodes.csv", 1, "area", "inf", "InvalidNodeData: p0:", id="area-inf"),
+    pytest.param("nodes.csv", 1, "perimeter", "inf", "InvalidNodeData: p0:", id="perimeter-inf"),
+    pytest.param("edges.csv", 2, "shared_perimeter", "nan", "InvalidEdge: edge (0, 4):",
+                 id="shared-nan"),
+    pytest.param("edges.csv", 2, "shared_perimeter", "inf", "InvalidEdge: edge (0, 4):",
+                 id="shared-inf"),
+    # finite, but 4*pi*area overflows in the Polsby-Popper term of p0's district
+    pytest.param("nodes.csv", 1, "area", "1e308", "InvalidNodeData: districts [",
+                 id="polsby-popper-inf"),
 ])
-@pytest.mark.parametrize("command", ["chain", "score"])
+@pytest.mark.parametrize("command", ["chain", "score", "tree"])
 def test_non_finite_geometry_exits_3_with_one_error_line(workdir, capsys, command,
-                                                         name, row, column, value):
+                                                         name, row, column, value, expected):
     # row 1 of nodes.csv is p0; row 2 of edges.csv is the internal edge p0,p4
-    path = workdir / "tests" / "fixtures" / "grid4" / name
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    rows[row][rows[0].index(column)] = value
-    path.write_text("".join(",".join(cells) + "\n" for cells in rows))
+    _set_cells(workdir / "tests" / "fixtures" / "grid4" / name, column, value, [row])
     assert main([command, "--config", CFG]) == 3
     err = capsys.readouterr().err
-    expected = "InvalidNodeData: p0:" if name == "nodes.csv" else "InvalidEdge: edge (0, 4):"
     assert err.startswith(f"ERROR {expected}")
     assert err.count("\n") == 1
+
+
+def test_vote_total_past_int64_exits_3_with_one_error_line(workdir, capsys):
+    # each cell fits in int64, but a four-node district's sum would wrap to 0
+    _set_cells(workdir / "tests" / "fixtures" / "grid4" / "nodes.csv", "PRES_D", str(2**62))
+    assert main(["score", "--config", CFG, "--set", "contests=PRES"]) == 3
+    assert capsys.readouterr().err == (
+        f"ERROR InvalidNodeData: contest 'PRES' side D: total {16 * 2**62} exceeds 2**63 - 1\n"
+    )
+
+
+def test_byte_order_mark_before_every_input_file_is_dropped(workdir):
+    # as a spreadsheet's "CSV UTF-8" export writes them
+    assert main(["chain", "--config", CFG, "--set", "out_dir=out/plain"]) == 0
+    for name in ("nodes.csv", "edges.csv", "assignment.csv", "chain.cfg"):
+        path = workdir / "tests" / "fixtures" / "grid4" / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(["chain", "--config", CFG, "--set", "out_dir=out/bom"]) == 0
+    assert (workdir / "out/bom/trace.csv").read_bytes() == (
+        workdir / "out/plain/trace.csv"
+    ).read_bytes()
 
 
 def test_config_not_utf8_exits_2_with_one_error_line(workdir, capsys):

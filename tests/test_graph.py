@@ -115,6 +115,28 @@ def test_bad_node_scalars():
         )
 
 
+@pytest.mark.parametrize("column, label", [
+    ("population", "population"), ("dem", "contest 'E' side D"), ("rep", "contest 'E' side R"),
+])
+def test_column_total_past_int64_is_rejected(column, label):
+    # an int64 sum of a column whose total exceeds 2**63 - 1 wraps: four
+    # nodes of 2**62 sum to 0
+    def path_of(values):
+        ones = [1] * len(values)
+        dem, rep = (values if column == side else ones for side in ("dem", "rep"))
+        contest = Contest("E", np.array(dem, dtype=np.int64), np.array(rep, dtype=np.int64))
+        pops = values if column == "population" else None
+        return make_path_graph(len(values), pops=pops, contests=[contest])
+
+    with pytest.raises(errors.InvalidNodeData) as raised:
+        path_of([2**62] * 4)
+    assert str(raised.value) == f"{label}: total {2**64} exceeds 2**63 - 1"
+    with pytest.raises(errors.InvalidNodeData, match="exceeds"):
+        path_of([2**62, 2**62])
+    assert path_of([2**62, 2**62 - 1]).n == 2  # a total of exactly 2**63 - 1 fits
+    assert path_of([2**63 - 1]).n == 1
+
+
 _FAULTS = st.one_of(
     st.tuples(st.just("precinct_id"), st.integers(0, 11).map(lambda j: f"p{j}")),
     st.tuples(st.just("population"), st.integers(-10**12, -1)),

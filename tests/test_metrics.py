@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapchain import errors
-from mapchain.graph import Contest, ElectionSet, Plan, build_graph
+from mapchain.graph import AdjacencyEdge, Contest, ElectionSet, Plan, PrecinctNode, build_graph
 from mapchain.metrics import (
     MetricsConfig,
     PlanTally,
-    _ExactSum,
     count_ties,
     district_shares,
     efficiency_gap,
@@ -339,28 +338,27 @@ def test_kept_sums_match_the_reference_under_moves(case):
         assert kept == _outcome(lambda: score_plan(graph, plan, config))
 
 
-# floats in [0, 1]: subnormals, both zeros, one half and ordinary values
-_TERMS = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324, 2.2250738585072014e-308]),
-    st.floats(0.0, 1e-300),
-    st.floats(0.0, 1.0),
-)
-
-
-@given(st.integers(1, 6).flatmap(
-    lambda k: st.tuples(st.just(k), st.lists(st.tuples(st.integers(0, k - 1), _TERMS)))
-))
-@settings(max_examples=300, deadline=None)
-def test_exact_sum_is_the_fsum_of_the_current_terms(case):
-    # after any sequence of sets, overwrites included, the kept sum reads as
-    # math.fsum of each district's latest float, bit for bit
-    k, sets = case
-    kept, terms = _ExactSum(k), [0.0] * k
-    assert kept.value() == 0.0
-    for d, x in sets:
-        kept.set(d, x)
-        terms[d] = x
-        assert kept.value().hex() == math.fsum(terms).hex()
+def test_non_finite_polsby_popper_term_raises_last_and_keeps_the_rows():
+    # each node's term is finite, but 4*pi*area of p0 and p1 together is not
+    nodes = [PrecinctNode(f"p{i}", 1, "C0", "M0", area, 4.0)
+             for i, area in enumerate([1e307, 1e307, 1.0, 1.0])]
+    contest = Contest("E", np.array([6, 4, 5, 0], dtype=np.int64),
+                      np.array([4, 6, 5, 0], dtype=np.int64))  # p3 has no votes
+    graph = build_graph(nodes, [AdjacencyEdge(i, i + 1) for i in range(3)], ElectionSet([contest]))
+    config = MetricsConfig(("E",))
+    with pytest.raises(errors.ZeroVotesDistrict):
+        score_plan(graph, Plan([0, 0, 1, 2], 3), config)
+    apart, together = Plan([0, 1, 1, 1], 2), Plan([0, 0, 1, 1], 2)
+    with pytest.raises(errors.InvalidNodeData, match=r"^districts \[0\] have a Polsby-Popper term"):
+        score_plan(graph, together, config)
+    tally = PlanTally(graph, apart)
+    before = score_plan(graph, apart, config, tally)
+    everything = np.arange(4)
+    tally.apply(tally.propose(together, np.arange(2), everything))
+    with pytest.raises(errors.InvalidNodeData):
+        score_plan(graph, together, config, tally)
+    tally.apply(tally.propose(apart, np.arange(2), everything))
+    assert score_plan(graph, apart, config, tally) == before == score_plan(graph, apart, config)
 
 
 def test_score_plan_rejects_a_tally_of_another_plan(grid4, band4, mcfg2):
