@@ -19,7 +19,14 @@ import numpy as np
 
 from . import errors
 from .constraints import ConstraintGate, gate_accept, split_report
-from .graph import Plan, PrecinctGraph, concat_ranges, district_populations, is_contiguous
+from .graph import (
+    Plan,
+    PrecinctGraph,
+    concat_ranges,
+    district_populations,
+    is_contiguous,
+    within_window,
+)
 from .metrics import MetricsConfig, MetricsReport, PlanTally, score_plan
 from .trees import _Induced, bipartition_region
 
@@ -263,13 +270,14 @@ def recom_step(
 
 def _plan_fault(graph: PrecinctGraph, plan: Plan, tolerance: float):
     """The first chain invariant ``plan`` breaks, as a message, or ``None``: districts
-    connected, then populations in the window ``find_balanced_cut`` cuts to."""
+    connected, then every district population within ``graph.within_window``
+    of the ideal, the rule ``find_balanced_cut`` cuts by."""
     flags = is_contiguous(graph, plan)
     if not all(flags):
         bad = [d for d, ok in enumerate(flags) if not ok]
         return f"contiguity: districts {bad} are disconnected"
     ideal = graph.total_population / plan.k
-    bad = np.flatnonzero(np.abs(district_populations(graph, plan) - ideal) > tolerance * ideal)
+    bad = np.flatnonzero(~within_window(district_populations(graph, plan), ideal, tolerance))
     if bad.size:
         return (f"population balance: districts {bad.tolist()} lie outside the population "
                 f"window, more than {tolerance:g} from ideal {ideal:g}")

@@ -4,7 +4,8 @@ The graph is immutable after construction: each node attribute (id,
 population, administrative units, precomputed area and perimeter) is one
 column indexed by node ordinal, and adjacency is one set of edge arrays with
 shared boundary lengths. No coordinate geometry anywhere. District labels
-are dense integers ``0..k-1``.
+are dense integers ``0..k-1``. :func:`within_window` is the one
+population-balance rule that the samplers and the oracle apply.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ class PrecinctNode:
 # The node attributes, in nodes.csv column order; also the keys of the node
 # columns that build_graph_from_arrays takes.
 NODE_COLUMNS = tuple(f.name for f in fields(PrecinctNode))
-_INT64_MAX = 2**63 - 1
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -398,8 +399,8 @@ def build_graph_from_arrays(
     # total is taken only where max * n could be that large
     labels = ["population"] + [f"contest {c.name!r} side {s}" for s in "DR" for c in elections]
     for label, column in zip(labels, [populations, *votes]):
-        total = sum(column.tolist()) if int(column.max()) * n > _INT64_MAX else 0
-        if total > _INT64_MAX:
+        total = sum(column.tolist()) if int(column.max()) * n > INT64_MAX else 0
+        if total > INT64_MAX:
             raise errors.InvalidNodeData(f"{label}: total {total} exceeds 2**63 - 1")
     elections = ElectionSet(
         [Contest(c.name, votes[i], votes[len(elections) + i]) for i, c in enumerate(elections)]
@@ -434,11 +435,19 @@ def build_graph_from_arrays(
 
 
 def district_populations(graph: PrecinctGraph, plan: Plan) -> np.ndarray:
-    """Population of each district; sums exactly to the graph total."""
-    out = np.bincount(
-        plan.assignment, weights=graph.populations.astype(np.float64), minlength=plan.k
-    )
-    return out.astype(np.int64)
+    """Population of each district, summed exactly in int64 (the graph total
+    fits in int64, so no district sum can wrap)."""
+    out = np.zeros(plan.k, dtype=np.int64)
+    np.add.at(out, plan.assignment, graph.populations)
+    return out
+
+
+def within_window(pops, target, tolerance: float):
+    """The population-balance rule, for a number or an array of populations:
+    ``abs(pops - target) <= tolerance * target``. The chain's cut search, its
+    plan check and the oracle's catalog all apply this one rule, so the
+    catalog lists exactly the plans the chain can accept."""
+    return abs(pops - target) <= tolerance * target
 
 
 def is_contiguous(graph: PrecinctGraph, plan: Plan) -> list:

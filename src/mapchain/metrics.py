@@ -32,6 +32,7 @@ import numpy as np
 from . import errors
 from .constraints import SplitReport, split_report, unit_codes, unit_district_counts
 from .graph import (
+    INT64_MAX,
     Contest,
     Plan,
     PrecinctGraph,
@@ -56,6 +57,9 @@ class MetricsConfig:
         object.__setattr__(self, "contests", tuple(self.contests))
         if not self.contests:
             raise errors.ConfigError("contest sample must be nonempty")
+        repeated = [c for i, c in enumerate(self.contests) if c in self.contests[:i]]
+        if repeated:
+            raise errors.ConfigError(f"contest {repeated[0]!r} is listed more than once")
         if not 0.0 < self.fractional_sigma < 0.5:
             raise errors.ConfigError(
                 f"fractional_sigma must lie in (0, 0.5), got {self.fractional_sigma}"
@@ -201,14 +205,32 @@ def polsby_popper(graph: PrecinctGraph, plan: Plan) -> float:
 
 
 def vote_index(graph: PrecinctGraph, contest_sample) -> Contest:
-    """Synthetic contest with per-precinct votes summed across the sample."""
+    """Synthetic contest with per-precinct votes summed across the sample;
+    raises ``InvalidNodeData`` (:func:`_index_votes`) where a sum would wrap."""
     contests = [_resolve_contest(graph, c) for c in contest_sample]
     if not contests:
         raise errors.ConfigError("vote_index needs a nonempty contest sample")
-    dem = np.sum([c.dem for c in contests], axis=0, dtype=np.int64)
-    rep = np.sum([c.rep for c in contests], axis=0, dtype=np.int64)
+    dem = _index_votes(graph, np.array([c.dem for c in contests], dtype=np.int64), "D")
+    rep = _index_votes(graph, np.array([c.rep for c in contests], dtype=np.int64), "R")
     name = "index(" + "+".join(c.name for c in contests) + ")"
     return Contest(name=name, dem=dem, rep=rep)
+
+
+def _index_votes(graph: PrecinctGraph, rows: np.ndarray, side: str) -> np.ndarray:
+    """Each precinct's sum of one side's ``rows`` of counts, in int64; raises
+    ``InvalidNodeData`` naming the first precinct whose sum exceeds
+    ``2**63 - 1``. The exact sums are taken only where the rows' largest
+    counts could add up that far."""
+    if sum(rows.max(axis=1).tolist()) > INT64_MAX:
+        exact = rows.sum(axis=0, dtype=object)
+        over = np.flatnonzero(exact > INT64_MAX)
+        if over.size:
+            i = int(over[0])
+            raise errors.InvalidNodeData(
+                f"{graph.precinct_ids[i]}: vote index side {side} sums to {exact[i]}, "
+                "which exceeds 2**63 - 1"
+            )
+    return rows.sum(axis=0)
 
 
 def _record(dem: int, rep: int) -> tuple:

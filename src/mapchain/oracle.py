@@ -4,7 +4,9 @@ Exhaustive enumeration of contiguous balanced partitions (bitmask recursion,
 guarded to <= 24 nodes) and a deliberately naive reimplementation of every
 metric. Both exist solely to check the fast paths: the enumerator defines
 the reachable state space for the samplers, and ``naive_score`` shares no
-code with :mod:`mapchain.metrics`.
+code with :mod:`mapchain.metrics`. The enumerator shares the samplers'
+population-balance rule (:func:`~mapchain.graph.within_window`), not their
+algorithms, so its catalog is exactly the set of plans the chain accepts.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .graph import Plan, PrecinctGraph, canonical_form
+from .graph import Plan, PrecinctGraph, canonical_form, within_window
 from .metrics import MetricsConfig, MetricsReport
 
 MAX_ENUM_NODES = 24
@@ -46,7 +48,9 @@ def _adj_masks(graph: PrecinctGraph):
 
 
 def enumerate_partitions(graph: PrecinctGraph, k: int, tolerance: float) -> PartitionCatalog:
-    """All plans with k connected districts inside the population window.
+    """All plans with k connected districts, each population within
+    :func:`~mapchain.graph.within_window` of the ideal: exactly the plans
+    ``chain.check_seed_plan`` accepts under a permissive gate.
 
     Districts are grown as connected sets seeded at the smallest unassigned
     node, so each partition is produced exactly once and already in
@@ -59,12 +63,13 @@ def enumerate_partitions(graph: PrecinctGraph, k: int, tolerance: float) -> Part
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
     pops = [int(p) for p in graph.populations]
-    total = sum(pops)
-    ideal = total / k
-    min_pop = ideal * (1.0 - tolerance)
-    max_pop = ideal * (1.0 + tolerance)
+    ideal = sum(pops) / k
     adj = _adj_masks(graph)
-    full = (1 << n) - 1
+
+    def too_big(pop: int) -> bool:
+        # populations only grow as a district grows, and above the ideal the
+        # rule only tightens, so no superset of a district rejected here fits
+        return pop > ideal and not within_window(pop, ideal, tolerance)
 
     def mask_pop(mask: int) -> int:
         pop = 0
@@ -76,8 +81,6 @@ def enumerate_partitions(graph: PrecinctGraph, k: int, tolerance: float) -> Part
         return pop
 
     def mask_connected(mask: int) -> bool:
-        if mask == 0:
-            return False
         start = (mask & -mask).bit_length() - 1
         seen = 1 << start
         stack = [start]
@@ -94,25 +97,23 @@ def enumerate_partitions(graph: PrecinctGraph, k: int, tolerance: float) -> Part
     def district_sets(seed: int, allowed: int):
         """Connected subsets of ``allowed`` containing seed, pop in window."""
         out = []
-        seed_pop = pops[seed]
-        if seed_pop > max_pop:
-            return out
 
         def rec(members: int, pop: int, cand: int, banned: int):
-            if pop >= min_pop:
+            if within_window(pop, ideal, tolerance):
                 out.append(members)
             while cand:
                 vb = cand & -cand
                 v = vb.bit_length() - 1
                 cand &= ~vb
                 new_pop = pop + pops[v]
-                if new_pop <= max_pop:
+                if not too_big(new_pop):
                     new_members = members | vb
                     new_cand = (cand | (adj[v] & allowed)) & ~new_members & ~banned
                     rec(new_members, new_pop, new_cand, banned)
                 banned |= vb
 
-        rec(1 << seed, seed_pop, adj[seed] & allowed & ~(1 << seed), 0)
+        if not too_big(pops[seed]):
+            rec(1 << seed, pops[seed], adj[seed] & allowed & ~(1 << seed), 0)
         return out
 
     assignments = []
@@ -127,27 +128,17 @@ def enumerate_partitions(graph: PrecinctGraph, k: int, tolerance: float) -> Part
 
     def rec_districts(remaining: int, d: int):
         if d == k - 1:
-            pop = mask_pop(remaining)
-            if min_pop <= pop <= max_pop and mask_connected(remaining):
+            if within_window(mask_pop(remaining), ideal, tolerance) and mask_connected(remaining):
                 assign_mask(remaining, d)
                 assignments.append(tuple(labels))
             return
-        left = k - d - 1
-        rem_pop = mask_pop(remaining)
         seed = (remaining & -remaining).bit_length() - 1
         for S in district_sets(seed, remaining):
-            rest = remaining & ~S
-            rest_pop = rem_pop - mask_pop(S)
-            if rest_pop < left * min_pop or rest_pop > left * max_pop:
-                continue
-            assign_mask(S, d)
-            rec_districts(rest, d + 1)
+            if S != remaining:  # every later district needs a node
+                assign_mask(S, d)
+                rec_districts(remaining & ~S, d + 1)
 
-    if k == 1:
-        if min_pop <= total <= max_pop:
-            assignments.append(tuple([0] * n))
-    else:
-        rec_districts(full, 0)
+    rec_districts((1 << n) - 1, 0)
 
     plans = tuple(Plan(np.array(a, dtype=np.int64), k) for a in assignments)
     return PartitionCatalog(

@@ -20,7 +20,13 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from . import errors
-from .graph import PrecinctGraph, component_labels, lower_end_edges, neighbor_lists
+from .graph import (
+    PrecinctGraph,
+    component_labels,
+    lower_end_edges,
+    neighbor_lists,
+    within_window,
+)
 
 TREE_METHODS = ("uniform", "mst")
 
@@ -358,7 +364,7 @@ def find_balanced_cut(
     """Tree edge whose removal yields parts within tolerance of the targets.
 
     An edge qualifies when its subtree/complement populations match
-    ``(p1, p2)`` in either orientation, each within ``tolerance * target``.
+    ``(p1, p2)`` in either orientation, each by :func:`~mapchain.graph.within_window`.
     Among multiple qualifying edges one is chosen uniformly at random (to
     avoid directional bias from the tree orientation). Returns ``None`` when
     no edge qualifies; absence is a value, not an error.
@@ -366,8 +372,8 @@ def find_balanced_cut(
     p1, p2 = float(target_pops[0]), float(target_pops[1])
     s = tree.subtree_pop
     c = tree.total_population - s
-    first = (np.abs(s - p1) <= tolerance * p1) & (np.abs(c - p2) <= tolerance * p2)
-    second = (np.abs(s - p2) <= tolerance * p2) & (np.abs(c - p1) <= tolerance * p1)
+    first = within_window(s, p1, tolerance) & within_window(c, p2, tolerance)
+    second = within_window(s, p2, tolerance) & within_window(c, p1, tolerance)
     ok = first | second
     ok[tree.root] = False
     qualifiers = np.flatnonzero(ok)

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 import mapchain
 from mapchain.cli import main
-from mapchain.io import RunConfig, write_assignment
+from mapchain.io import RunConfig, write_assignment, write_edges, write_nodes
 from mapchain.synth import band_plan, grid4_graph
+
+from conftest import make_path_graph
 
 GRID4 = os.path.join(os.path.dirname(__file__), "fixtures", "grid4")
 
@@ -281,6 +283,20 @@ def test_enumerate_rerun_removes_the_earlier_catalog(workdir, capsys):
     assert files == [f"catalog_{i:04d}.csv" for i in range(36)]
 
 
+def test_every_catalog_file_seeds_a_chain(workdir, capsys):
+    # 2-2-4 splits of 8 lie on the window's edge: 4 - 8/3 > 0.5 * 8/3 in floats
+    graph = make_path_graph(8)
+    write_nodes(graph, workdir / "path_nodes.csv")
+    write_edges(graph, workdir / "path_edges.csv")
+    path = ["--config", CFG, "--set", "nodes=path_nodes.csv", "--set", "edges=path_edges.csv",
+            "--set", "contests=E", "--set", "pop_tolerance=0.5"]
+    assert main(["enumerate", *path, "--set", "districts=3", "--set", "out_dir=out/cat"]) == 0
+    assert "catalog size: 3" in capsys.readouterr().out
+    for name in sorted(os.listdir(workdir / "out/cat")):
+        assert main(["chain", *path, "--set", f"assignment=out/cat/{name}",
+                     "--set", "steps=10", "--set", "out_dir=out/run"]) == 0, name
+
+
 def test_config_directory_exits_2(workdir, capsys):
     (workdir / "cfgdir").mkdir()
     assert main(["chain", "--config", "cfgdir"]) == 2
@@ -331,6 +347,7 @@ _NUMERIC_KEYS = [
         ["bench", "--set", "bench_iterations=0"],
         ["bench", "--set", "bench_tree_plans=0"],
         ["score", "--set", "assignment="],
+        ["chain", "--set", "contests=PRES,PRES"],
     ]
     + [["chain", "--set", f"{key}=abc"] for key in _NUMERIC_KEYS],
     ids=lambda argv: " ".join([argv[0]] + argv[2:]),

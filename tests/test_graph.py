@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapchain import errors
@@ -190,6 +190,30 @@ def test_district_populations_simple(grid22):
 
 def test_district_populations_row_bands(grid4, band4):
     assert district_populations(grid4, band4).tolist() == [4, 4, 4, 4]
+
+
+@st.composite
+def _populated_plans(draw):
+    pops = []
+    for _ in range(draw(st.integers(1, 8))):  # a graph total never passes 2**63 - 1
+        pops.append(draw(st.integers(0, min(2**62, 2**63 - 1 - sum(pops)))))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(pops), max_size=len(pops)))
+    dense = {}
+    labels = [dense.setdefault(label, len(dense)) for label in labels]
+    return pops, Plan(labels, len(dense))
+
+
+@given(_populated_plans())
+@example(([2**53, 1], Plan([0, 0], 1)))  # a float64 sum rounds 2**53 + 1 to 2**53
+@settings(max_examples=200, deadline=None)
+def test_district_populations_are_exact(case):
+    pops, plan = case
+    graph = make_path_graph(len(pops), pops=pops)
+    expected = [0] * plan.k
+    for d, pop in zip(plan.assignment.tolist(), pops):
+        expected[d] += pop
+    assert district_populations(graph, plan).tolist() == expected
+    assert sum(expected) == graph.total_population
 
 
 def test_is_contiguous_cases(grid4, grid22, band4):

@@ -153,6 +153,19 @@ def test_vote_index_worked_example():
     assert idx.rep[0] == 12
 
 
+def test_vote_index_sum_past_int64_raises():
+    # every column total fits in int64, but node 0's index sum would wrap to -2**63
+    contests = [Contest(name, np.array([dem, 0]), np.array([0, 1]))
+                for name, dem in (("A", 2**62), ("B", 2**62), ("C", 2**62 - 1))]
+    g = make_two_node_graph(contests)
+    with pytest.raises(errors.InvalidNodeData) as raised:
+        vote_index(g, ("A", "B"))
+    assert str(raised.value) == (
+        f"p0: vote index side D sums to {2**63}, which exceeds 2**63 - 1"
+    )
+    assert vote_index(g, ("A", "C")).dem.tolist() == [2**63 - 1, 0]  # exactly fits
+
+
 def test_vote_index_single_contest_identity(grid4):
     idx = vote_index(grid4, ("PRES",))
     pres = grid4.elections.get("PRES")
@@ -260,6 +273,8 @@ def test_turnout_scaling_invariance_per_contest(grid4, band4):
 def test_metrics_config_validation():
     with pytest.raises(errors.ConfigError):
         MetricsConfig(())
+    with pytest.raises(errors.ConfigError, match="contest 'PRES' is listed more than once"):
+        MetricsConfig(("PRES", "SEN", "PRES"))
     with pytest.raises(errors.ConfigError):
         MetricsConfig(("PRES",), fractional_sigma=0.5)
     with pytest.raises(errors.ConfigError):
