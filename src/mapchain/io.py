@@ -46,6 +46,7 @@ from .chain import PAIR_SELECTION, ChainTrace
 from .constraints import GATE_MODES
 from .diagnostics import AcfSeries, SweepResult, summarize
 from .graph import (
+    INT64_MAX,
     NODE_COLUMNS,
     Contest,
     ElectionSet,
@@ -272,7 +273,7 @@ def read_nodes(path):
     return columns, ElectionSet(contests)
 
 
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_INT64_MIN = int(np.iinfo(np.int64).min)
 
 
 def _parse_column(path, column, raw, kind, rank, faults) -> np.ndarray:
@@ -300,7 +301,7 @@ def _parse_column(path, column, raw, kind, rank, faults) -> np.ndarray:
     try:
         return np.array(parsed, dtype=np.int64 if kind is int else np.float64)
     except OverflowError:  # a fault at row i outranks every later one in this column
-        i = next(i for i, v in enumerate(parsed) if not _INT64_MIN <= v <= _INT64_MAX)
+        i = next(i for i, v in enumerate(parsed) if not _INT64_MIN <= v <= INT64_MAX)
         faults.append((i, rank, cls(
             f"{path}: row {i + 2}, column {column!r}: out of the 64-bit integer range: "
             f"{raw[i].strip()!r}"

@@ -219,18 +219,16 @@ def vote_index(graph: PrecinctGraph, contest_sample) -> Contest:
 def _index_votes(graph: PrecinctGraph, rows: np.ndarray, side: str) -> np.ndarray:
     """Each precinct's sum of one side's ``rows`` of counts, in int64; raises
     ``InvalidNodeData`` naming the first precinct whose sum exceeds
-    ``2**63 - 1``. The exact sums are taken only where the rows' largest
-    counts could add up that far."""
-    if sum(rows.max(axis=1).tolist()) > INT64_MAX:
-        exact = rows.sum(axis=0, dtype=object)
-        over = np.flatnonzero(exact > INT64_MAX)
-        if over.size:
-            i = int(over[0])
-            raise errors.InvalidNodeData(
-                f"{graph.precinct_ids[i]}: vote index side {side} sums to {exact[i]}, "
-                "which exceeds 2**63 - 1"
-            )
-    return rows.sum(axis=0)
+    ``2**63 - 1``."""
+    exact = rows.sum(axis=0, dtype=object)
+    over = np.flatnonzero(exact > INT64_MAX)
+    if over.size:
+        i = int(over[0])
+        raise errors.InvalidNodeData(
+            f"{graph.precinct_ids[i]}: vote index side {side} sums to {exact[i]}, "
+            "which exceeds 2**63 - 1"
+        )
+    return exact.astype(np.int64)
 
 
 def _record(dem: int, rep: int) -> tuple:
