@@ -68,9 +68,12 @@ class PairTable:
         b = plan.assignment[graph.edge_b[edges]]
         cut = a != b
         if self.keys is not None:
-            lo, hi = np.divmod(self.keys, plan.k)
-            kept = self.keys[(lo != d1) & (lo != d2) & (hi != d1) & (hi != d2)]
-            self.keys = _union(kept, _pair_keys(a, b, plan.k)[cut])
+            keys, k = self.keys, plan.k
+            lo = keys // k
+            moved = np.zeros(k, dtype=bool)
+            moved[d1] = moved[d2] = True
+            kept = keys[~(moved[lo] | moved[keys - lo * k])]
+            self.keys = _union(kept, _pair_keys(a, b, k)[cut])
         else:
             # the old cross edges that touch the two districts are among ``edges``
             at = np.searchsorted(self.cross, edges)
@@ -158,11 +161,14 @@ class ChainTrace:
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The distinct values of ``a`` and ``b``, ascending: ``np.union1d`` without
-    its overhead, which costs more than the rest of a table move."""
-    merged = np.concatenate([a, b])
-    merged.sort()
-    distinct = np.ones(merged.size, dtype=bool)
+    """The distinct values of ``a`` (ascending) and ``b`` (in any order),
+    ascending: ``np.union1d`` without its overhead, which costs more than the
+    rest of a table move. The stable sort (timsort) takes ``a`` as one sorted
+    run, so a large table costs a merge, not a full sort."""
+    merged = np.concatenate((a, b))
+    merged.sort(kind="stable")
+    distinct = np.empty(merged.size, dtype=bool)
+    distinct[:1] = True
     np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
     return merged[distinct]
 

@@ -225,7 +225,11 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
     words, redrawing while the low half of ``word * degree`` falls below
     ``2**32 % degree``, and drawing nothing at a degree-1 node. The words
     are drawn in chunks ahead of need, one chunk held at a time, and each
-    chunk is classified once into word intervals (``_word_codes``). A step
+    chunk is classified once into word intervals (``_word_codes``). A chunk
+    holds ``min(8 * m, 4096) + 64`` words: a walk uses many times m words (a
+    100-node strip about 33 m), so a draw pays each chunk's fixed cost only a
+    few times, and the cap keeps a large region from drawing far more words
+    than it uses. A step
     from a node u of degree 2.._TABLE_DEGREE is then one lookup in its row of
     next nodes (``_Induced.walk_table``). The lookup gives a value of m or
     more instead where the table does not decide: ``2 * m`` at a tree node,
@@ -235,7 +239,9 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
     neighbour, or the word rule above on the chunk's words as Python ints)
     until it reaches a node the table decides, or draws the next chunk. At
     the end the generator is reset and advanced by exactly the words used,
-    so it ends where the scalar calls would have left it.
+    so it ends where the scalar calls would have left it: the words the walk
+    reads, and so the tree and every later draw, do not depend on the chunk
+    size.
     """
     m = induced.m
     adj = induced.adj
@@ -275,7 +281,7 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
                 if d == 1:
                     succ[u] = u = adj[u][0]
                 elif pos == chunk:  # back to the table with the next chunk
-                    chunk = 2 * m + 64
+                    chunk = min(8 * m, 4096) + 64
                     block = rng.integers(0, _WORD, size=chunk, dtype=np.uint32)
                     codes = _word_codes(block)
                     words = None  # the block as ints, made on its first exact step

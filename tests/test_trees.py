@@ -299,13 +299,29 @@ def test_wilson_matches_reference_at_leaves(subset):
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+class _CountingRng:
+    """A generator that counts the chunks of words drawn from it: the
+    ``integers`` calls with a ``size``. ``_wilson`` reads nothing else of it
+    but ``bit_generator``."""
+
+    def __init__(self, rng):
+        self.rng, self.chunks = rng, 0
+        self.bit_generator = rng.bit_generator
+
+    def integers(self, *args, **kwargs):
+        self.chunks += "size" in kwargs
+        return self.rng.integers(*args, **kwargs)
+
+
 def test_wilson_matches_reference_across_word_chunks():
-    # a 144-node walk takes several chunks of 2 * 144 + 64 pre-drawn words
-    g = grid_graph(12, 12)
+    # a walk on a long 2 x 60 strip takes many times its 120 nodes in words,
+    # so it crosses the ends of several chunks of pre-drawn words
+    g = grid_graph(2, 60)
     induced = _Induced(g, np.arange(g.n))
     for seed in range(10):
-        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, rng_ref = _CountingRng(np.random.default_rng(seed)), np.random.default_rng(seed)
         parent, order = _wilson(induced, rng)
+        assert rng.chunks >= 3
         expected, expected_root = ref.wilson(induced, rng_ref)
         assert (parent, order[0]) == (expected.tolist(), expected_root)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
