@@ -44,16 +44,12 @@ class PairTable:
     An accepted step changes only its two districts, and every edge touching
     them has an end among their nodes. :meth:`move` drops the entries that
     touch the two districts and re-reads the edges incident to their nodes,
-    gathered through an incident-edge index built once: node v's edges, at
-    either end, are ``incident[start[v]:start[v] + degree[v]]``. A step so costs
-    O(region + k), not O(n + m).
+    gathered through the graph's neighbour index (``PrecinctGraph.neighbors``),
+    in whatever order it holds them. A step so costs O(region + k), not
+    O(n + m).
     """
 
     def __init__(self, graph: PrecinctGraph, plan: Plan, pair_selection: str):
-        ends = np.concatenate([graph.edge_a, graph.edge_b])
-        self.incident = np.tile(np.arange(graph.n_edges), 2)[np.argsort(ends, kind="stable")]
-        self.degree = np.bincount(ends, minlength=graph.n)
-        self.start = np.cumsum(self.degree) - self.degree
         self.graph = graph
         by_edge = pair_selection == "edges"
         self.keys = None if by_edge else _adjacent_keys(graph, plan)
@@ -63,7 +59,8 @@ class PairTable:
         """Make this the table of ``plan``, which differs from the table's
         plan only in the two ``districts``; ``nodes`` are all their nodes."""
         graph, (d1, d2) = self.graph, districts
-        edges = self.incident[concat_ranges(self.start[nodes], self.degree[nodes])]
+        index = graph.neighbors
+        edges = index.edges[concat_ranges(index.start[nodes], index.degree[nodes])]
         a = plan.assignment[graph.edge_a[edges]]
         b = plan.assignment[graph.edge_b[edges]]
         cut = a != b

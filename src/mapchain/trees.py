@@ -9,24 +9,23 @@ Two tree distributions are available. ``uniform`` draws a uniform spanning
 tree by Wilson's loop-erased random walk; ``mst`` draws the minimum spanning
 tree under i.i.d. random edge weights, which is faster on large regions but
 not uniform.
+
+A region's induced subgraph and its walk table are built in numpy from the
+graph's one neighbour index (``PrecinctGraph.neighbors``). Its connectivity
+is not checked up front: a disconnected subset raises ``DisconnectedSubset``
+from the first draw that meets it (see ``_Induced``, ``_wilson`` and
+``_random_mst``), so a connected one never pays for the check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from . import errors
-from .graph import (
-    PrecinctGraph,
-    component_labels,
-    lower_end_edges,
-    neighbor_lists,
-    within_window,
-)
+from .graph import PrecinctGraph, concat_ranges, graph_components, within_window
 
 TREE_METHODS = ("uniform", "mst")
 
@@ -48,9 +47,13 @@ _TABLE_DEGREE = 4
 
 
 def _word_intervals(top: int):
-    """The sorted first words of the intervals for degrees 2..``top``, and per
-    degree d in 0..``top`` the itemgetter that picks a row (see ``_walk_rows``)
-    out of a node's neighbours followed by its exit value, which is at index d."""
+    """The sorted first words of the intervals for degrees 2..``top``, and the
+    pick table: row d, for degrees 0..``top`` and ``top + 1`` standing for
+    every higher degree, holds per interval the position among a node's
+    neighbours that numpy picks at degree d from the interval's words, then
+    one more column for the end of a chunk of words. It holds -1 where the
+    walk must leave the table: in that last column, at a word numpy redraws,
+    and in every column of degrees 0, 1 and above ``top``."""
     starts, redrawn = {0}, {}
     for d in range(2, top + 1):
         redrawn[d] = set()
@@ -61,15 +64,24 @@ def _word_intervals(top: int):
                 redrawn[d].add(w)
                 starts.add(w + 1)
     starts = sorted(starts)
-    picks = [itemgetter(*[d] * (len(starts) + 1)) for d in (0, 1)]
+    pick = np.full((top + 2, len(starts) + 1), -1, dtype=np.int64)
     for d in range(2, top + 1):
-        picks.append(itemgetter(*[d if w in redrawn[d] else (w * d) >> 32 for w in starts], d))
-    return np.array(starts, dtype=np.uint32), tuple(picks)
+        pick[d, :-1] = [-1 if w in redrawn[d] else (w * d) >> 32 for w in starts]
+    return np.array(starts, dtype=np.uint32), pick
 
 
 _STARTS, _PICK = _word_intervals(_TABLE_DEGREE)
 _BOUNDS = _STARTS[1:]
 _END = _STARTS.size  # the column of every row that follows each chunk of words
+
+# A draw that has used more than this many words per node checks that its
+# region is connected. Draws on 100-node seed-plan strips of the 100 x 100
+# grid use 36 words per node on average; 14% of them use more than 64 and 2%
+# more than 128, and no draw on regions after 3,000 chain steps or on
+# tree-plan regions used more than 90. A check (csgraph) on a strip costs
+# more than building the whole region: about 120 us against 50 us on a 2-vCPU
+# Xeon VM.
+_CHECK_WORDS = 128
 
 
 def _word_codes(words: np.ndarray) -> list:
@@ -79,68 +91,76 @@ def _word_codes(words: np.ndarray) -> list:
     return codes
 
 
-def _walk_rows(adj: list) -> list:
-    """Per node u, its next node for each word interval c: ``row[c]`` is
-    ``adj[u][(w * d) >> 32]`` for the words w of interval c, or the exit
-    value ``m + u`` where the walk must leave the table: in column ``_END``,
-    for a word numpy redraws at degree d, and in every column when d is 0, 1
-    or above ``_TABLE_DEGREE``."""
-    m = len(adj)
-    return [
-        _PICK[len(nbrs)](nbrs + [m + u])
-        if len(nbrs) <= _TABLE_DEGREE
-        else (m + u,) * (_END + 1)
-        for u, nbrs in enumerate(adj)
-    ]
+def _not_connected(m: int) -> errors.DisconnectedSubset:
+    return errors.DisconnectedSubset(f"subset of {m} nodes does not induce a connected subgraph")
 
 
 class _Induced:
-    """Induced subgraph on a node subset, with local 0..m-1 indexing.
+    """Induced subgraph on a node subset, with local 0..m-1 indexing, gathered
+    from the graph's :class:`~mapchain.graph.NeighborIndex`.
 
-    ``adj[i]`` lists local node i's neighbours in ascending local order and
-    ``deg[i]`` is its length; ``pops[i]`` is local node i's population.
-    ``walk_table()`` holds what Wilson's walk reads besides these.
+    Local node i's neighbours are ``nbr[first[i]:first[i] + deg[i]]``, in
+    ascending local order; ``pops[i]`` is its population. ``edge_a`` <
+    ``edge_b`` are the local ends of the induced edges, in ascending graph
+    edge order, so that the mst weights line up. ``rows[i]`` is node i's row
+    of next walk nodes: ``rows[i][c]`` is the neighbour numpy picks from a
+    word of interval c, or the exit value ``m + i`` where the walk must leave
+    the table (see ``_word_intervals``); ``exact[i]`` tells whether node i
+    takes the exact step instead, at degree 1 or above ``_TABLE_DEGREE``.
+
+    A node of degree 0 in a subset of more than one node, or an induced edge
+    between two nodes of degree 1 in a subset of more than two, raises
+    ``DisconnectedSubset`` here: Wilson's walk could not leave either. Other
+    disconnected subsets raise from the draw (``require_connected``).
     """
 
-    __slots__ = ("nodes", "m", "adj", "deg", "pops", "edge_a", "edge_b", "_walk")
+    __slots__ = ("nodes", "m", "pops", "edge_a", "edge_b", "nbr", "first", "deg", "rows",
+                 "exact", "connected")
 
     def __init__(self, graph: PrecinctGraph, subset):
         nodes = np.unique(np.asarray(subset, dtype=np.int64))
         if nodes.size == 0:
             raise errors.EmptyInput("empty node subset")
+        if nodes[0] < 0 or nodes[-1] >= graph.n:
+            bad = nodes[0] if nodes[0] < 0 else nodes[np.searchsorted(nodes, graph.n)]
+            raise ValueError(f"node ordinal {bad} outside 0..{graph.n - 1}")
         self.nodes = nodes
-        self.m = int(nodes.size)
-        # the edges whose upper end is a node too, kept in ascending edge
-        # order so that the mst weights line up
-        edges, width = lower_end_edges(graph, nodes)
-        far = graph.edge_b[edges]
+        self.m = m = int(nodes.size)
+        index = graph.neighbors
+        width = index.degree[nodes]
+        far = index.nbrs[concat_ranges(index.start[nodes], width)]
         local = np.searchsorted(nodes, far)
-        inside = nodes[np.minimum(local, self.m - 1)] == far
-        self._set_edges(np.repeat(np.arange(self.m), width)[inside], local[inside])
+        inside = nodes[np.minimum(local, m - 1)] == far
+        near = np.arange(m).repeat(width)[inside]
+        nbr = local[inside]
+        upper = near < nbr
+        self._set_adjacency(near[upper], nbr[upper], nbr, np.bincount(near, minlength=m))
         self.pops = graph.populations[nodes].tolist()
 
-    def _set_edges(self, edge_a: np.ndarray, edge_b: np.ndarray) -> None:
-        """Keep the local edge list and the adjacency built from it. Raises
-        ``DisconnectedSubset`` when they do not connect the subset: Wilson's
-        walk would never reach the tree from another component."""
-        self.adj = neighbor_lists(self.m, edge_a, edge_b)
-        if component_labels(self.adj).any():
-            raise errors.DisconnectedSubset(
-                f"subset of {self.m} nodes does not induce a connected subgraph"
-            )
-        self.edge_a = edge_a
-        self.edge_b = edge_b
-        self.deg = [len(nbrs) for nbrs in self.adj]
-        self._walk = None
+    def _set_adjacency(self, edge_a, edge_b, nbr: np.ndarray, deg: np.ndarray) -> None:
+        """Keep the local edges and the neighbour lists ``nbr`` (every node's
+        in turn, ``deg`` each), and build the walk table from them."""
+        m = self.m
+        # an isolated node, or an edge whose two ends have no other neighbour
+        if m > 1 and not deg.all() or m > 2 and (deg[edge_a] + deg[edge_b] == 2).any():
+            raise _not_connected(m)
+        first = deg.cumsum() - deg
+        cols = _PICK[np.minimum(deg, _TABLE_DEGREE + 1)]
+        exits = np.arange(nbr.size, nbr.size + m)  # where m + u lies in ``ends``
+        ends = np.concatenate((nbr, np.arange(m, 2 * m)))
+        self.rows = ends[np.where(cols < 0, exits[:, None], first[:, None] + cols)].tolist()
+        self.exact = ((deg == 1) | (deg > _TABLE_DEGREE)).tolist()
+        self.edge_a, self.edge_b = edge_a, edge_b
+        self.nbr, self.first, self.deg = nbr.tolist(), first.tolist(), deg.tolist()
+        self.connected = m == 1
 
-    def walk_table(self):
-        """Per node, its row of next walk nodes (see ``_walk_rows``) and
-        whether it takes the exact step: degree 1 or above ``_TABLE_DEGREE``.
-        Built on the first uniform draw and kept for the retries."""
-        if self._walk is None:
-            exact = [d == 1 or d > _TABLE_DEGREE for d in self.deg]
-            self._walk = (_walk_rows(self.adj), exact)
-        return self._walk
+    def require_connected(self) -> None:
+        """Raise ``DisconnectedSubset`` unless the induced edges connect the
+        subset; checked once per region."""
+        if not self.connected:
+            if graph_components(self.m, self.edge_a, self.edge_b).max() > 0:
+                raise _not_connected(self.m)
+            self.connected = True
 
 
 @dataclass
@@ -229,31 +249,33 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
     holds ``min(8 * m, 4096) + 64`` words: a walk uses many times m words (a
     100-node strip about 33 m), so a draw pays each chunk's fixed cost only a
     few times, and the cap keeps a large region from drawing far more words
-    than it uses. A step
-    from a node u of degree 2.._TABLE_DEGREE is then one lookup in its row of
-    next nodes (``_Induced.walk_table``). The lookup gives a value of m or
-    more instead where the table does not decide: ``2 * m`` at a tree node,
-    which ends the walk, and u's exit value ``m + u`` at a node of another
-    degree, at a word numpy redraws and at the end of a chunk. The walk then
-    steps back over that word and takes exact steps (a degree-1 node's only
-    neighbour, or the word rule above on the chunk's words as Python ints)
-    until it reaches a node the table decides, or draws the next chunk. At
-    the end the generator is reset and advanced by exactly the words used,
-    so it ends where the scalar calls would have left it: the words the walk
-    reads, and so the tree and every later draw, do not depend on the chunk
-    size.
+    than it uses. A step from a node u of degree 2.._TABLE_DEGREE is then one
+    lookup in its row of next nodes (``_Induced.rows``). The lookup gives a
+    value of m or more instead where the table does not decide: ``2 * m`` at
+    a tree node, which ends the walk, and u's exit value ``m + u`` at a node
+    of another degree, at a word numpy redraws and at the end of a chunk. The
+    walk then steps back over that word and takes exact steps (a degree-1
+    node's only neighbour, or the word rule above on the chunk's words as
+    Python ints, read off the flat neighbour list ``_Induced.nbr``) until it
+    reaches a node the table decides, or draws the next chunk. At the end the
+    generator is reset and advanced by exactly the words used, so it ends
+    where the scalar calls would have left it: the words the walk reads, and
+    so the tree and every later draw, do not depend on the chunk size.
+
+    A walk never reaches the tree from a component of the subset that does
+    not hold the root. So once a draw has used more than ``_CHECK_WORDS * m``
+    words, it checks the subset's connectivity before its next chunk, once
+    per region, and raises ``DisconnectedSubset`` if it is not connected.
     """
     m = induced.m
-    adj = induced.adj
-    deg = induced.deg
-    rows, exact = induced.walk_table()
+    nbr, first, deg = induced.nbr, induced.first, induced.deg
     # a node that joins the tree gets a row of 2 * m, which is no node's exit
     # value; the walk writes it to the succ of the tree node it ends at, so
     # the tree's edges are kept apart in ``parent``
     tree_exit = 2 * m
-    tree_row = (tree_exit,) * (_END + 1)
-    rows = rows.copy()
-    exact = exact.copy()
+    tree_row = [tree_exit] * (_END + 1)
+    rows = induced.rows.copy()
+    exact = induced.exact.copy()
     root = int(rng.integers(m))
     rows[root] = tree_row
     exact[root] = False
@@ -264,6 +286,7 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
     block, words, codes = None, None, [_END]
     pos = chunk = 0  # codes[pos] is the next unused word's interval
     drawn = 0
+    check_at = None if induced.connected else _CHECK_WORDS * m
     for start in range(m):
         if rows[start] is tree_row:
             continue
@@ -279,8 +302,11 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
             while True:
                 d = deg[u]
                 if d == 1:
-                    succ[u] = u = adj[u][0]
+                    succ[u] = u = nbr[first[u]]
                 elif pos == chunk:  # back to the table with the next chunk
+                    if check_at is not None and drawn > check_at:
+                        induced.require_connected()
+                        check_at = None
                     chunk = min(8 * m, 4096) + 64
                     block = rng.integers(0, _WORD, size=chunk, dtype=np.uint32)
                     codes = _word_codes(block)
@@ -296,7 +322,7 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
                     # rejected: redraw at the same node (x & _MASK < d is the cheap precheck)
                     if x & _MASK < d and x & _MASK < _WORD % d:
                         continue
-                    succ[u] = u = adj[u][x >> 32]
+                    succ[u] = u = nbr[first[u] + (x >> 32)]
                 if not exact[u]:
                     break
         # the new branch runs from start to the tree: add it tree end first
@@ -315,7 +341,8 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
 
 
 def _random_mst(induced: _Induced, rng: np.random.Generator):
-    """Minimum spanning tree under i.i.d. uniform edge weights, rooted at local 0."""
+    """Minimum spanning tree under i.i.d. uniform edge weights, rooted at local
+    0. Raises ``DisconnectedSubset`` when the tree does not reach every node."""
     m = induced.m
     weights = rng.random(induced.edge_a.size)
     # csgraph drops zero entries; the smallest positive double keeps the order
@@ -324,6 +351,8 @@ def _random_mst(induced: _Induced, rng: np.random.Generator):
         coo_matrix((weights, (induced.edge_a, induced.edge_b)), shape=(m, m))
     )
     order, parent = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
+    if order.size < m:
+        raise _not_connected(m)
     parent[0] = -1
     return parent.tolist(), order.tolist()
 
@@ -337,7 +366,8 @@ def random_spanning_tree(
     """Spanning tree of the induced subgraph on ``subset``.
 
     Deterministic given the rng state. Raises ``DisconnectedSubset`` when the
-    induced subgraph is not connected.
+    induced subgraph is not connected, and ``ValueError`` for a node ordinal
+    outside ``0..graph.n - 1``.
     """
     return _draw_tree(_Induced(graph, subset), rng, method)
 

@@ -12,6 +12,8 @@ import numpy as np
 
 from mapchain.trees import _Induced
 
+from tree_reference import neighbor_lists
+
 
 def cross_edges(graph, plan) -> np.ndarray:
     """Ids of the edges whose ends lie in different districts, ascending."""
@@ -48,7 +50,8 @@ class RecountedPairs:
 
 class MaskedInduced(_Induced):
     """``_Induced`` built by mapping every graph node to its local index and
-    masking all edges, which keeps them in ascending edge order."""
+    masking all edges, which keeps them in ascending edge order, with
+    neighbour lists sorted from those edges."""
 
     def __init__(self, graph, subset):
         nodes = np.unique(np.asarray(subset, dtype=np.int64))
@@ -59,5 +62,8 @@ class MaskedInduced(_Induced):
         la = local_of[graph.edge_a]
         lb = local_of[graph.edge_b]
         mask = (la >= 0) & (lb >= 0)
-        self._set_edges(la[mask], lb[mask])
+        adj = neighbor_lists(self.m, la[mask], lb[mask])
+        nbr = np.array([v for nbrs in adj for v in nbrs], dtype=np.int64)
+        deg = np.array([len(nbrs) for nbrs in adj], dtype=np.int64)
+        self._set_adjacency(la[mask], lb[mask], nbr, deg)
         self.pops = graph.populations[nodes].tolist()

@@ -87,6 +87,26 @@ def pathology_graph(fifth_scale=1):
     return make_two_node_graph(contests)
 
 
+class CountingRng:
+    """A generator that counts the chunks of words drawn from it: the
+    ``integers`` calls with a ``size``. Past ``limit`` chunks it raises, so
+    a Wilson walk that never ends fails instead of hanging. The tree kernels
+    read nothing else of it but ``random`` and ``bit_generator``."""
+
+    def __init__(self, rng, limit=None):
+        self.rng, self.chunks, self.limit = rng, 0, limit
+        self.bit_generator = rng.bit_generator
+
+    def integers(self, *args, **kwargs):
+        self.chunks += "size" in kwargs
+        if self.limit is not None and self.chunks > self.limit:
+            raise RuntimeError(f"more than {self.limit} chunks of words drawn")
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
+
+
 @pytest.fixture(scope="session")
 def grid4():
     return grid4_graph()

@@ -19,9 +19,9 @@ from mapchain.graph import (
     is_contiguous,
 )
 from mapchain.synth import grid_graph, grid_nodes_edges
-from mapchain.trees import _Induced
+from mapchain.trees import TREE_METHODS, _Induced, random_spanning_tree
 
-from conftest import make_path_graph
+from conftest import CountingRng, make_path_graph
 from graph_reference import first_node_fault
 
 
@@ -362,14 +362,18 @@ def test_induced_adjacency_on_irregular_graphs(data):
     g = build_graph(unit_nodes(n), [AdjacencyEdge(a, b) for a, b in pairs], small_election(n))
     subset = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
     if not _flood_fill_connected(g, subset):
-        with pytest.raises(errors.DisconnectedSubset):
-            _Induced(g, subset)
+        # the region is built or not, but no tree draw over it succeeds
+        for method in TREE_METHODS:
+            rng = CountingRng(np.random.default_rng(0), 1000)
+            with pytest.raises(errors.DisconnectedSubset):
+                random_spanning_tree(g, subset, rng, method=method)
         return
     induced = _Induced(g, subset)
     local = {v: i for i, v in enumerate(subset)}
     for i, v in enumerate(subset):
         inside = {a if b == v else b for a, b in pairs if v in (a, b)} & local.keys()
-        assert induced.adj[i] == sorted(local[u] for u in inside)
+        first, deg = induced.first[i], induced.deg[i]
+        assert induced.nbr[first:first + deg] == sorted(local[u] for u in inside)
 
 
 @given(st.data())

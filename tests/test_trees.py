@@ -15,7 +15,6 @@ from mapchain.trees import (
     _TABLE_DEGREE,
     _Induced,
     _random_mst,
-    _walk_rows,
     _wilson,
     _word_codes,
     bipartition_region,
@@ -23,7 +22,7 @@ from mapchain.trees import (
     random_spanning_tree,
 )
 
-from conftest import make_path_graph, make_star_graph
+from conftest import CountingRng, make_path_graph, make_star_graph
 from test_graph import irregular_edges, small_election
 
 
@@ -299,27 +298,13 @@ def test_wilson_matches_reference_at_leaves(subset):
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
-class _CountingRng:
-    """A generator that counts the chunks of words drawn from it: the
-    ``integers`` calls with a ``size``. ``_wilson`` reads nothing else of it
-    but ``bit_generator``."""
-
-    def __init__(self, rng):
-        self.rng, self.chunks = rng, 0
-        self.bit_generator = rng.bit_generator
-
-    def integers(self, *args, **kwargs):
-        self.chunks += "size" in kwargs
-        return self.rng.integers(*args, **kwargs)
-
-
 def test_wilson_matches_reference_across_word_chunks():
     # a walk on a long 2 x 60 strip takes many times its 120 nodes in words,
     # so it crosses the ends of several chunks of pre-drawn words
     g = grid_graph(2, 60)
     induced = _Induced(g, np.arange(g.n))
     for seed in range(10):
-        rng, rng_ref = _CountingRng(np.random.default_rng(seed)), np.random.default_rng(seed)
+        rng, rng_ref = CountingRng(np.random.default_rng(seed)), np.random.default_rng(seed)
         parent, order = _wilson(induced, rng)
         assert rng.chunks >= 3
         expected, expected_root = ref.wilson(induced, rng_ref)
@@ -368,7 +353,7 @@ def test_wilson_redraws_rejected_words_as_numpy_does():
 def test_word_intervals_pick_as_numpy_does(d):
     # node 0 of a star has neighbours 1..d, so its row holds pick + 1, and
     # its exit value is m + 0 = d + 1
-    row = _walk_rows([list(range(1, d + 1))] + [[0]] * d)[0]
+    row = _Induced(make_star_graph(d), range(d + 1)).rows[0]
     exit_value = d + 1
     words = {0, 1, 2**32 - 1}
     for bound in _STARTS.tolist() + [-(-(j << 32) // d) for j in range(d)]:
@@ -421,3 +406,115 @@ def test_mst_keeps_a_zero_weight_edge():
         expected, _ = ref.kruskal(induced, _rng_next_output_zero(seed))
         assert parent == expected.tolist()
         assert parent[1] == 0
+
+
+# --- the numpy region build against the per-node reference table (tree_reference.py)
+
+
+def _reference_adjacency(graph, subset):
+    """The local edges of ``subset`` in ascending edge order, masked out of all
+    edges, and each local node's neighbours in ascending order."""
+    nodes = np.asarray(subset)
+    local_of = np.full(graph.n, -1)
+    local_of[nodes] = np.arange(nodes.size)
+    la, lb = local_of[graph.edge_a], local_of[graph.edge_b]
+    inside = (la >= 0) & (lb >= 0)
+    edge_a, edge_b = la[inside], lb[inside]
+    return edge_a, edge_b, ref.neighbor_lists(nodes.size, edge_a, edge_b)
+
+
+def _assert_region_matches_reference(graph, subset):
+    edge_a, edge_b, adj = _reference_adjacency(graph, subset)
+    m, deg = len(adj), [len(nbrs) for nbrs in adj]
+    stuck = (m > 1 and 0 in deg) or (
+        m > 2 and any(deg[a] == deg[b] == 1 for a, b in zip(edge_a, edge_b)))
+    if stuck:  # a walk could not leave the node or the pair
+        with pytest.raises(errors.DisconnectedSubset):
+            _Induced(graph, subset)
+        return
+    induced = _Induced(graph, subset)
+    assert induced.rows == ref.walk_rows(adj, _TABLE_DEGREE)
+    assert induced.exact == [d == 1 or d > _TABLE_DEGREE for d in deg]
+    assert induced.edge_a.tolist() == edge_a.tolist()
+    assert induced.edge_b.tolist() == edge_b.tolist()
+    assert induced.deg == deg
+    assert [induced.nbr[f:f + d] for f, d in zip(induced.first, induced.deg)] == adj
+
+
+def test_word_intervals_match_reference():
+    assert _STARTS.tolist() == ref.word_intervals(_TABLE_DEGREE)[0]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_region_build_matches_reference_on_irregular_graphs(data):
+    n = data.draw(st.integers(1, 18))
+    pairs = data.draw(irregular_edges(n))
+    subset = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    _assert_region_matches_reference(_graph(n, pairs, [1] * n), subset)
+
+
+@pytest.mark.parametrize(
+    "graph, subset",
+    [(_lollipop(), range(10)), (_lollipop(), [6]), (_lollipop(), [5, 6]),
+     (_wheel(40), range(41)), (_complete_bipartite(2, 12), range(14)), (_complete(12), range(12)),
+     (_queen_grid(8), range(64)), (_queen_grid(8), [0, 1, 2, 8, 9, 10, 11, 17, 27, 36])],
+    ids=["lollipop", "single", "pair", "wheel40", "K2_12", "K12", "queen8", "queen8_part"],
+)
+def test_region_build_matches_reference_at_every_degree(graph, subset):
+    # degrees 0 (a one-node region), 1, 2..4 in the table, 5, 8, 11, 12 and 40
+    _assert_region_matches_reference(graph, list(subset))
+
+
+# --- node ordinals and connectivity
+
+
+@pytest.mark.parametrize("subset, bad", [([-1], -1), ([5, 9], 9), ([8, -1], -1), ([9, 4, 12], 9)])
+def test_region_with_an_ordinal_outside_the_graph_rejected(subset, bad):
+    g = grid_graph(3, 3)
+    with pytest.raises(ValueError, match=rf"node ordinal {bad} outside 0\.\.8"):
+        random_spanning_tree(g, subset, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("method", ["uniform", "mst"])
+@pytest.mark.parametrize(
+    "subset, at_build",
+    [([0, 1, 2, 4], True), ([0, 1, 2, 4, 5, 6], False), ([0, 1, 3, 4], True),
+     (list(range(9)) + list(range(10, 40)), False)],
+    ids=["isolated", "two_paths", "two_pairs", "long_and_short"],
+)
+def test_disconnected_region_raises_from_every_draw(subset, at_build, method):
+    # on a 40-node path: an isolated node and two 2-node paths, which a walk
+    # could not leave, so the build refuses them; two 3-node paths and a
+    # 9-node path beside a 30-node one, which only a draw finds apart. A
+    # walk that never ends fails on the chunk cap instead of hanging.
+    g = make_path_graph(40)
+    if at_build:
+        with pytest.raises(errors.DisconnectedSubset):
+            _Induced(g, subset)
+    else:
+        _Induced(g, subset)
+    pop = int(g.populations[subset].sum())
+    with pytest.raises(errors.DisconnectedSubset):
+        random_spanning_tree(g, subset, CountingRng(np.random.default_rng(0), 1000), method=method)
+    with pytest.raises(errors.DisconnectedSubset):
+        bipartition_region(g, subset, (pop / 2, pop / 2), 0.5,
+                           CountingRng(np.random.default_rng(0), 1000), method=method)
+
+
+def test_long_walk_checks_connectivity_and_keeps_the_stream():
+    # a walk on a 300-node path often uses more than _CHECK_WORDS words per
+    # node, so the draw checks the region's connectivity once, and still
+    # draws the reference's tree and leaves the generator where the reference
+    # does
+    g = grid_graph(1, 300)
+    checked = 0
+    for seed in range(8):
+        induced = _Induced(g, np.arange(g.n))
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        parent, order = _wilson(induced, rng)
+        checked += induced.connected
+        expected, expected_root = ref.wilson(induced, rng_ref)
+        assert (parent, order[0]) == (expected.tolist(), expected_root)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert checked >= 3

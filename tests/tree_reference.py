@@ -4,13 +4,63 @@ These are the straightforward versions of the tree kernel: Wilson's walk
 with one ``rng.integers(degree)`` call per step, Kruskal over union-find for
 ``mst``, a per-edge loop for the balanced cut and mark propagation for cut
 subtrees. The library's list-and-batch kernel must draw the same trees, pick
-the same cuts and leave the generator in the same state.
+the same cuts and leave the generator in the same state. The walk table is
+built here one node at a time, from Python neighbour lists and ``itemgetter``
+picks; ``trees._Induced`` must build the same rows in numpy.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
-from mapchain.trees import Cut, SpanningTree
+from mapchain.trees import _MASK, _WORD, Cut, SpanningTree
+
+
+def neighbor_lists(n, edge_a, edge_b):
+    """Each node's neighbours over an undirected edge list, as Python lists in
+    ascending order."""
+    src = np.concatenate([edge_a, edge_b])
+    dst = np.concatenate([edge_b, edge_a])
+    flat = dst[np.lexsort((dst, src))].tolist()
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    return [flat[i:j] for i, j in zip([0] + ends[:-1], ends)]
+
+
+def word_intervals(top):
+    """The sorted first words of the word intervals for degrees 2..``top``, and
+    per degree d in 0..``top`` the itemgetter that picks a walk row out of a
+    node's neighbours followed by its exit value, which is at index d."""
+    starts, redrawn = {0}, {}
+    for d in range(2, top + 1):
+        redrawn[d] = set()
+        for j in range(d):
+            w = -(-(j << 32) // d)
+            starts.add(w)
+            if w * d & _MASK < _WORD % d:
+                redrawn[d].add(w)
+                starts.add(w + 1)
+    starts = sorted(starts)
+    picks = [itemgetter(*[d] * (len(starts) + 1)) for d in (0, 1)]
+    for d in range(2, top + 1):
+        picks.append(itemgetter(*[d if w in redrawn[d] else (w * d) >> 32 for w in starts], d))
+    return starts, picks
+
+
+def walk_rows(adj, top):
+    """Per node u, its next node for each word interval c: ``row[c]`` is
+    ``adj[u][(w * d) >> 32]`` for the words w of interval c, or the exit
+    value ``m + u`` where the walk must leave the table: in the last column,
+    for a word numpy redraws at degree d, and in every column when d is 0, 1
+    or above ``top``."""
+    starts, picks = word_intervals(top)
+    m = len(adj)
+    return [
+        list(picks[len(nbrs)](nbrs + [m + u]))
+        if len(nbrs) <= top
+        else [m + u] * (len(starts) + 1)
+        for u, nbrs in enumerate(adj)
+    ]
 
 
 def tree_edges(tree):
@@ -55,6 +105,7 @@ def finish_tree(induced, parent, root, pops) -> SpanningTree:
 
 def wilson(induced, rng):
     m = induced.m
+    adj = neighbor_lists(m, induced.edge_a, induced.edge_b)
     in_tree = np.zeros(m, dtype=bool)
     succ = np.full(m, -1, dtype=np.int64)
     root = int(rng.integers(m))
@@ -62,7 +113,7 @@ def wilson(induced, rng):
     for start in range(m):
         u = start
         while not in_tree[u]:
-            nbrs = induced.adj[u]
+            nbrs = adj[u]
             succ[u] = int(nbrs[int(rng.integers(len(nbrs)))])
             u = int(succ[u])
         u = start
