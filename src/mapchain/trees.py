@@ -43,7 +43,15 @@ _MASK = _WORD - 1
 # each further degree adds columns to every row built (7 intervals at 4, 29
 # at 8) that those grids never read. Nodes of higher degree take the exact
 # step.
+#
+# A chunk of words is classified with one gather from ``_BUCKETS``, the
+# interval of each of the 65,536 buckets of words that share their top 16
+# bits, and ``_STRADDLE`` for a bucket that holds the first word of an
+# interval other than its own first word. At degree 4 three buckets straddle,
+# those of words 1, 0x55555556 and 0xAAAAAAAB, so 3 words in 65,536 are
+# classified by search. The table is uint8: 64 KiB.
 _TABLE_DEGREE = 4
+_STRADDLE = 255
 
 
 def _word_intervals(top: int):
@@ -70,9 +78,23 @@ def _word_intervals(top: int):
     return np.array(starts, dtype=np.uint32), pick
 
 
+def _bucket_codes(starts: list) -> np.ndarray:
+    """Per bucket of 2**16 words (those with the same top 16 bits), the
+    interval of all its words, or ``_STRADDLE`` where an interval starts
+    inside it."""
+    table = np.zeros(1 << 16, dtype=np.uint8)
+    for c, w in enumerate(starts):
+        table[w >> 16:] = c
+    for w in starts:
+        if w & 0xFFFF:
+            table[w >> 16] = _STRADDLE
+    return table
+
+
 _STARTS, _PICK = _word_intervals(_TABLE_DEGREE)
 _BOUNDS = _STARTS[1:]
 _END = _STARTS.size  # the column of every row that follows each chunk of words
+_BUCKETS = _bucket_codes(_STARTS.tolist())
 
 # A draw that has used more than this many words per node checks that its
 # region is connected. Draws on 100-node seed-plan strips of the 100 x 100
@@ -83,10 +105,22 @@ _END = _STARTS.size  # the column of every row that follows each chunk of words
 # Xeon VM.
 _CHECK_WORDS = 128
 
+# The bit generators whose uint32 words are the low, then the high half of
+# each 64-bit output, with the high half held between calls (``has_uint32``),
+# and whose ``advance`` counts 64-bit outputs.
+_RAW_WORD_GENERATORS = ("PCG64", "PCG64DXSM")
+
 
 def _word_codes(words: np.ndarray) -> list:
-    """The interval of each uint32 word, then ``_END``."""
-    codes = np.searchsorted(_BOUNDS, words, side="right").tolist()
+    """The interval of each uint32 word, then ``_END``: one gather from
+    ``_BUCKETS`` by the words' top 16 bits, then a search for each word of a
+    straddling bucket."""
+    found = _BUCKETS.take(words.astype("<u4", copy=False).view("<u2")[1::2]).tobytes()
+    codes = list(found)
+    at = found.find(_STRADDLE)
+    while at >= 0:
+        codes[at] = int(np.searchsorted(_BOUNDS, words[at], side="right"))
+        at = found.find(_STRADDLE, at + 1)
     codes.append(_END)
     return codes
 
@@ -244,23 +278,36 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
     scalar call would pick it: 32-bit Lemire over the generator's uint32
     words, redrawing while the low half of ``word * degree`` falls below
     ``2**32 % degree``, and drawing nothing at a degree-1 node. The words
-    are drawn in chunks ahead of need, one chunk held at a time, and each
-    chunk is classified once into word intervals (``_word_codes``). A chunk
-    holds ``min(8 * m, 4096) + 64`` words: a walk uses many times m words (a
-    100-node strip about 33 m), so a draw pays each chunk's fixed cost only a
-    few times, and the cap keeps a large region from drawing far more words
-    than it uses. A step from a node u of degree 2.._TABLE_DEGREE is then one
-    lookup in its row of next nodes (``_Induced.rows``). The lookup gives a
-    value of m or more instead where the table does not decide: ``2 * m`` at
-    a tree node, which ends the walk, and u's exit value ``m + u`` at a node
-    of another degree, at a word numpy redraws and at the end of a chunk. The
-    walk then steps back over that word and takes exact steps (a degree-1
-    node's only neighbour, or the word rule above on the chunk's words as
-    Python ints, read off the flat neighbour list ``_Induced.nbr``) until it
-    reaches a node the table decides, or draws the next chunk. At the end the
-    generator is reset and advanced by exactly the words used, so it ends
-    where the scalar calls would have left it: the words the walk reads, and
-    so the tree and every later draw, do not depend on the chunk size.
+    are read straight off the bit generator's raw 64-bit outputs
+    (``random_raw``), each output's low half and then its high half, which
+    are the words numpy's calls take from it; a high half word that the
+    generator holds from an earlier call (``has_uint32``) comes first, as a
+    chunk of its own. The words are drawn in chunks ahead of need, one chunk
+    held at a time, and each chunk is classified into word intervals
+    (``_word_codes``) with one gather from the table of 16-bit buckets. A
+    chunk holds ``2 * (min(4 * m, 2048) + 32)`` words: a walk uses many
+    times m words (a 100-node strip about 33 m), so a draw pays each chunk's
+    fixed cost only a few times, and the cap keeps a large region from
+    drawing far more words than it uses. A step from a node u of degree
+    2.._TABLE_DEGREE is then one lookup in its row of next nodes
+    (``_Induced.rows``). The lookup gives a value of m or more instead where
+    the table does not decide: ``2 * m`` at a tree node, which ends the
+    walk, and u's exit value ``m + u`` at a node of another degree, at a
+    word numpy redraws and at the end of a chunk. The walk then steps back
+    over that word and takes exact steps (a degree-1 node's only neighbour,
+    or the word rule above on the chunk's words as Python ints, read off the
+    flat neighbour list ``_Induced.nbr``) until it reaches a node the table
+    decides, or draws the next chunk.
+
+    At the end the generator is rewound to the words used, in O(log n) for
+    n words: its saved state is restored, ``advance`` skips every 64-bit
+    output used but the last (dropping a held half word with it), and one
+    ``integers`` call draws that output's one or two words (or, for three
+    words or fewer, all of them), so the held half word ends exactly where
+    the scalar calls would leave it. The words the walk reads, and so the
+    tree and every later draw, do not depend on the chunk size. This word
+    rule holds for PCG64 and PCG64DXSM, the bit generators listed in
+    ``_RAW_WORD_GENERATORS``; any other raises ``ValueError``.
 
     A walk never reaches the tree from a component of the subset that does
     not hold the root. So once a draw has used more than ``_CHECK_WORDS * m``
@@ -282,10 +329,16 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
     succ = [-1] * m
     parent = [-1] * m
     order = [root]
-    saved = rng.bit_generator.state
-    block, words, codes = None, None, [_END]
-    pos = chunk = 0  # codes[pos] is the next unused word's interval
-    drawn = 0
+    bits = rng.bit_generator
+    saved = bits.state
+    if saved["bit_generator"] not in _RAW_WORD_GENERATORS:
+        raise ValueError(f"Wilson's walk reads the raw output of one of {_RAW_WORD_GENERATORS}, "
+                         f"not {saved['bit_generator']}")
+    # a held high half word is the next word: a chunk of one word, read first
+    block = np.array([saved["uinteger"]] if saved["has_uint32"] else [], dtype="<u4")
+    codes, words = _word_codes(block), None
+    pos, chunk = 0, block.size  # codes[pos] is the next unused word's interval
+    drawn = chunk
     check_at = None if induced.connected else _CHECK_WORDS * m
     for start in range(m):
         if rows[start] is tree_row:
@@ -307,9 +360,10 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
                     if check_at is not None and drawn > check_at:
                         induced.require_connected()
                         check_at = None
-                    chunk = min(8 * m, 4096) + 64
-                    block = rng.integers(0, _WORD, size=chunk, dtype=np.uint32)
+                    block = bits.random_raw(min(4 * m, 2048) + 32).astype("<u8", copy=False)
+                    block = block.view("<u4")  # each output's low half, then its high half
                     codes = _word_codes(block)
+                    chunk = block.size
                     words = None  # the block as ints, made on its first exact step
                     drawn += chunk
                     pos = 0
@@ -334,9 +388,14 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
             branch.append(u)
             parent[u] = u = succ[u]
         order += reversed(branch)
-    if drawn:
-        rng.bit_generator.state = saved
-        rng.integers(0, _WORD, size=drawn - chunk + pos, dtype=np.uint32)
+    used = drawn - chunk + pos
+    if used:
+        bits.state = saved
+        raw = used - saved["has_uint32"]  # words read from 64-bit outputs
+        if raw > 2:  # skip all outputs used but the last; this drops a held word too
+            bits.advance((raw - 1) // 2)
+            used = 2 - raw % 2
+        rng.integers(0, _WORD, size=used, dtype=np.uint32)
     return parent, order
 
 
@@ -367,7 +426,8 @@ def random_spanning_tree(
 
     Deterministic given the rng state. Raises ``DisconnectedSubset`` when the
     induced subgraph is not connected, and ``ValueError`` for a node ordinal
-    outside ``0..graph.n - 1``.
+    outside ``0..graph.n - 1`` or, for ``uniform``, an rng whose bit
+    generator is not PCG64 or PCG64DXSM (``default_rng`` gives PCG64).
     """
     return _draw_tree(_Induced(graph, subset), rng, method)
 

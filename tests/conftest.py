@@ -89,22 +89,50 @@ def pathology_graph(fifth_scale=1):
 
 class CountingRng:
     """A generator that counts the chunks of words drawn from it: the
-    ``integers`` calls with a ``size``. Past ``limit`` chunks it raises, so
-    a Wilson walk that never ends fails instead of hanging. The tree kernels
-    read nothing else of it but ``random`` and ``bit_generator``."""
+    ``integers`` calls with a ``size`` and its bit generator's
+    ``random_raw`` calls. Past ``limit`` chunks it raises, so a Wilson walk
+    that never ends fails instead of hanging. The tree kernels read nothing
+    else of it but ``random`` and ``bit_generator``."""
 
     def __init__(self, rng, limit=None):
         self.rng, self.chunks, self.limit = rng, 0, limit
-        self.bit_generator = rng.bit_generator
+        self.bit_generator = _CountingBits(self)
 
-    def integers(self, *args, **kwargs):
-        self.chunks += "size" in kwargs
+    def count_chunk(self):
+        self.chunks += 1
         if self.limit is not None and self.chunks > self.limit:
             raise RuntimeError(f"more than {self.limit} chunks of words drawn")
+
+    def integers(self, *args, **kwargs):
+        if "size" in kwargs:
+            self.count_chunk()
         return self.rng.integers(*args, **kwargs)
 
     def random(self, *args, **kwargs):
         return self.rng.random(*args, **kwargs)
+
+
+class _CountingBits:
+    """A ``CountingRng``'s bit generator: ``random_raw`` counts a chunk;
+    ``state`` and ``advance`` act on the wrapped generator's."""
+
+    def __init__(self, owner):
+        self.owner = owner
+
+    @property
+    def state(self):
+        return self.owner.rng.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.owner.rng.bit_generator.state = value
+
+    def random_raw(self, *args, **kwargs):
+        self.owner.count_chunk()
+        return self.owner.rng.bit_generator.random_raw(*args, **kwargs)
+
+    def advance(self, delta):
+        self.owner.rng.bit_generator.advance(delta)
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,11 @@ from mapchain import errors
 from mapchain.graph import AdjacencyEdge, Plan, PrecinctNode, build_graph, is_contiguous
 from mapchain.synth import grid_graph
 from mapchain.trees import (
+    _BOUNDS,
+    _BUCKETS,
     _END,
     _STARTS,
+    _STRADDLE,
     _TABLE_DEGREE,
     _Induced,
     _random_mst,
@@ -312,6 +315,63 @@ def test_wilson_matches_reference_across_word_chunks():
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+def _words_after_root(state, m, end_state):
+    """Whether the generator holds a half word after the root draw of a draw
+    on m nodes from ``state``, and how many words the draw uses after it to
+    end at ``end_state``: the held word, then two per 64-bit output, less a
+    half word held at the end."""
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = state
+    rng.integers(m)
+    held = rng.bit_generator.state["has_uint32"]
+    outputs = 0
+    while rng.bit_generator.state["state"] != end_state["state"]:
+        rng.bit_generator.random_raw()
+        outputs += 1
+    return held, held + 2 * outputs - end_state["has_uint32"]
+
+
+def test_wilson_rewinds_to_the_words_used_with_and_without_a_held_half_word():
+    # A word drawn before the draw flips whether the generator holds a half
+    # word when the walk starts. Every case must leave the reference's whole
+    # state dict, ``has_uint32`` and ``uinteger`` included: with and without
+    # a held word, after an odd and an even number of words, and after a
+    # walk that uses exactly its first chunk of 2 * (4 * 12 + 32) words
+    # (seeds 608 and 53) or one word more (seed 29).
+    g = make_path_graph(12)
+    induced = _Induced(g, np.arange(12))
+    seen = set()
+    for seed, before in [(608, 0), (53, 1), (29, 0)] + [(s, b) for s in range(8) for b in (0, 1)]:
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for r in (rng, rng_ref):
+            r.integers(0, 2**32, size=before, dtype=np.uint32)
+        state = rng.bit_generator.state
+        parent, order = _wilson(induced, rng)
+        expected, expected_root = ref.wilson(induced, rng_ref)
+        assert (parent, order[0]) == (expected.tolist(), expected_root)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        held, used = _words_after_root(state, 12, rng_ref.bit_generator.state)
+        seen.add((held, used % 2))
+        if used - held == 160:
+            seen.add((held, "chunk end"))
+    assert seen == {(0, 0), (0, 1), (1, 0), (1, 1), (0, "chunk end"), (1, "chunk end")}
+
+
+def test_wilson_reads_pcg64dxsm_and_rejects_other_bit_generators():
+    g = grid_graph(3, 4)
+    induced = _Induced(g, np.arange(g.n))
+    for seed in range(10):
+        rng = np.random.Generator(np.random.PCG64DXSM(seed))
+        rng_ref = np.random.Generator(np.random.PCG64DXSM(seed))
+        parent, order = _wilson(induced, rng)
+        expected, expected_root = ref.wilson(induced, rng_ref)
+        assert (parent, order[0]) == (expected.tolist(), expected_root)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+    for bits in (np.random.MT19937(0), np.random.Philox(0), np.random.SFC64(0)):
+        with pytest.raises(ValueError, match="raw output"):
+            _wilson(induced, np.random.Generator(bits))
+
+
 def _rng_next_output_zero(seed):
     """A PCG64 generator whose next 64-bit output is 0: its next two uint32
     words are 0 and its next ``random()`` is exactly 0.0."""
@@ -367,6 +427,28 @@ def test_word_intervals_pick_as_numpy_does(d):
             assert row[code] == exit_value  # the exact step decides
         else:
             assert row[code] == ((w * d) >> 32) + 1
+
+
+def test_bucket_table_matches_the_interval_search():
+    # each bucket of 2**16 words holds one interval's code, that of its first
+    # and its last word, or marks that an interval starts inside it; the
+    # words of a marked bucket are each classified by search
+    first = np.arange(1 << 16, dtype=np.uint32) << 16
+    last = first | 0xFFFF
+    first_code = np.searchsorted(_BOUNDS, first, side="right")
+    last_code = np.searchsorted(_BOUNDS, last, side="right")
+    straddling = _BUCKETS == _STRADDLE
+    assert (_BUCKETS[~straddling] == first_code[~straddling]).all()
+    assert (_BUCKETS[~straddling] == last_code[~straddling]).all()
+    inside = sorted({w >> 16 for w in _STARTS.tolist() if w & 0xFFFF})
+    assert np.flatnonzero(straddling).tolist() == inside
+    if _TABLE_DEGREE == 4:
+        assert inside == [0, 0x5555, 0xAAAA]
+    for bucket in inside:
+        words = np.arange(bucket << 16, (bucket + 1) << 16, dtype=np.uint32)
+        codes = _word_codes(words)
+        assert codes[:-1] == np.searchsorted(_BOUNDS, words, side="right").tolist()
+        assert codes[-1] == _END
 
 
 @pytest.mark.parametrize(
