@@ -107,8 +107,11 @@ def _split_columns(data: bytes, integer=None):
         data.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    data = data.replace(b"\r\n", b"\n")
-    if b'"' in data or b"\r" in data:
+    if b"\r" in data:  # CRLF line breaks; a file with no CR skips the copy
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
+            return None
+    if b'"' in data:
         return None
     if not data.endswith(b"\n"):  # so that every line, the last one too, ends in a line break
         data += b"\n"

@@ -19,6 +19,7 @@ from the first draw that meets it (see ``_Induced``, ``_wilson`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import length_hint
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -111,16 +112,15 @@ _CHECK_WORDS = 128
 _RAW_WORD_GENERATORS = ("PCG64", "PCG64DXSM")
 
 
-def _word_codes(words: np.ndarray) -> list:
-    """The interval of each uint32 word, then ``_END``: one gather from
-    ``_BUCKETS`` by the words' top 16 bits, then a search for each word of a
-    straddling bucket."""
-    found = _BUCKETS.take(words.astype("<u4", copy=False).view("<u2")[1::2]).tobytes()
-    codes = list(found)
-    at = found.find(_STRADDLE)
+def _word_codes(words: np.ndarray) -> bytearray:
+    """The interval of each uint32 word, then ``_END``, one byte each: one
+    gather from ``_BUCKETS`` by the words' top 16 bits, then a search for
+    each word of a straddling bucket, written over its byte in place."""
+    codes = bytearray(_BUCKETS.take(words.astype("<u4", copy=False).view("<u2")[1::2]))
+    at = codes.find(_STRADDLE)
     while at >= 0:
         codes[at] = int(np.searchsorted(_BOUNDS, words[at], side="right"))
-        at = found.find(_STRADDLE, at + 1)
+        at = codes.find(_STRADDLE, at + 1)
     codes.append(_END)
     return codes
 
@@ -132,6 +132,12 @@ def _not_connected(m: int) -> errors.DisconnectedSubset:
 class _Induced:
     """Induced subgraph on a node subset, with local 0..m-1 indexing, gathered
     from the graph's :class:`~mapchain.graph.NeighborIndex`.
+
+    ``nodes`` is the subset, ascending and without repeats, in an array of
+    its own: a subset given otherwise is sorted first, a strictly increasing
+    one only copied. Gathered neighbours map to local ids (-1 outside the
+    subset) through an n-sized position array, scattered from ``nodes`` and
+    kept only for the build.
 
     Local node i's neighbours are ``nbr[first[i]:first[i] + deg[i]]``, in
     ascending local order; ``pops[i]`` is its population. ``edge_a`` <
@@ -152,7 +158,9 @@ class _Induced:
                  "exact", "connected")
 
     def __init__(self, graph: PrecinctGraph, subset):
-        nodes = np.unique(np.asarray(subset, dtype=np.int64))
+        nodes = np.array(subset, dtype=np.int64, ndmin=1)  # a copy: the caller's may change
+        if nodes.size > 1 and not (nodes[1:] > nodes[:-1]).all():
+            nodes = np.unique(nodes)  # every internal caller passes its subset sorted
         if nodes.size == 0:
             raise errors.EmptyInput("empty node subset")
         if nodes[0] < 0 or nodes[-1] >= graph.n:
@@ -163,8 +171,10 @@ class _Induced:
         index = graph.neighbors
         width = index.degree[nodes]
         far = index.nbrs[concat_ranges(index.start[nodes], width)]
-        local = np.searchsorted(nodes, far)
-        inside = nodes[np.minimum(local, m - 1)] == far
+        position = np.full(graph.n, -1, dtype=np.int64)  # local id of each node, -1 outside
+        position[nodes] = np.arange(m)
+        local = position[far]
+        inside = local >= 0
         near = np.arange(m).repeat(width)[inside]
         nbr = local[inside]
         upper = near < nbr
@@ -290,24 +300,29 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
     fixed cost only a few times, and the cap keeps a large region from
     drawing far more words than it uses. A step from a node u of degree
     2.._TABLE_DEGREE is then one lookup in its row of next nodes
-    (``_Induced.rows``). The lookup gives a value of m or more instead where
-    the table does not decide: ``2 * m`` at a tree node, which ends the
-    walk, and u's exit value ``m + u`` at a node of another degree, at a
-    word numpy redraws and at the end of a chunk. The walk then steps back
-    over that word and takes exact steps (a degree-1 node's only neighbour,
-    or the word rule above on the chunk's words as Python ints, read off the
-    flat neighbour list ``_Induced.nbr``) until it reaches a node the table
-    decides, or draws the next chunk.
+    (``_Induced.rows``) by the next code off an iterator over the chunk's
+    codes, so the walk keeps no word position of its own. The lookup gives
+    a value of m or more instead where the table does not decide: ``2 * m``
+    at a tree node, which ends the walk, and u's exit value ``m + u`` at a
+    node of another degree, at a word numpy redraws and at the end of a
+    chunk. A walk that ends at the tree leaves its last code unused: the
+    next walk's first lookup reads it. At an exit the walk recovers the
+    word's position from the iterator's length hint and takes exact steps
+    from that word (a degree-1 node's only neighbour, or the word rule
+    above on the chunk's words as Python ints, read off the flat neighbour
+    list ``_Induced.nbr``) until it reaches a node the table decides, then
+    sets the iterator to the next unused word (``__setstate__``, O(1)), or
+    it draws the next chunk.
 
     At the end the generator is rewound to the words used, in O(log n) for
     n words: its saved state is restored, ``advance`` skips every 64-bit
     output used but the last (dropping a held half word with it), and one
-    ``integers`` call draws that output's one or two words (or, for three
-    words or fewer, all of them), so the held half word ends exactly where
-    the scalar calls would leave it. The words the walk reads, and so the
-    tree and every later draw, do not depend on the chunk size. This word
-    rule holds for PCG64 and PCG64DXSM, the bit generators listed in
-    ``_RAW_WORD_GENERATORS``; any other raises ``ValueError``.
+    scalar ``integers`` call per word draws that output's one or two words
+    (or, for three words or fewer, all of them), so the held half word ends
+    exactly where the scalar calls would leave it. The words the walk reads,
+    and so the tree and every later draw, do not depend on the chunk size.
+    This word rule holds for PCG64 and PCG64DXSM, the bit generators listed
+    in ``_RAW_WORD_GENERATORS``; any other raises ``ValueError``.
 
     A walk never reaches the tree from a component of the subset that does
     not hold the root. So once a draw has used more than ``_CHECK_WORDS * m``
@@ -337,20 +352,23 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
     # a held high half word is the next word: a chunk of one word, read first
     block = np.array([saved["uinteger"]] if saved["has_uint32"] else [], dtype="<u4")
     codes, words = _word_codes(block), None
-    pos, chunk = 0, block.size  # codes[pos] is the next unused word's interval
-    drawn = chunk
+    chunk = drawn = block.size
+    it = iter(codes)
+    c = next(it)  # the next unused word's interval; ``it`` stands just after it
     check_at = None if induced.connected else _CHECK_WORDS * m
     for start in range(m):
         if rows[start] is tree_row:
             continue
-        u = start
+        succ[start] = u = rows[start][c]
         while True:
-            while u < m:
-                succ[u] = u = rows[u][codes[pos]]
-                pos += 1
-            pos -= 1
+            if u < m:
+                for c in it:
+                    succ[u] = u = rows[u][c]
+                    if u >= m:
+                        break
             if u == tree_exit:
-                break
+                break  # c, read at the tree, stays unused: the next walk's first word
+            pos = len(codes) - 1 - length_hint(it)  # the word c, which the table left
             u -= m
             while True:
                 d = deg[u]
@@ -367,6 +385,7 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
                     words = None  # the block as ints, made on its first exact step
                     drawn += chunk
                     pos = 0
+                    it = iter(codes)
                     break
                 else:
                     if words is None:
@@ -379,6 +398,7 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
                     succ[u] = u = nbr[first[u] + (x >> 32)]
                 if not exact[u]:
                     break
+            it.__setstate__(pos)
         # the new branch runs from start to the tree: add it tree end first
         u = start
         branch = []
@@ -388,14 +408,15 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
             branch.append(u)
             parent[u] = u = succ[u]
         order += reversed(branch)
-    used = drawn - chunk + pos
+    used = drawn - chunk + len(codes) - 1 - length_hint(it)  # up to the unused word c
     if used:
         bits.state = saved
         raw = used - saved["has_uint32"]  # words read from 64-bit outputs
         if raw > 2:  # skip all outputs used but the last; this drops a held word too
             bits.advance((raw - 1) // 2)
             used = 2 - raw % 2
-        rng.integers(0, _WORD, size=used, dtype=np.uint32)
+        for _ in range(used):
+            rng.integers(_WORD)
     return parent, order
 
 

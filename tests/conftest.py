@@ -90,12 +90,13 @@ def pathology_graph(fifth_scale=1):
 class CountingRng:
     """A generator that counts the chunks of words drawn from it: the
     ``integers`` calls with a ``size`` and its bit generator's
-    ``random_raw`` calls. Past ``limit`` chunks it raises, so a Wilson walk
-    that never ends fails instead of hanging. The tree kernels read nothing
-    else of it but ``random`` and ``bit_generator``."""
+    ``random_raw`` calls, the latter also on their own (``raw_chunks``).
+    Past ``limit`` chunks it raises, so a Wilson walk that never ends fails
+    instead of hanging. The tree kernels read nothing else of it but
+    ``random`` and ``bit_generator``."""
 
     def __init__(self, rng, limit=None):
-        self.rng, self.chunks, self.limit = rng, 0, limit
+        self.rng, self.chunks, self.raw_chunks, self.limit = rng, 0, 0, limit
         self.bit_generator = _CountingBits(self)
 
     def count_chunk(self):
@@ -128,6 +129,7 @@ class _CountingBits:
         self.owner.rng.bit_generator.state = value
 
     def random_raw(self, *args, **kwargs):
+        self.owner.raw_chunks += 1
         self.owner.count_chunk()
         return self.owner.rng.bit_generator.random_raw(*args, **kwargs)
 

@@ -306,13 +306,15 @@ def test_wilson_matches_reference_across_word_chunks():
     # so it crosses the ends of several chunks of pre-drawn words
     g = grid_graph(2, 60)
     induced = _Induced(g, np.arange(g.n))
+    raw_chunks = []
     for seed in range(10):
         rng, rng_ref = CountingRng(np.random.default_rng(seed)), np.random.default_rng(seed)
         parent, order = _wilson(induced, rng)
-        assert rng.chunks >= 3
+        raw_chunks.append(rng.raw_chunks)
         expected, expected_root = ref.wilson(induced, rng_ref)
         assert (parent, order[0]) == (expected.tolist(), expected_root)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert min(raw_chunks) >= 2 and max(raw_chunks) >= 4
 
 
 def _words_after_root(state, m, end_state):
@@ -447,7 +449,7 @@ def test_bucket_table_matches_the_interval_search():
     for bucket in inside:
         words = np.arange(bucket << 16, (bucket + 1) << 16, dtype=np.uint32)
         codes = _word_codes(words)
-        assert codes[:-1] == np.searchsorted(_BOUNDS, words, side="right").tolist()
+        assert list(codes[:-1]) == np.searchsorted(_BOUNDS, words, side="right").tolist()
         assert codes[-1] == _END
 
 
@@ -549,6 +551,25 @@ def test_region_build_matches_reference_at_every_degree(graph, subset):
 
 
 # --- node ordinals and connectivity
+
+
+def _slots(induced):
+    return {name: (value.tolist() if isinstance(value, np.ndarray) else value)
+            for name in _Induced.__slots__ for value in [getattr(induced, name)]}
+
+
+@pytest.mark.parametrize("subset", [[4, 1, 7, 3, 0], [0, 1, 1, 3, 4, 4, 7], [7, 4, 4, 3, 1, 0, 7]])
+def test_region_from_an_unsorted_or_repeating_subset_is_its_sorted_set(subset):
+    g = grid_graph(3, 3)
+    assert _slots(_Induced(g, np.array(subset))) == _slots(_Induced(g, sorted(set(subset))))
+
+
+def test_region_keeps_its_own_copy_of_the_subset():
+    g = grid_graph(3, 3)
+    subset = np.array([0, 1, 3, 4, 7])
+    induced = _Induced(g, subset)
+    subset[:] = [2, 5, 6, 8, 8]
+    assert induced.nodes.tolist() == [0, 1, 3, 4, 7]
 
 
 @pytest.mark.parametrize("subset, bad", [([-1], -1), ([5, 9], 9), ([8, -1], -1), ([9, 4, 12], 9)])
