@@ -5,10 +5,12 @@ population, administrative units, precomputed area and perimeter) is one
 column indexed by node ordinal, and adjacency is one set of edge arrays with
 shared boundary lengths. No coordinate geometry anywhere. District labels
 are dense integers ``0..k-1``. :func:`within_window` is the one
-population-balance rule that the samplers and the oracle apply.
+population-balance rule that the samplers and the oracle apply;
+:func:`window_bounds` gives its integer bounds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -225,12 +227,19 @@ class PrecinctGraph:
 class NeighborIndex:
     """Every node's incident edges, at either end, sorted by neighbour: node v's
     neighbours are ``nbrs[start[v]:start[v] + degree[v]]``, ascending, and
-    ``edges`` holds the id of the edge to each one at the same positions."""
+    ``edges`` holds the id of the edge to each one at the same positions.
+
+    ``position`` is an n-sized scratch array, all -1, that a region build
+    (``trees._Induced``) writes its nodes' local ids into and resets before
+    it can raise, so that it maps neighbours to local ids in O(region). Two
+    threads must not build regions of one graph at once; the CLI's workers
+    are processes, each with its own graph."""
 
     start: np.ndarray
     degree: np.ndarray
     nbrs: np.ndarray
     edges: np.ndarray
+    position: np.ndarray
 
     @classmethod
     def of(cls, n: int, edge_a: np.ndarray, edge_b: np.ndarray) -> "NeighborIndex":
@@ -238,7 +247,8 @@ class NeighborIndex:
         far = np.concatenate((edge_b, edge_a))
         order = np.lexsort((far, ends))  # position e and e + n_edges both hold edge e
         degree = np.bincount(ends, minlength=n)
-        return cls(degree.cumsum() - degree, degree, far[order], order % edge_a.size)
+        return cls(degree.cumsum() - degree, degree, far[order], order % edge_a.size,
+                   np.full(n, -1, dtype=np.int64))
 
 
 def concat_ranges(first: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -439,10 +449,71 @@ def district_populations(graph: PrecinctGraph, plan: Plan) -> np.ndarray:
 
 def within_window(pops, target, tolerance: float):
     """The population-balance rule, for a number or an array of populations:
-    ``abs(pops - target) <= tolerance * target``. The chain's cut search, its
-    plan check and the oracle's catalog all apply this one rule, so the
-    catalog lists exactly the plans the chain can accept."""
+    ``abs(pops - target) <= tolerance * target``. The chain's cut search (by
+    its integer form, :func:`window_bounds`), its plan check and the oracle's
+    catalog all apply this one rule, so the catalog lists exactly the plans
+    the chain can accept."""
     return abs(pops - target) <= tolerance * target
+
+
+def window_bounds(target, tolerance: float) -> tuple:
+    """``(lo, hi)``: the smallest and largest integer population in the int64
+    range, which holds every population, that :func:`within_window` accepts
+    at ``target``; ``lo > hi`` when it accepts none (a negative or NaN
+    tolerance, ``0 * inf``, or no integer close enough).
+
+    Found by evaluating ``within_window`` itself, so the bounds are exact
+    where its float arithmetic rounds, past 2**53 too. Its value
+    ``fl(fl(x) - target)`` does not decrease as x grows, so the integers it
+    accepts form one interval, and that interval holds ``floor(target)`` or
+    the integer after it when it is not empty. Each end is searched from
+    ``target -/+ tolerance * target``: usually two evaluations."""
+    low, high = -INT64_MAX - 1, INT64_MAX
+
+    def accepts(x: int) -> bool:
+        return bool(within_window(x, target, tolerance))
+
+    if not math.isfinite(target):  # every population is as far away: all or none
+        return (low, high) if accepts(0) else (1, 0)
+    center = min(max(math.floor(target), low), high)
+    if not accepts(center):
+        center = min(center + 1, high)
+        if not accepts(center):
+            return (1, 0)
+    reach = tolerance * target
+
+    def guess(edge: float) -> int:
+        return int(min(max(edge, low), high))
+
+    hi = center + _reach(lambda y: accepts(center + y), guess(target + reach) - center,
+                         high - center)
+    lo = center - _reach(lambda y: accepts(center - y), center - guess(target - reach),
+                         center - low)
+    return lo, hi
+
+
+def _reach(accepts, guess: int, top: int) -> int:
+    """The largest y in ``0..top`` that ``accepts``, which holds on ``0..Y``
+    and nowhere else: tries ``guess`` (clamped into ``0..top``), brackets Y
+    by steps of 1, 2, 4, ... away from it, then bisects."""
+    guess, step = min(max(guess, 0), top), 1
+    if accepts(guess):
+        inside, outside = guess, min(guess + step, top + 1)
+        while outside <= top and accepts(outside):
+            inside, step = outside, 2 * step
+            outside = min(inside + step, top + 1)
+    else:
+        inside, outside = max(guess - step, 0), guess
+        while not accepts(inside):
+            outside, step = inside, 2 * step
+            inside = max(outside - step, 0)
+    while outside - inside > 1:
+        mid = (inside + outside) // 2
+        if accepts(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside
 
 
 def is_contiguous(graph: PrecinctGraph, plan: Plan) -> list:

@@ -19,6 +19,8 @@ from the first draw that meets it (see ``_Induced``, ``_wilson`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 from operator import length_hint
 
 import numpy as np
@@ -26,7 +28,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from . import errors
-from .graph import PrecinctGraph, concat_ranges, graph_components, within_window
+from .graph import PrecinctGraph, concat_ranges, graph_components, window_bounds
 
 TREE_METHODS = ("uniform", "mst")
 
@@ -133,11 +135,13 @@ class _Induced:
     """Induced subgraph on a node subset, with local 0..m-1 indexing, gathered
     from the graph's :class:`~mapchain.graph.NeighborIndex`.
 
-    ``nodes`` is the subset, ascending and without repeats, in an array of
-    its own: a subset given otherwise is sorted first, a strictly increasing
-    one only copied. Gathered neighbours map to local ids (-1 outside the
-    subset) through an n-sized position array, scattered from ``nodes`` and
-    kept only for the build.
+    ``nodes`` is the subset, ascending and without repeats, in an int64
+    array of its own: a subset given otherwise is sorted first, a strictly
+    increasing one only copied; a subset that is not integers (floats, or a
+    boolean mask) raises ``ValueError``. Gathered neighbours map to local ids
+    (-1 outside the subset) through the neighbour index's n-sized
+    ``position`` array: the build writes its nodes' local ids into it, reads
+    the neighbours' and writes -1 back, so a build is O(region).
 
     Local node i's neighbours are ``nbr[first[i]:first[i] + deg[i]]``, in
     ascending local order; ``pops[i]`` is its population. ``edge_a`` <
@@ -145,8 +149,8 @@ class _Induced:
     edge order, so that the mst weights line up. ``rows[i]`` is node i's row
     of next walk nodes: ``rows[i][c]`` is the neighbour numpy picks from a
     word of interval c, or the exit value ``m + i`` where the walk must leave
-    the table (see ``_word_intervals``); ``exact[i]`` tells whether node i
-    takes the exact step instead, at degree 1 or above ``_TABLE_DEGREE``.
+    the table (see ``_word_intervals``): every column of a node of degree 1
+    or above ``_TABLE_DEGREE``, which takes the exact step instead.
 
     A node of degree 0 in a subset of more than one node, or an induced edge
     between two nodes of degree 1 in a subset of more than two, raises
@@ -155,14 +159,17 @@ class _Induced:
     """
 
     __slots__ = ("nodes", "m", "pops", "edge_a", "edge_b", "nbr", "first", "deg", "rows",
-                 "exact", "connected")
+                 "connected")
 
     def __init__(self, graph: PrecinctGraph, subset):
-        nodes = np.array(subset, dtype=np.int64, ndmin=1)  # a copy: the caller's may change
-        if nodes.size > 1 and not (nodes[1:] > nodes[:-1]).all():
-            nodes = np.unique(nodes)  # every internal caller passes its subset sorted
+        nodes = np.array(subset, ndmin=1)  # a copy: the caller's may change
         if nodes.size == 0:
             raise errors.EmptyInput("empty node subset")
+        if nodes.dtype.kind not in "iu":
+            raise ValueError(f"node subset of dtype {nodes.dtype}: node ordinals are integers")
+        nodes = nodes.astype(np.int64, copy=False)
+        if nodes.size > 1 and not (nodes[1:] > nodes[:-1]).all():
+            nodes = np.unique(nodes)  # every internal caller passes its subset sorted
         if nodes[0] < 0 or nodes[-1] >= graph.n:
             bad = nodes[0] if nodes[0] < 0 else nodes[np.searchsorted(nodes, graph.n)]
             raise ValueError(f"node ordinal {bad} outside 0..{graph.n - 1}")
@@ -171,9 +178,10 @@ class _Induced:
         index = graph.neighbors
         width = index.degree[nodes]
         far = index.nbrs[concat_ranges(index.start[nodes], width)]
-        position = np.full(graph.n, -1, dtype=np.int64)  # local id of each node, -1 outside
+        position = index.position  # all -1 but during this gather
         position[nodes] = np.arange(m)
         local = position[far]
+        position[nodes] = -1
         inside = local >= 0
         near = np.arange(m).repeat(width)[inside]
         nbr = local[inside]
@@ -193,7 +201,6 @@ class _Induced:
         exits = np.arange(nbr.size, nbr.size + m)  # where m + u lies in ``ends``
         ends = np.concatenate((nbr, np.arange(m, 2 * m)))
         self.rows = ends[np.where(cols < 0, exits[:, None], first[:, None] + cols)].tolist()
-        self.exact = ((deg == 1) | (deg > _TABLE_DEGREE)).tolist()
         self.edge_a, self.edge_b = edge_a, edge_b
         self.nbr, self.first, self.deg = nbr.tolist(), first.tolist(), deg.tolist()
         self.connected = m == 1
@@ -211,16 +218,17 @@ class _Induced:
 class SpanningTree:
     """Rooted spanning tree over a node subset, with subtree population tallies.
 
-    ``nodes[i]`` is the graph ordinal of local index ``i``; ``parent[i]`` is
+    ``nodes[i]`` is the graph ordinal of local index ``i`` (an array, the
+    region's). The rest are the Python lists a draw builds: ``parent[i]`` is
     the local parent index (-1 at the root); ``order`` lists local indices
     with every parent before its children; ``subtree_pop[i]`` is the
     population of the subtree rooted at ``i``.
     """
 
     nodes: np.ndarray
-    parent: np.ndarray
-    order: np.ndarray
-    subtree_pop: np.ndarray
+    parent: list
+    order: list
+    subtree_pop: list
     root: int
 
     @property
@@ -233,30 +241,27 @@ class SpanningTree:
 
     @property
     def total_population(self) -> int:
-        return int(self.subtree_pop[self.root])
+        return self.subtree_pop[self.root]
 
     def local_index(self, node: int) -> int:
-        # nodes is sorted (np.unique), so binary search suffices
+        # nodes is ascending (``_Induced`` sorts it), so binary search suffices
         i = int(np.searchsorted(self.nodes, node))
         if i >= self.m or self.nodes[i] != node:
             raise KeyError(f"node {node} not in tree")
         return i
 
     def subtree_mask(self, child: int) -> np.ndarray:
-        """Local mask of the subtree rooted at graph ordinal ``child``.
-
-        Pointer doubling: after round k, ``inside[i]`` tells whether ``child``
-        is ``i`` or one of its first 2**k - 1 ancestors, and ``up[i]`` is its
-        2**k-th ancestor (the root stands in for ancestors above it).
-        """
-        inside = np.zeros(self.m, dtype=bool)
-        inside[self.local_index(child)] = True
-        up = self.parent.copy()
-        up[self.root] = self.root
-        for _ in range((self.m - 1).bit_length()):
-            inside |= inside[up]
-            up = up[up]
-        return inside
+        """Local mask of the subtree rooted at graph ordinal ``child``: one
+        pass over ``order`` from ``child`` on, marking each node whose parent
+        is marked (every parent comes before its children)."""
+        parent, order = self.parent, self.order
+        c = self.local_index(child)
+        inside = bytearray(self.m)
+        inside[c] = 1
+        for i in islice(order, order.index(c) + 1, None):
+            if inside[parent[i]]:
+                inside[i] = 1
+        return np.frombuffer(inside, dtype=bool)
 
     def subtree_nodes(self, child: int) -> np.ndarray:
         """Graph ordinals of the subtree rooted at ``child``, ascending."""
@@ -264,18 +269,14 @@ class SpanningTree:
 
 
 def _finish_tree(induced: _Induced, parent: list, order: list) -> SpanningTree:
-    """Accumulate subtree populations; ``order`` starts at the root and lists
-    every parent before its children."""
+    """Accumulate subtree populations, as Python ints; ``order`` starts at
+    the root and lists every parent before its children. The tree keeps the
+    draw's lists as they are."""
     subtree = induced.pops.copy()
-    for i in reversed(order[1:]):
+    for i in order[:0:-1]:
         subtree[parent[i]] += subtree[i]
-    return SpanningTree(
-        nodes=induced.nodes,
-        parent=np.array(parent, dtype=np.int64),
-        order=np.array(order, dtype=np.int64),
-        subtree_pop=np.array(subtree, dtype=np.int64),
-        root=int(order[0]),
-    )
+    return SpanningTree(nodes=induced.nodes, parent=parent, order=order,
+                        subtree_pop=subtree, root=order[0])
 
 
 def _wilson(induced: _Induced, rng: np.random.Generator):
@@ -292,9 +293,11 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
     (``random_raw``), each output's low half and then its high half, which
     are the words numpy's calls take from it; a high half word that the
     generator holds from an earlier call (``has_uint32``) comes first, as a
-    chunk of its own. The words are drawn in chunks ahead of need, one chunk
-    held at a time, and each chunk is classified into word intervals
-    (``_word_codes``) with one gather from the table of 16-bit buckets. A
+    chunk of its own; with none held the draw starts from an empty chunk,
+    whose end sends the first lookup to draw one. The words are drawn in
+    chunks ahead of need, one chunk held at a time, and each chunk is
+    classified into word intervals (``_word_codes``) with one gather from
+    the table of 16-bit buckets. A
     chunk holds ``2 * (min(4 * m, 2048) + 32)`` words: a walk uses many
     times m words (a 100-node strip about 33 m), so a draw pays each chunk's
     fixed cost only a few times, and the cap keeps a large region from
@@ -310,9 +313,11 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
     word's position from the iterator's length hint and takes exact steps
     from that word (a degree-1 node's only neighbour, or the word rule
     above on the chunk's words as Python ints, read off the flat neighbour
-    list ``_Induced.nbr``) until it reaches a node the table decides, then
-    sets the iterator to the next unused word (``__setstate__``, O(1)), or
-    it draws the next chunk.
+    list ``_Induced.nbr``) until it reaches a node the table decides, one of
+    degree 2.._TABLE_DEGREE or a tree node, then sets the iterator to the
+    next unused word (``__setstate__``, O(1)), or it draws the next chunk.
+    It returns the draw's ``parent`` and ``order`` lists, which the tree
+    keeps (``_finish_tree``).
 
     At the end the generator is rewound to the words used, in O(log n) for
     n words: its saved state is restored, ``advance`` skips every 64-bit
@@ -337,10 +342,8 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
     tree_exit = 2 * m
     tree_row = [tree_exit] * (_END + 1)
     rows = induced.rows.copy()
-    exact = induced.exact.copy()
     root = int(rng.integers(m))
     rows[root] = tree_row
-    exact[root] = False
     succ = [-1] * m
     parent = [-1] * m
     order = [root]
@@ -350,9 +353,13 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
         raise ValueError(f"Wilson's walk reads the raw output of one of {_RAW_WORD_GENERATORS}, "
                          f"not {saved['bit_generator']}")
     # a held high half word is the next word: a chunk of one word, read first
-    block = np.array([saved["uinteger"]] if saved["has_uint32"] else [], dtype="<u4")
-    codes, words = _word_codes(block), None
-    chunk = drawn = block.size
+    if saved["has_uint32"]:
+        block = np.array([saved["uinteger"]], dtype="<u4")
+        codes = _word_codes(block)
+    else:
+        block, codes = None, bytearray([_END])  # no word: the first lookup draws a chunk
+    words = None
+    chunk = drawn = len(codes) - 1
     it = iter(codes)
     c = next(it)  # the next unused word's interval; ``it`` stands just after it
     check_at = None if induced.connected else _CHECK_WORDS * m
@@ -396,15 +403,14 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
                     if x & _MASK < d and x & _MASK < _WORD % d:
                         continue
                     succ[u] = u = nbr[first[u] + (x >> 32)]
-                if not exact[u]:
-                    break
+                if 2 <= deg[u] <= _TABLE_DEGREE or rows[u] is tree_row:
+                    break  # the table decides the next step
             it.__setstate__(pos)
         # the new branch runs from start to the tree: add it tree end first
         u = start
         branch = []
         while rows[u] is not tree_row:
             rows[u] = tree_row
-            exact[u] = False
             branch.append(u)
             parent[u] = u = succ[u]
         order += reversed(branch)
@@ -472,6 +478,19 @@ class Cut:
     subtree_is_first: bool  # subtree side matches target_pops[0]
 
 
+@lru_cache(maxsize=16)
+def _cut_windows(total: int, p1: float, p2: float, tolerance: float):
+    """The subtree populations s that cut a tree of ``total`` people in each
+    orientation: ``(lo, hi)`` of s for s within ``p1``'s window and
+    ``total - s`` within ``p2``'s, then the other way round (``lo > hi``
+    when none). Every draw of one bipartition shares them, so they are kept
+    for the last few ``(total, p1, p2, tolerance)``."""
+    lo1, hi1 = window_bounds(p1, tolerance)
+    lo2, hi2 = (lo1, hi1) if p2 == p1 else window_bounds(p2, tolerance)
+    return ((max(lo1, total - hi2), min(hi1, total - lo2)),
+            (max(lo2, total - hi1), min(hi2, total - lo1)))
+
+
 def find_balanced_cut(
     tree: SpanningTree,
     target_pops,
@@ -481,26 +500,29 @@ def find_balanced_cut(
     """Tree edge whose removal yields parts within tolerance of the targets.
 
     An edge qualifies when its subtree/complement populations match
-    ``(p1, p2)`` in either orientation, each by :func:`~mapchain.graph.within_window`.
-    Among multiple qualifying edges one is chosen uniformly at random (to
-    avoid directional bias from the tree orientation). Returns ``None`` when
-    no edge qualifies; absence is a value, not an error.
+    ``(p1, p2)`` in either orientation, each by :func:`~mapchain.graph.within_window`,
+    checked by its integer bounds (:func:`~mapchain.graph.window_bounds`)
+    in one pass over ``subtree_pop``; the root, whose subtree is the whole
+    tree, never qualifies. Among multiple qualifying edges, in ascending
+    local order, one is chosen uniformly at random (to avoid directional
+    bias from the tree orientation). Returns ``None`` when no edge
+    qualifies; absence is a value, not an error.
     """
-    p1, p2 = float(target_pops[0]), float(target_pops[1])
-    s = tree.subtree_pop
-    c = tree.total_population - s
-    first = within_window(s, p1, tolerance) & within_window(c, p2, tolerance)
-    second = within_window(s, p2, tolerance) & within_window(c, p1, tolerance)
-    ok = first | second
-    ok[tree.root] = False
-    qualifiers = np.flatnonzero(ok)
-    if not qualifiers.size:
+    total = tree.total_population
+    (a1, b1), (a2, b2) = _cut_windows(total, float(target_pops[0]), float(target_pops[1]),
+                                      tolerance)
+    low = min(a1, a2)  # most subtrees are small: one comparison turns them away
+    qualifiers = [i for i, s in enumerate(tree.subtree_pop)
+                  if s >= low and (a1 <= s <= b1 or a2 <= s <= b2)]
+    if a1 <= total <= b1 or a2 <= total <= b2:
+        qualifiers.remove(tree.root)
+    if not qualifiers:
         return None
-    i = int(qualifiers[int(rng.integers(qualifiers.size))])
+    i = qualifiers[int(rng.integers(len(qualifiers)))]
     return Cut(
         child=int(tree.nodes[i]),
         parent=int(tree.nodes[tree.parent[i]]),
-        subtree_is_first=bool(first[i]),
+        subtree_is_first=a1 <= tree.subtree_pop[i] <= b1,
     )
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from mapchain.graph import (
     district_perimeter_area,
     district_populations,
     is_contiguous,
+    window_bounds,
+    within_window,
 )
 from mapchain.synth import grid_graph, grid_nodes_edges
 from mapchain.trees import TREE_METHODS, _Induced, random_spanning_tree
@@ -404,3 +407,51 @@ def test_disconnected_irregular_graph_lists_its_components(data):
     with pytest.raises(errors.DisconnectedGraph) as err:
         build_graph(unit_nodes(n), edges, small_election(n))
     assert err.value.components == sorted(components)
+
+
+# --- the integer form of the population window
+
+
+_INT64 = (-(2**63), 2**63 - 1)
+
+
+def _accepted(band, target, tolerance):
+    """``within_window`` on the int64 populations of ``band`` that lie in the
+    int64 range, as the plan checks apply it to district populations."""
+    x = np.arange(max(band[0], _INT64[0]), min(band[1], _INT64[1]) + 1, dtype=np.int64)
+    return x, within_window(x, target, tolerance)
+
+
+@given(
+    st.one_of(
+        st.integers(0, 10**6).map(float),
+        st.floats(0, 10**6),
+        st.integers(2**52, 2**62).map(float),
+        st.floats(2.0**52, 2.0**62),
+    ),
+    st.one_of(
+        st.just(0.0),
+        st.floats(1e-18, 1e-12),
+        st.floats(0, 1),
+        st.floats(1, 1e6),
+        st.sampled_from([math.inf, math.nan, -0.01, -1.0]),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+@example(0.0, math.inf)  # 0 * inf is NaN: no population fits
+@example(5.0, math.inf)
+@example(2.0**53 + 2, 0.0)
+@example(2.0**60, 1e-15)
+@example(181.11111111111111, 0.02)
+def test_window_bounds_match_within_window_at_both_edges(target, tolerance):
+    lo, hi = window_bounds(target, tolerance)
+    band = 64
+    if lo > hi:
+        _, accepted = _accepted((math.floor(target) - band, math.floor(target) + band),
+                                target, tolerance)
+        assert not accepted.any()
+        return
+    assert lo <= target + 1 and hi >= target - 1
+    for edge in (lo, hi):
+        x, accepted = _accepted((edge - band, edge + band), target, tolerance)
+        assert accepted.tolist() == ((x >= lo) & (x <= hi)).tolist()

@@ -129,6 +129,21 @@ def test_balanced_cut_path6_qualifier_set():
     assert observed == qualifying
 
 
+@pytest.mark.parametrize("pops, targets", [([1, 1, 1], (3, 0)), ([0, 0, 0], (0, 0))])
+def test_balanced_cut_never_takes_the_root(pops, targets):
+    # the root's subtree is the whole tree, which fits the first target while
+    # its empty complement fits the second; only a tree edge may be cut
+    g = make_path_graph(3, pops=pops)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        tree = random_spanning_tree(g, np.arange(3), rng)
+        cut = find_balanced_cut(tree, targets, 0.0, rng)
+        if sum(pops):
+            assert cut is None
+        else:  # every edge cuts two empty parts
+            assert cut is not None and cut.child != tree.nodes[tree.root]
+
+
 def test_bipartition_2x2_exact():
     # enumeration: the only connected 2-2 splits of the 2x2 grid are rows
     # and columns
@@ -210,12 +225,13 @@ def connected_subset(draw, n, pairs):
 
 def _assert_same_tree(tree, expected):
     assert tree.root == expected.root
-    assert tree.parent.tolist() == expected.parent.tolist()
-    assert tree.subtree_pop.tolist() == expected.subtree_pop.tolist()
-    assert sorted(tree.order.tolist()) == list(range(tree.m))
+    assert tree.parent == expected.parent.tolist()
+    assert tree.subtree_pop == expected.subtree_pop.tolist()
+    assert sorted(tree.order) == list(range(tree.m))
     position = np.argsort(tree.order)
-    children = tree.parent >= 0
-    assert (position[tree.parent[children]] < position[children]).all()
+    parent = np.array(tree.parent)
+    children = parent >= 0
+    assert (position[parent[children]] < position[children]).all()
 
 
 @given(st.data())
@@ -223,7 +239,10 @@ def _assert_same_tree(tree, expected):
 def test_kernel_matches_scalar_reference_on_irregular_graphs(data):
     n = data.draw(st.integers(1, 18))
     pairs = data.draw(irregular_edges(n))
-    pops = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    # small populations (all-zero regions too) and populations in the thousands,
+    # which the integer window bounds must cut exactly as the float rule does
+    top = data.draw(st.sampled_from([6, 9000]))
+    pops = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
     g = _graph(n, pairs, pops)
     subset = data.draw(connected_subset(n, pairs))
     seed = data.draw(st.integers(0, 2**32 - 1))
@@ -518,7 +537,6 @@ def _assert_region_matches_reference(graph, subset):
         return
     induced = _Induced(graph, subset)
     assert induced.rows == ref.walk_rows(adj, _TABLE_DEGREE)
-    assert induced.exact == [d == 1 or d > _TABLE_DEGREE for d in deg]
     assert induced.edge_a.tolist() == edge_a.tolist()
     assert induced.edge_b.tolist() == edge_b.tolist()
     assert induced.deg == deg
@@ -562,6 +580,31 @@ def _slots(induced):
 def test_region_from_an_unsorted_or_repeating_subset_is_its_sorted_set(subset):
     g = grid_graph(3, 3)
     assert _slots(_Induced(g, np.array(subset))) == _slots(_Induced(g, sorted(set(subset))))
+
+
+@pytest.mark.parametrize("subset, dtype", [([0.5, 1.7], "float64"), ([True, True], "bool"),
+                                           (np.arange(9) < 2, "bool"), ([0, 1.0], "float64")])
+def test_region_from_a_subset_that_is_not_integers_rejected(subset, dtype):
+    # a float subset was truncated to ordinals, and a boolean mask read as 0s and 1s
+    g = grid_graph(3, 3)
+    with pytest.raises(ValueError, match=f"dtype {dtype}"):
+        random_spanning_tree(g, subset, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("subset", [[], np.array([], dtype=np.int64)])
+def test_region_from_an_empty_subset_rejected(subset):
+    with pytest.raises(errors.EmptyInput):
+        _Induced(grid_graph(3, 3), subset)
+
+
+def test_region_build_leaves_the_position_array_all_minus_one():
+    g = make_path_graph(40)
+    position = g.neighbors.position
+    with pytest.raises(errors.DisconnectedSubset):
+        _Induced(g, [0, 1, 2, 4])
+    assert (position == -1).all()
+    _Induced(g, np.arange(5, 30))
+    assert (position == -1).all() and position.size == g.n
 
 
 def test_region_keeps_its_own_copy_of_the_subset():
