@@ -16,8 +16,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import errors
 
@@ -273,10 +271,38 @@ def lower_end_edges(graph: PrecinctGraph, nodes: np.ndarray):
 
 
 def graph_components(n: int, edge_a: np.ndarray, edge_b: np.ndarray) -> np.ndarray:
-    """Connected-component id of every node over an undirected edge list,
-    numbered in no set order, by scipy's csgraph."""
-    adjacency = coo_matrix((np.ones(edge_a.size, dtype=np.int8), (edge_a, edge_b)), shape=(n, n))
-    return connected_components(adjacency, directed=False)[1]
+    """Label of every node over an undirected edge list: the smallest node
+    of its component, so the component roots are the nodes labelled with
+    themselves and ``labels.max() > 0`` means more than one component.
+
+    Searched in rounds. At the start of a round every label is a root, a
+    node labelled with itself. Edges whose two ends share a label are dropped
+    for good. Each root hooks to the smallest root across its remaining edges
+    when that one is smaller, and ``label = label[label]`` runs until no
+    label moves. A hook points to a smaller node, so none closes a cycle and
+    every label stays at or below its node: once no edge is left, each label
+    is its component's smallest node. A root that neither hooks nor is
+    hooked to in a round has only neighbours that hooked to smaller roots, so
+    it hooks in the next round. Two rounds thus leave at most as many roots
+    with edges as the first round hooked to, at most half of those it began
+    with: O(log n) rounds.
+    """
+    label = np.arange(n)
+    lo, hi = edge_a, edge_b  # the labels of the edges' two ends
+    while True:
+        # flatnonzero, not a boolean mask: four takes by a mask with no
+        # pattern cost more than the rest of a round on a permuted grid
+        keep = np.flatnonzero(lo != hi)
+        if not keep.size:
+            return label
+        edge_a, edge_b, lo, hi = edge_a[keep], edge_b[keep], lo[keep], hi[keep]
+        np.minimum.at(label, np.maximum(lo, hi), np.minimum(lo, hi))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+        lo, hi = label[edge_a], label[edge_b]
 
 
 def build_graph(
@@ -413,10 +439,8 @@ def build_graph_from_arrays(
 
     labels = graph_components(n, edge_a, edge_b)
     if labels.max() > 0:
-        _, first = np.unique(labels, return_index=True)  # each component's smallest node
-        raise errors.DisconnectedGraph(
-            [np.flatnonzero(labels == c).tolist() for c in labels[np.sort(first)]]
-        )
+        roots = np.flatnonzero(labels == np.arange(n))  # each component's smallest node
+        raise errors.DisconnectedGraph([np.flatnonzero(labels == c).tolist() for c in roots])
 
     counties, county_codes = np.unique(columns["county_id"], return_inverse=True)
     munis, muni_codes = np.unique(columns["muni_id"], return_inverse=True)
@@ -525,8 +549,8 @@ def is_contiguous(graph: PrecinctGraph, plan: Plan) -> list:
     assign = plan.assignment
     internal = assign[graph.edge_a] == assign[graph.edge_b]
     labels = graph_components(graph.n, graph.edge_a[internal], graph.edge_b[internal])
-    _, first = np.unique(labels, return_index=True)
-    return (np.bincount(assign[first], minlength=plan.k) == 1).tolist()
+    roots = np.flatnonzero(labels == np.arange(graph.n))
+    return (np.bincount(assign[roots], minlength=plan.k) == 1).tolist()
 
 
 def district_perimeter_area(graph: PrecinctGraph, plan: Plan):

@@ -24,8 +24,6 @@ from itertools import islice
 from operator import length_hint
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from . import errors
 from .graph import PrecinctGraph, concat_ranges, graph_components, window_bounds
@@ -103,9 +101,11 @@ _BUCKETS = _bucket_codes(_STARTS.tolist())
 # region is connected. Draws on 100-node seed-plan strips of the 100 x 100
 # grid use 36 words per node on average; 14% of them use more than 64 and 2%
 # more than 128, and no draw on regions after 3,000 chain steps or on
-# tree-plan regions used more than 90. A check (csgraph) on a strip costs
-# more than building the whole region: about 120 us against 50 us on a 2-vCPU
-# Xeon VM.
+# tree-plan regions used more than 90. A check (graph_components) on a 2 x 50
+# strip costs about half as much as building the whole region: about 23 us
+# against 45 us on a 2-vCPU Xeon VM. A lower bound would let a disconnected
+# region raise DisconnectedSubset after fewer words, leaving the rng in
+# another state.
 _CHECK_WORDS = 128
 
 # The bit generators whose uint32 words are the low, then the high half of
@@ -429,6 +429,11 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
 def _random_mst(induced: _Induced, rng: np.random.Generator):
     """Minimum spanning tree under i.i.d. uniform edge weights, rooted at local
     0. Raises ``DisconnectedSubset`` when the tree does not reach every node."""
+    # imported here: scipy serves only this method, and loading it costs more
+    # time and memory than the rest of the program
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
+
     m = induced.m
     weights = rng.random(induced.edge_a.size)
     # csgraph drops zero entries; the smallest positive double keeps the order

@@ -586,6 +586,30 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     assert out == "False\n"
 
 
+def test_only_tree_method_mst_loads_scipy(workdir):
+    # the uniform commands never load scipy, and run when it is missing;
+    # tree_method=mst imports it on its first draw
+    src = os.path.dirname(os.path.dirname(mapchain.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    scipy_loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+    def run(code):
+        return subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
+                              cwd=workdir, capture_output=True, text=True, check=True).stdout
+
+    assert run(f"import mapchain.cli\n{scipy_loaded}") == "[]\n"
+    assert run(
+        "sys.modules['scipy'] = None\n"
+        "from mapchain.cli import main\n"
+        f"print(main(['chain', '--config', {CFG!r}]), main(['tree', '--config', {CFG!r}]))"
+    ).splitlines()[-1] == "0 0"
+    assert run(
+        "from mapchain.cli import main\n"
+        f"code = main(['tree', '--config', {CFG!r}, '--set', 'tree_method=mst'])\n"
+        "print(code, 'scipy.sparse.csgraph' in sys.modules)"
+    ).splitlines()[-1] == "0 True"
+
+
 def _append_column(path, name, value):
     """Add a column ``name`` holding ``value`` on every row to the CSV ``path``."""
     header, *rows = path.read_text().splitlines()

@@ -17,6 +17,7 @@ from mapchain.graph import (
     canonical_form,
     district_perimeter_area,
     district_populations,
+    graph_components,
     is_contiguous,
     window_bounds,
     within_window,
@@ -25,7 +26,7 @@ from mapchain.synth import grid_graph, grid_nodes_edges
 from mapchain.trees import TREE_METHODS, _Induced, random_spanning_tree
 
 from conftest import CountingRng, make_path_graph
-from graph_reference import first_node_fault
+from graph_reference import first_node_fault, union_find_components
 
 
 def small_election(n):
@@ -407,6 +408,51 @@ def test_disconnected_irregular_graph_lists_its_components(data):
     with pytest.raises(errors.DisconnectedGraph) as err:
         build_graph(unit_nodes(n), edges, small_election(n))
     assert err.value.components == sorted(components)
+
+
+@st.composite
+def component_inputs(draw):
+    """``(n, pairs)``: node pairs on ``n`` nodes, with self-loops, repeated
+    pairs, both orientations and isolated nodes, plus a path through drawn
+    nodes in drawn order, so a long component's ids are shuffled."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=n))
+    path = draw(st.lists(node, unique=True))
+    pairs += list(zip(path, path[1:]))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    return n, pairs
+
+
+def _assert_components_match_union_find(n, edge_a, edge_b):
+    labels = graph_components(n, edge_a, edge_b)
+    assert labels.tolist() == union_find_components(n, edge_a.tolist(), edge_b.tolist())
+    for label in set(labels.tolist()):
+        assert label == np.flatnonzero(labels == label).min()
+
+
+@given(component_inputs())
+@example((1, []))
+@example((5, []))
+@example((3, [(1, 1), (2, 0), (0, 2), (2, 0)]))
+@example((6, [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]))
+@example((7, [(6, 0), (6, 1), (6, 2), (6, 3), (6, 4), (6, 5)]))
+@settings(max_examples=300, deadline=None)
+def test_graph_components_match_union_find(case):
+    n, pairs = case
+    edge_a = np.array([a for a, _ in pairs], dtype=np.int64)
+    edge_b = np.array([b for _, b in pairs], dtype=np.int64)
+    _assert_components_match_union_find(n, edge_a, edge_b)
+
+
+def test_graph_components_match_union_find_on_a_permuted_grid():
+    # shuffled ids take the search several rounds, each with deep pointer chains
+    g = grid_graph(30, 30)
+    rng = np.random.default_rng(3)
+    perm = rng.permutation(g.n)
+    kept = rng.random(g.n_edges) < 0.6  # dozens of components, one of hundreds of nodes
+    _assert_components_match_union_find(g.n, perm[g.edge_a[kept]], perm[g.edge_b[kept]])
 
 
 # --- the integer form of the population window
