@@ -22,9 +22,10 @@ from .constraints import ConstraintGate, gate_accept, split_report
 from .graph import (
     Plan,
     PrecinctGraph,
-    concat_ranges,
+    Region,
     district_populations,
     is_contiguous,
+    label_order,
     within_window,
 )
 from .metrics import MetricsConfig, MetricsReport, PlanTally, score_plan
@@ -44,9 +45,9 @@ class PairTable:
     An accepted step changes only its two districts, and every edge touching
     them has an end among their nodes. :meth:`move` drops the entries that
     touch the two districts and re-reads the edges incident to their nodes,
-    gathered through the graph's neighbour index (``PrecinctGraph.neighbors``),
-    in whatever order it holds them. A step so costs O(region + k), not
-    O(n + m).
+    as the step's :class:`~mapchain.graph.Region` gathered them from the
+    graph's neighbour index, in whatever order it holds them. A step so
+    costs O(region + k), not O(n + m).
     """
 
     def __init__(self, graph: PrecinctGraph, plan: Plan, pair_selection: str):
@@ -55,14 +56,12 @@ class PairTable:
         self.keys = None if by_edge else _adjacent_keys(graph, plan)
         self.cross = _cut_edges(graph, plan) if by_edge else None
 
-    def move(self, plan: Plan, districts, nodes: np.ndarray) -> None:
+    def move(self, plan: Plan, districts, region: Region) -> None:
         """Make this the table of ``plan``, which differs from the table's
-        plan only in the two ``districts``; ``nodes`` are all their nodes."""
-        graph, (d1, d2) = self.graph, districts
-        index = graph.neighbors
-        edges = index.edges[concat_ranges(index.start[nodes], index.degree[nodes])]
-        a = plan.assignment[graph.edge_a[edges]]
-        b = plan.assignment[graph.edge_b[edges]]
+        plan only in the two ``districts``; ``region`` is their nodes' Region."""
+        d1, d2 = districts
+        a = plan.assignment[region.nodes].repeat(region.width)
+        b = plan.assignment[region.far]
         cut = a != b
         if self.keys is not None:
             keys, k = self.keys, plan.k
@@ -72,7 +71,8 @@ class PairTable:
             kept = keys[~(moved[lo] | moved[keys - lo * k])]
             self.keys = _union(kept, _pair_keys(a, b, k)[cut])
         else:
-            # the old cross edges that touch the two districts are among ``edges``
+            # the old cross edges that touch the two districts are among the region's
+            edges = region.edges
             at = np.searchsorted(self.cross, edges)
             found = self.cross[np.minimum(at, self.cross.size - 1)] == edges
             self.cross = _union(np.delete(self.cross, at[found]), edges[cut])
@@ -82,6 +82,12 @@ class PairTable:
         if self.keys is not None:
             return np.array_equal(self.keys, _adjacent_keys(self.graph, plan))
         return np.array_equal(self.cross, _cut_edges(self.graph, plan))
+
+
+def district_members(plan: Plan) -> list:
+    """Each district's nodes, ascending, counted from the whole plan."""
+    order = label_order(plan.assignment, plan.k)
+    return np.split(order, np.bincount(plan.assignment, minlength=plan.k).cumsum()[:-1])
 
 
 # The acceptance counters a ChainState keeps and a ChainTrace reports
@@ -104,6 +110,9 @@ class ChainState:
     # PairTable of ``plan`` for the chain's pair_selection: run_chain or a bare
     # state's first step builds it; recom_step moves it with each accepted step
     pairs: "PairTable | None" = None
+    # each district's nodes, ascending (district_members): run_chain or a bare
+    # state's first step counts them; recom_step sets the two it moves
+    members: "list | None" = None
 
     def counters_consistent(self) -> bool:
         return self.proposed == (
@@ -219,6 +228,8 @@ def recom_step(
         state.tally = PlanTally(graph, plan)
     if state.pairs is None:
         state.pairs = PairTable(graph, plan, pair_selection)
+    if state.members is None:
+        state.members = district_members(plan)
     state.proposed += 1
 
     if pair_selection == "uniform":
@@ -235,9 +246,11 @@ def recom_step(
     else:
         raise ValueError(f"unknown pair_selection {pair_selection!r}; use {PAIR_SELECTION}")
 
-    subset = np.flatnonzero(
-        (plan.assignment == d1) | (plan.assignment == d2)
-    )
+    # the merged region, read once: its nodes, their slices of the neighbour
+    # index and the subgraph the trees are drawn on
+    subset = np.concatenate((state.members[d1], state.members[d2]))
+    subset.sort(kind="stable")  # two ascending runs: one merge
+    region = graph.neighbors.gather(subset)
     ideal = graph.total_population / plan.k
     parts = bipartition_region(
         graph,
@@ -247,6 +260,7 @@ def recom_step(
         rng,
         max_tree_retries=max_tree_retries,
         method=tree_method,
+        induced=_Induced(graph, subset, region),
     )
     if parts is None:
         state.rejected_no_cut += 1
@@ -258,14 +272,15 @@ def recom_step(
     assignment[parts[1]] = d2
     proposal = Plan.unchecked(assignment, plan.k)
     if state.tally is not None:
-        move = state.tally.propose(proposal, np.sort([d1, d2]), subset)
+        move = state.tally.propose(proposal, np.array(sorted((d1, d2))), region)
         if constraint_gate.mode != "permissive" and not gate_accept(
             constraint_gate, state.tally.splits, move.splits, rng
         ):
             state.rejected_by_constraint += 1
             return state
         state.tally.apply(move)
-    state.pairs.move(proposal, (d1, d2), subset)
+    state.pairs.move(proposal, (d1, d2), region)
+    state.members[d1], state.members[d2] = parts
     state.plan = proposal
     state.accepted += 1
     return state
@@ -330,15 +345,17 @@ def run_chain(
     rejected steps repeat the current plan and its report, which is read
     once per plan off the chain's ``PlanTally``. Every ``validate_every``
     steps, contiguity, balance, the report (against a from-scratch
-    ``score_plan``) and the pair table (against a count over all edges) are
-    re-checked (plans and tallies are right by construction; this is a
-    sampled belt-and-braces check that raises ``ChainInvariantViolated`` —
-    set 1 for every step, 0 to disable).
+    ``score_plan``), the pair table (against a count over all edges) and the
+    district node lists (against ``district_members``) are re-checked
+    (plans and tallies are right by construction; this is a sampled
+    belt-and-braces check that raises ``ChainInvariantViolated`` — set 1
+    for every step, 0 to disable).
     Deterministic given the rng seed.
     """
     check_seed_plan(graph, seed_plan, tolerance, constraint_gate, rng)
     state = ChainState(plan=seed_plan, rng=rng, tally=PlanTally(graph, seed_plan),
-                       pairs=PairTable(graph, seed_plan, pair_selection))
+                       pairs=PairTable(graph, seed_plan, pair_selection),
+                       members=district_members(seed_plan))
     trace = ChainTrace.empty(steps)
     scored, report = None, None
     for t in range(steps):
@@ -367,6 +384,10 @@ def run_chain(
             if not state.pairs.matches(state.plan):
                 raise errors.ChainInvariantViolated(
                     f"step {t}: the pair table differs from a from-scratch count"
+                )
+            if not all(map(np.array_equal, state.members, district_members(state.plan))):
+                raise errors.ChainInvariantViolated(
+                    f"step {t}: the district node lists differ from a from-scratch count"
                 )
     for name in COUNTERS:
         setattr(trace, name, getattr(state, name))

@@ -39,18 +39,6 @@ def unit_codes(graph: PrecinctGraph) -> tuple:
     return (graph.county_codes, graph.n_counties), (graph.muni_codes, graph.n_munis)
 
 
-def unit_district_counts(codes, n_units: int, nodes, labels, size: int):
-    """Dense int32 ``(n_units, size)`` matrix counting the ``nodes`` of each unit
-    per label, where ``codes`` gives every graph node its unit and ``labels``
-    gives each of ``nodes`` a label in ``0..size-1``.
-
-    Its cost is O(len(nodes) + n_units * size), so a chain step can count the
-    merged region's two districts alone.
-    """
-    counts = np.bincount(codes[nodes] * size + labels, minlength=n_units * size)
-    return counts.astype(np.int32).reshape(n_units, size)
-
-
 def split_report(graph: PrecinctGraph, plan: Plan, pieces=None) -> SplitReport:
     """Every split count of one plan, read off ``pieces``: the number of
     districts each county and each municipality touches, as a pair of arrays
@@ -61,10 +49,10 @@ def split_report(graph: PrecinctGraph, plan: Plan, pieces=None) -> SplitReport:
     each touches; it is always >= 2 * ``county_splits``, with equality iff
     every split county touches exactly two districts.
     """
-    if pieces is None:
+    if pieces is None:  # each unit's node count per district, then the districts it touches
         pieces = [
-            (unit_district_counts(codes, n_units, slice(None), plan.assignment, plan.k) > 0)
-            .sum(axis=1)
+            (np.bincount(codes * plan.k + plan.assignment, minlength=n_units * plan.k)
+             .reshape(n_units, plan.k) > 0).sum(axis=1)
             for codes, n_units in unit_codes(graph)
         ]
     county, muni = pieces

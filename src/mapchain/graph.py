@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,8 +204,9 @@ class PrecinctGraph:
     def n_munis(self) -> int:
         return len(self.muni_names)
 
-    @property
+    @cached_property
     def total_population(self) -> int:
+        """The population of every node, summed once (a chain step reads it)."""
         return int(self.populations.sum())
 
     @cached_property
@@ -227,11 +228,11 @@ class NeighborIndex:
     neighbours are ``nbrs[start[v]:start[v] + degree[v]]``, ascending, and
     ``edges`` holds the id of the edge to each one at the same positions.
 
-    ``position`` is an n-sized scratch array, all -1, that a region build
-    (``trees._Induced``) writes its nodes' local ids into and resets before
-    it can raise, so that it maps neighbours to local ids in O(region). Two
-    threads must not build regions of one graph at once; the CLI's workers
-    are processes, each with its own graph."""
+    ``position`` is an n-sized scratch array, all -1, that :meth:`gather`
+    writes its nodes' local ids into and resets before it returns, so that it
+    maps neighbours to local ids in O(region). Two threads must not gather
+    from one graph at once; the CLI's workers are processes, each with its
+    own graph."""
 
     start: np.ndarray
     degree: np.ndarray
@@ -248,6 +249,53 @@ class NeighborIndex:
         return cls(degree.cumsum() - degree, degree, far[order], order % edge_a.size,
                    np.full(n, -1, dtype=np.int64))
 
+    def gather(self, nodes: np.ndarray) -> "Region":
+        """The :class:`Region` of ``nodes``, an ascending int64 array of
+        distinct node ordinals: their slices of this index, in one gather."""
+        m = nodes.size
+        width = self.degree[nodes]
+        at = concat_ranges(self.start[nodes], width)
+        far = self.nbrs[at]
+        ids = np.arange(m)
+        position = self.position  # all -1 but during this gather
+        position[nodes] = ids
+        local = position[far]
+        position[nodes] = -1
+        return Region(nodes, width, ids.repeat(width), far, self.edges[at], local)
+
+
+class Region(NamedTuple):
+    """A node set's slices of the graph's :class:`NeighborIndex`, gathered
+    once and read by everything a ReCom step does to its merged districts:
+    the subgraph the tree is drawn on (``trees._Induced``), the districts'
+    geometry (:func:`district_geometry`) and the pair table's move.
+
+    ``nodes`` are ascending, and node i, the local id, has ``width[i]``
+    neighbours. The gathered positions run node by node, each node's
+    neighbours ascending: at each, ``near`` is the local id of its node,
+    ``far`` the neighbour, ``edges`` the edge between them and ``local`` the
+    neighbour's local id, or -1 outside the set. An edge with both ends in
+    the set appears twice, once from each end; from its lower end (where
+    ``local > near``) the positions list those edges in ascending edge id,
+    the order that ``edge_a``/``edge_b`` hold them in."""
+
+    nodes: np.ndarray
+    width: np.ndarray
+    near: np.ndarray
+    far: np.ndarray
+    edges: np.ndarray
+    local: np.ndarray
+
+
+def label_order(labels: np.ndarray, size: int) -> np.ndarray:
+    """A stable argsort of ``labels``, each in ``0..size-1``: the positions
+    grouped by label, ascending within each group. Labels that fit 16 bits
+    are sorted as uint16, which numpy radix-sorts in O(n); an int64 sort of
+    a whole plan's labels costs ten times as much."""
+    if size <= 1 << 16:
+        labels = labels.astype(np.uint16)
+    return np.argsort(labels, kind="stable")
+
 
 def concat_ranges(first: np.ndarray, width: np.ndarray) -> np.ndarray:
     """``first[i], ..., first[i] + width[i] - 1`` for every ``i`` in turn, as
@@ -261,15 +309,6 @@ def concat_ranges(first: np.ndarray, width: np.ndarray) -> np.ndarray:
     return out
 
 
-def lower_end_edges(graph: PrecinctGraph, nodes: np.ndarray):
-    """``(edges, width)``: the ids of the edges whose lower end ``edge_a`` is
-    among ``nodes`` (ascending), in ascending edge order, and how many of
-    them each node has. Every edge with both ends among the nodes is one."""
-    first = np.searchsorted(graph.edge_a, nodes)
-    width = np.searchsorted(graph.edge_a, nodes, side="right") - first
-    return concat_ranges(first, width), width
-
-
 def graph_components(n: int, edge_a: np.ndarray, edge_b: np.ndarray) -> np.ndarray:
     """Label of every node over an undirected edge list: the smallest node
     of its component, so the component roots are the nodes labelled with
@@ -277,31 +316,35 @@ def graph_components(n: int, edge_a: np.ndarray, edge_b: np.ndarray) -> np.ndarr
 
     Searched in rounds. At the start of a round every label is a root, a
     node labelled with itself. Edges whose two ends share a label are dropped
-    for good. Each root hooks to the smallest root across its remaining edges
-    when that one is smaller, and ``label = label[label]`` runs until no
-    label moves. A hook points to a smaller node, so none closes a cycle and
-    every label stays at or below its node: once no edge is left, each label
-    is its component's smallest node. A root that neither hooks nor is
-    hooked to in a round has only neighbours that hooked to smaller roots, so
-    it hooks in the next round. Two rounds thus leave at most as many roots
-    with edges as the first round hooked to, at most half of those it began
-    with: O(log n) rounds.
+    for good (none is, in the first round of a graph without self-loops, so
+    its edges are not copied). Each root hooks to the smallest root across
+    its remaining edges when that one is smaller, and ``label = label[label]``
+    runs until no label moves, into one reused buffer. A hook points to a
+    smaller node, so none closes a cycle and every label stays at or below
+    its node: once no edge is left, each label is its component's smallest
+    node. A root that neither hooks nor is hooked to in a round has only
+    neighbours that hooked to smaller roots, so it hooks in the next round.
+    Two rounds thus leave at most as many roots with edges as the first
+    round hooked to, at most half of those it began with: O(log n) rounds.
     """
     label = np.arange(n)
+    up = np.empty_like(label)
     lo, hi = edge_a, edge_b  # the labels of the edges' two ends
     while True:
-        # flatnonzero, not a boolean mask: four takes by a mask with no
-        # pattern cost more than the rest of a round on a permuted grid
-        keep = np.flatnonzero(lo != hi)
-        if not keep.size:
+        differ = lo != hi
+        if not differ.all():
+            # flatnonzero, not a boolean mask: four takes by a mask with no
+            # pattern cost more than the rest of a round on a permuted grid
+            keep = np.flatnonzero(differ)
+            edge_a, edge_b, lo, hi = edge_a[keep], edge_b[keep], lo[keep], hi[keep]
+        if not edge_a.size:
             return label
-        edge_a, edge_b, lo, hi = edge_a[keep], edge_b[keep], lo[keep], hi[keep]
         np.minimum.at(label, np.maximum(lo, hi), np.minimum(lo, hi))
         while True:
-            up = label[label]
+            label.take(label, out=up)
             if np.array_equal(up, label):
                 break
-            label = up
+            label, up = up, label
         lo, hi = label[edge_a], label[edge_b]
 
 
@@ -442,8 +485,8 @@ def build_graph_from_arrays(
         roots = np.flatnonzero(labels == np.arange(n))  # each component's smallest node
         raise errors.DisconnectedGraph([np.flatnonzero(labels == c).tolist() for c in roots])
 
-    counties, county_codes = np.unique(columns["county_id"], return_inverse=True)
-    munis, muni_codes = np.unique(columns["muni_id"], return_inverse=True)
+    counties, county_codes = _unit_codes(columns["county_id"])
+    munis, muni_codes = _unit_codes(columns["muni_id"])
 
     return PrecinctGraph(
         precinct_ids=ids,
@@ -452,15 +495,24 @@ def build_graph_from_arrays(
         populations=populations,
         areas=areas,
         perimeters=perimeters,
-        county_codes=county_codes.astype(np.int64),
-        muni_codes=muni_codes.astype(np.int64),
-        county_names=tuple(counties.tolist()),
-        muni_names=tuple(munis.tolist()),
+        county_codes=county_codes,
+        muni_codes=muni_codes,
+        county_names=counties,
+        muni_names=munis,
         edge_a=edge_a,
         edge_b=edge_b,
         edge_shared=edge_shared,
         votes=votes,
     )
+
+
+def _unit_codes(ids) -> tuple:
+    """The distinct unit ``ids``, sorted, and each id's position among them
+    as an int64 array. Python strings, not a numpy string array, which would
+    drop trailing NUL characters and merge ``"A"`` with ``"A\\x00"``."""
+    names = sorted(set(ids))
+    code = dict(zip(names, range(len(names))))
+    return tuple(names), np.array(list(map(code.__getitem__, ids)), dtype=np.int64)
 
 
 def district_populations(graph: PrecinctGraph, plan: Plan) -> np.ndarray:
@@ -557,25 +609,31 @@ def district_perimeter_area(graph: PrecinctGraph, plan: Plan):
     """Per-district ``(perimeters, areas)`` arrays (:func:`district_geometry`);
     raises ``NegativePerimeter`` when a perimeter is not strictly positive
     (the shared_perimeter inputs then violate the per-edge bound)."""
-    perims, areas = district_geometry(
-        graph, plan.assignment, np.arange(graph.n), plan.assignment, plan.k
-    )
+    perims, areas = district_geometry(graph, np.arange(graph.n), plan.assignment, plan.k)
     require_positive_perimeters(perims)
     return perims, areas
 
 
-def district_geometry(graph: PrecinctGraph, assignment, nodes, local, size: int):
-    """``(perimeters, areas)`` of the ``size`` districts holding ``nodes``
-    (ascending) under ``assignment``, ``local`` being each node's district
-    among them: perimeter(d) is the sum of node perimeters in d minus twice
-    the shared boundary of the edges internal to d. Nodes and edges are added
-    in ascending order, as ``np.bincount`` adds a whole plan, so a district's
-    sums are the same whichever other districts are asked for."""
+def district_geometry(graph: PrecinctGraph, nodes, local, size: int, region=None):
+    """``(perimeters, areas)`` of the ``size`` districts that hold exactly
+    ``nodes`` (ascending), ``local`` being each node's district among them:
+    perimeter(d) is the sum of node perimeters in d minus twice the shared
+    boundary of the edges internal to d. ``nodes`` are every node of the
+    graph, or those of ``region``, their :class:`Region`, which lists their
+    internal edges. Nodes and edges are added in ascending order, as
+    ``np.bincount`` adds a whole plan, so a district's sums are the same
+    whichever other districts are asked for."""
     areas = np.bincount(local, graph.areas[nodes], size)
     perimeters = np.bincount(local, graph.perimeters[nodes], size)
-    edges, width = lower_end_edges(graph, nodes)
-    inside = assignment[graph.edge_a[edges]] == assignment[graph.edge_b[edges]]
-    shared = np.bincount(np.repeat(local, width)[inside], graph.edge_shared[edges[inside]], size)
+    if region is None:
+        ends = local[graph.edge_a]
+        inside = np.flatnonzero(ends == local[graph.edge_b])
+        shared = np.bincount(ends[inside], graph.edge_shared[inside], size)
+    else:  # each internal edge from its lower end, in ascending edge order
+        low = np.flatnonzero(region.local > region.near)
+        ends = local[region.near[low]]
+        inside = ends == local[region.local[low]]
+        shared = np.bincount(ends[inside], graph.edge_shared[region.edges[low[inside]]], size)
     return perimeters - 2.0 * shared, areas
 
 

@@ -22,7 +22,11 @@ count on every line, no blank row), is split into columns at the positions
 of its comma and line-break bytes, and each column decoded once; a nodes.csv
 count column whose cells are all plain digits is read as numbers straight
 from those bytes. Any other file goes through ``csv``, which reads it the
-same way and reports its faults.
+same way and reports its faults. Either way every cell is stripped of
+surrounding whitespace (``str.strip``) once, by the column reader, and the
+readers use the stripped cells; a split file is stripped only when it holds
+a byte that ``str.strip`` could remove: ASCII whitespace other than the line
+break, or any non-ASCII byte.
 
 The run configuration is a flat ``key = value`` UTF-8 text file, read as the
 CSV files are with one leading byte order mark dropped, whose keys match
@@ -37,6 +41,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -63,7 +68,7 @@ TRACE_COLUMNS = ("step", "accepted") + tuple(col for col, _ in TRACE_METRIC_FIEL
 
 def _read_columns(path, required, rows_required=False, integer=None) -> tuple:
     """``(header, columns)`` of a CSV file, where ``columns`` maps each header
-    name to the tuple of its cells, unstripped.
+    name to the tuple of its cells, each stripped of surrounding whitespace.
 
     The file's bytes are split at their commas and line breaks when that
     reads them exactly as ``csv`` would (:func:`_split_columns`); there a
@@ -100,8 +105,8 @@ def _split_columns(data: bytes, integer=None):
     cell is blank (``csv`` skips a line whose cells are all blank). Splitting
     the rest matches ``csv``'s default dialect cell for cell: a comma or LF
     byte never occurs inside a multi-byte UTF-8 character. A column is its
-    cells decoded once, or, where ``integer(name)``, their int64 values if
-    every cell is 1 to 18 ASCII digits (:func:`_digit_cells`).
+    cells decoded once and stripped, or, where ``integer(name)``, their int64
+    values if every cell is 1 to 18 ASCII digits (:func:`_digit_cells`).
     """
     try:
         data.decode("utf-8")
@@ -127,6 +132,9 @@ def _split_columns(data: bytes, integer=None):
     header = [h.strip() for h in data[:ends[0, -1]].decode("utf-8").split(",")]
     if not header[0]:
         return None
+    # no cell can change under str.strip unless some byte is ASCII whitespace
+    # other than the line break, or not ASCII
+    strip = not data.isascii() or any(byte in data for byte in _STRIPPABLE)
     columns = {}
     for j, name in enumerate(header):
         # a data cell starts after the comma before it or the line break of the line before
@@ -134,10 +142,15 @@ def _split_columns(data: bytes, integer=None):
         column = _digit_cells(*cells) if integer and integer(name) else None
         if column is None:
             column = _decode_cells(*cells)
-            if j == 0 and not all(map(str.strip, column)):
+            if strip:
+                column = tuple(map(str.strip, column))
+            if j == 0 and not all(column):
                 return None
         columns[name] = column
     return header, columns
+
+
+_STRIPPABLE = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"  # the ASCII whitespace of str.strip but LF and CR
 
 
 def _decode_cells(buf, starts, ends) -> tuple:
@@ -198,7 +211,7 @@ def _csv_columns(path, data: bytes, rows_required) -> tuple:
     if rows_required and not rows:
         raise errors.EmptyFile(f"{path}: header but no data rows")
     cells = list(zip(*rows)) or [()] * len(header)
-    return header, {name: cells[i] for i, name in enumerate(header)}
+    return header, {name: tuple(map(str.strip, cells[i])) for i, name in enumerate(header)}
 
 
 def _require_once(path, header, names) -> None:
@@ -265,10 +278,8 @@ def read_nodes(path):
         values[column] = _parse_column(path, column, col[column], kind, rank, faults)
     _raise_first(faults)
 
-    columns = {
-        name: values[name] if name in values else [cell.strip() for cell in col[name]]
-        for name in NODE_COLUMNS
-    }
+    columns = {name: values[name] if name in values else list(col[name])
+               for name in NODE_COLUMNS}
     contests = [
         Contest(name, values[f"{name}_D"], values[f"{name}_R"])
         for name in contest_names
@@ -281,8 +292,8 @@ _INT64_MIN = int(np.iinfo(np.int64).min)
 
 def _parse_column(path, column, raw, kind, rank, faults) -> np.ndarray:
     """The cells ``raw`` of ``column`` converted by ``kind`` (``int`` to int64,
-    or ``float``; both ignore surrounding whitespace) in one pass, or ``raw``
-    itself where the column reader already parsed it. Where a cell does not
+    or ``float``) in one pass, or ``raw`` itself where the column reader
+    already parsed it. Where a cell does not
     convert, or an int lies outside int64, the cells before it, and the
     cell's fault added to ``faults`` at check ``rank``."""
     if isinstance(raw, np.ndarray):
@@ -299,7 +310,7 @@ def _parse_column(path, column, raw, kind, rank, faults) -> np.ndarray:
                 break
         i = len(parsed)
         faults.append((i, rank, cls(
-            f"{path}: row {i + 2}, column {column!r}: not numeric: {raw[i].strip()!r}"
+            f"{path}: row {i + 2}, column {column!r}: not numeric: {raw[i]!r}"
         )))
     try:
         return np.array(parsed, dtype=np.int64 if kind is int else np.float64)
@@ -307,7 +318,7 @@ def _parse_column(path, column, raw, kind, rank, faults) -> np.ndarray:
         i = next(i for i, v in enumerate(parsed) if not _INT64_MIN <= v <= INT64_MAX)
         faults.append((i, rank, cls(
             f"{path}: row {i + 2}, column {column!r}: out of the 64-bit integer range: "
-            f"{raw[i].strip()!r}"
+            f"{raw[i]!r}"
         )))
         return np.array(parsed[:i], dtype=np.int64)
 
@@ -323,14 +334,16 @@ def read_edges(path, node_index: dict) -> tuple:
     """
     header, col = _read_columns(path, ("src", "dst"))
     _require_once(path, header, ("src", "dst", "shared_perimeter"))
-    src = [cell.strip() for cell in col["src"]]
-    dst = [cell.strip() for cell in col["dst"]]
-    # a blank or absent shared_perimeter is 1
-    raw_shared = [cell.strip() or "1" for cell in col.get("shared_perimeter", [""] * len(src))]
+    src, dst = col["src"], col["dst"]
     faults = []
-    shared = _parse_column(path, "shared_perimeter", raw_shared, float, 0, faults)
-    edge_a = np.array([node_index.get(s, -1) for s in src], dtype=np.int64)
-    edge_b = np.array([node_index.get(d, -1) for d in dst], dtype=np.int64)
+    raw_shared = col.get("shared_perimeter")
+    if raw_shared is None:  # an absent or blank shared_perimeter is 1
+        shared = np.ones(len(src))
+    else:
+        if "" in raw_shared:
+            raw_shared = [cell or "1" for cell in raw_shared]
+        shared = _parse_column(path, "shared_perimeter", raw_shared, float, 0, faults)
+    edge_a, edge_b = (_ordinals(node_index, ids) for ids in (src, dst))
     # a repeat of a pair with an unknown end comes after the row that first had it
     repeated = repeated_pairs(edge_a, edge_b)
     if repeated.size:
@@ -346,6 +359,11 @@ def read_edges(path, node_index: dict) -> tuple:
         )))
     _raise_first(faults)
     return edge_a, edge_b, shared
+
+
+def _ordinals(node_index: dict, ids) -> np.ndarray:
+    """Each precinct id's node ordinal, or -1 for an unknown id."""
+    return np.fromiter(map(node_index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
 
 
 def read_graph(nodes_path, edges_path) -> PrecinctGraph:
@@ -367,9 +385,8 @@ def read_assignment(path, graph: PrecinctGraph):
     """
     header, col = _read_columns(path, ("precinct_id", "district"))
     _require_once(path, header, ("precinct_id", "district"))
-    pids = [cell.strip() for cell in col["precinct_id"]]
-    labels = [cell.strip() for cell in col["district"]]
-    index = np.array([graph.node_index.get(pid, -1) for pid in pids], dtype=np.int64)
+    pids, labels = col["precinct_id"], col["district"]
+    index = _ordinals(graph.node_index, pids)
     faults = []
     unknown = np.flatnonzero(index < 0)
     if unknown.size:

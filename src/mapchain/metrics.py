@@ -11,10 +11,10 @@ The public whole-plan helpers (``district_shares``, ``efficiency_gap``,
 ``seats_won``, ...) compute one contest's metric from whole per-district
 arrays. ``score_plan`` reads the same metrics off a :class:`PlanTally`,
 which keeps what the report reads across districts and updates it for moved
-districts only: per row, one record of share and integer counts per
-district, the counts' sums and the shares sorted; float sums are
-``math.fsum`` of the kept terms, taken when read. The tests hold its reports
-equal, bit for bit, to reports built from the whole-plan helpers.
+districts only: per row, each district's share and integer counts, the
+counts' sums and the shares sorted; a float sum is the ``math.fsum`` of its
+terms, kept exactly under updates (:class:`KeptSum`). The tests hold its
+reports equal, bit for bit, to reports built from the whole-plan helpers.
 
 Sign conventions: shares are two-party Democratic; efficiency gap and
 mean-median are positive for pro-Republican advantage.
@@ -24,20 +24,22 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, fields
-from operator import add
+from operator import add, truediv
 from typing import NamedTuple
 
 import numpy as np
 
 from . import errors
-from .constraints import SplitReport, split_report, unit_codes, unit_district_counts
+from .constraints import SplitReport, split_report
 from .graph import (
     INT64_MAX,
     Contest,
     Plan,
     PrecinctGraph,
+    Region,
     district_geometry,
     district_perimeter_area,
+    label_order,
     require_positive_perimeters,
 )
 
@@ -231,14 +233,52 @@ def _index_votes(graph: PrecinctGraph, rows: np.ndarray, side: str) -> np.ndarra
     return exact.astype(np.int64)
 
 
-def _record(dem: int, rep: int) -> tuple:
-    """One district's share, then its counts: twice each side's wasted votes
-    (as ``_efficiency_gap`` counts them) and its total votes."""
-    return (dem / (dem + rep), dem - rep if dem >= rep else 2 * dem,
-            rep - dem if rep >= dem else 2 * rep, dem + rep)
+# every finite float is a whole number of units of 2**-1074, the smallest subnormal
+_UNIT = 1 << 1074
 
 
-_NO_RECORD = (None, 0, 0, 0)  # the record of a district not yet in a row
+def _units(x: float) -> int:
+    """The finite float ``x`` in units of 2**-1074, exactly."""
+    num, den = x.as_integer_ratio()  # den is 2**j, j <= 1074
+    return num << (1075 - den.bit_length())
+
+
+class KeptSum:
+    """``math.fsum`` of a list of finite floats (``terms``), kept under
+    replacing a few of them.
+
+    The first :meth:`replace` also keeps every term as a whole number of
+    units of 2**-1074 (``units``) and their exact sum; from then on
+    replacing a term changes that sum by the difference of two terms, and
+    :meth:`value` divides it by the unit. Python's int division, like
+    ``math.fsum``, rounds the exact value correctly (half to even), so the
+    value is the same bit for bit, in O(1) instead of a pass over every term.
+    A sum read once, as a from-scratch score reads it, never converts.
+    """
+
+    __slots__ = ("terms", "units", "total")
+
+    def __init__(self, terms: list):
+        self.terms = terms
+        self.units = None
+        self.total = 0
+
+    def replace(self, indices: list, values: list) -> None:
+        """Make each term ``indices[j]`` ``values[j]``."""
+        terms, units = self.terms, self.units
+        if units is None:
+            self.units = units = list(map(_units, terms))
+            self.total = sum(units)
+        total = self.total
+        for i, x in zip(indices, values):
+            new = _units(x)
+            total += new - units[i]
+            units[i] = new
+            terms[i] = x
+        self.total = total
+
+    def value(self) -> float:
+        return math.fsum(self.terms) if self.units is None else self.total / _UNIT
 
 
 class KeptRow:
@@ -246,40 +286,55 @@ class KeptRow:
     contest, or the vote index) of a plan, kept under updates of a few
     districts.
 
-    Per district it keeps its ``_record`` (share and counts); a row built
-    with a ``sigma`` (a contest's) also keeps the district's ``normal_cdf``
-    term for fractional seats. Across districts it keeps the shares sorted
-    (``ranked``), from which seats and ties are counted, and the sum of each
-    count (``counts``). Float sums are ``math.fsum`` of the current terms,
-    taken when read. A new row holds no district; :meth:`update` takes each
-    district's old record out, if it has one, and adds its new one.
+    Per district it keeps its share, twice each side's wasted votes (as
+    ``_efficiency_gap`` counts them) and its total votes; a row built with a
+    ``sigma`` (a contest's) also keeps the district's ``normal_cdf`` term for
+    fractional seats. Across districts it keeps the shares sorted
+    (``ranked``), from which seats, ties and the median are read, the
+    integer sums of the counts (``counts``), and the float sums of the
+    shares and of the seat terms, each a :class:`KeptSum`. A row is built from
+    every district's votes; :meth:`update` replaces a few districts' records.
     """
 
-    __slots__ = ("records", "ranked", "seat_terms", "sigma", "counts")
+    __slots__ = ("shares", "ranked", "dem_wasted2", "rep_wasted2", "totals", "seat_terms",
+                 "sigma", "counts")
 
-    def __init__(self, k: int, sigma: float | None = None):
-        self.records = [_NO_RECORD] * k
-        self.ranked = []
-        self.seat_terms = None if sigma is None else [0.0] * k
+    def __init__(self, dems: list, reps: list, sigma: float | None = None):
+        """The row of every district's votes ``dems`` and ``reps``, never both 0."""
+        self.totals = totals = list(map(add, dems, reps))
+        shares = list(map(truediv, dems, totals))
+        self.ranked = sorted(shares)
+        self.dem_wasted2 = [d - r if d >= r else 2 * d for d, r in zip(dems, reps)]
+        self.rep_wasted2 = [r - d if r >= d else 2 * r for d, r in zip(dems, reps)]
+        self.counts = (sum(self.dem_wasted2), sum(self.rep_wasted2), sum(totals))
         self.sigma = sigma
-        self.counts = (0, 0, 0)
+        self.seat_terms = None if sigma is None else KeptSum(
+            [normal_cdf((share - 0.5) / sigma) for share in shares])
+        self.shares = KeptSum(shares)
 
     def update(self, districts: list, dems: list, reps: list) -> None:
         """Give ``districts`` the votes ``dems`` and ``reps``, never both 0."""
-        records, ranked, seat_terms, sigma = self.records, self.ranked, self.seat_terms, self.sigma
-        dem_wasted2, rep_wasted2, total = self.counts
+        old_shares, ranked = self.shares.terms, self.ranked
+        dem_wasted2, rep_wasted2, totals = self.dem_wasted2, self.rep_wasted2, self.totals
+        dem_sum, rep_sum, total_sum = self.counts
+        shares = []
         for d, dem, rep in zip(districts, dems, reps):
-            old_share, dw0, rw0, n0 = records[d]
-            if old_share is not None:
-                del ranked[bisect_left(ranked, old_share)]
-            records[d] = share, dw, rw, n = _record(dem, rep)
+            del ranked[bisect_left(ranked, old_shares[d])]
+            dw = dem - rep if dem >= rep else 2 * dem
+            rw = rep - dem if rep >= dem else 2 * rep
+            total = dem + rep
+            dem_sum += dw - dem_wasted2[d]
+            rep_sum += rw - rep_wasted2[d]
+            total_sum += total - totals[d]
+            dem_wasted2[d], rep_wasted2[d], totals[d] = dw, rw, total
+            share = dem / total
             insort(ranked, share)
-            if seat_terms is not None:
-                seat_terms[d] = normal_cdf((share - 0.5) / sigma)
-            dem_wasted2 += dw - dw0
-            rep_wasted2 += rw - rw0
-            total += n - n0
-        self.counts = dem_wasted2, rep_wasted2, total
+            shares.append(share)
+        self.counts = dem_sum, rep_sum, total_sum
+        self.shares.replace(districts, shares)
+        if self.seat_terms is not None:
+            sigma = self.sigma
+            self.seat_terms.replace(districts, [normal_cdf((s - 0.5) / sigma) for s in shares])
 
     def seats(self) -> float:
         """Democratic seats: share > 0.5 wins outright, exact ties count 0.5."""
@@ -292,7 +347,7 @@ class KeptRow:
 
     def seats_fractional(self) -> float:
         """The sum of the ``normal_cdf`` terms (a row built with a sigma)."""
-        return math.fsum(self.seat_terms)
+        return self.seat_terms.value()
 
     def efficiency_gap(self) -> float:
         """(Dem wasted - Rep wasted) / total votes, as ``_efficiency_gap``."""
@@ -304,7 +359,7 @@ class KeptRow:
         ranked = self.ranked
         k = len(ranked)
         median = ranked[k // 2] if k % 2 else (ranked[k // 2 - 1] + ranked[k // 2]) / 2
-        return math.fsum(ranked) / k - median
+        return self.shares.value() / k - median
 
 
 class TallyMove(NamedTuple):
@@ -315,8 +370,9 @@ class TallyMove(NamedTuple):
     districts: np.ndarray  # ascending
     nodes: np.ndarray  # every node of ``districts``, ascending
     local: np.ndarray  # each node's position in ``districts``
-    unit_counts: tuple  # per unit type: its (units, len(districts)) count matrix
-    unit_pieces: tuple  # per unit type: districts each unit touches, after the move
+    region: "Region | None"  # the nodes' Region, or None when they are every node
+    unit_counts: np.ndarray  # (len(districts), units) node counts: counties, then municipalities
+    unit_pieces: np.ndarray  # districts each unit touches, after the move
     splits: SplitReport
 
 
@@ -330,23 +386,25 @@ class PlanTally:
     O(region + k + units), not O(n). It holds, per district: dem and rep
     votes for every contest of the graph (``votes``, laid out as
     ``graph.votes``), area, and perimeter net of twice the shared boundary of
-    its internal edges; per county and municipality, a dense int32 unit x
-    district node-count matrix and the number of districts each unit touches.
+    its internal edges; per unit, counties first and then municipalities
+    (numbered after the counties), a dense int32 district x unit node-count
+    matrix (a district's counts are one row) and the number of districts each
+    unit touches.
 
     For the config it last scored, :meth:`kept_rows` keeps a
     :class:`KeptRow` per contest, with the config's sigma, and one for their
     vote index, without; the tally also keeps each district's Polsby-Popper
-    term. Only the districts moved since the last read are updated there, so
-    a ReCom step's read updates in O(rows * log k) and then takes one
-    ``math.fsum`` over k terms per float sum; a new tally, or another config,
-    updates all k districts the same way.
+    term. Only the districts moved since the last read are updated there, in
+    Python scalars, and every float sum is a :class:`KeptSum`, so a ReCom
+    step's read costs O(rows * log k); a new tally, or another config, builds
+    its rows from every district at once.
 
     Every report equals a from-scratch one bit for bit. Vote sums are
     integers. A float sum of a district is recomputed from its nodes and
     internal edges in ascending global order, the order ``np.bincount`` adds
     in, never by adding and subtracting deltas. Sums across districts are
-    integer sums or ``math.fsum``, the correctly rounded sum, and neither
-    depends on order.
+    integer sums or the correctly rounded sum of ``math.fsum`` (kept exactly
+    by :class:`KeptSum`), and neither depends on order.
     """
 
     def __init__(self, graph: PrecinctGraph, plan: Plan):
@@ -356,49 +414,57 @@ class PlanTally:
         self.votes = np.zeros((graph.votes.shape[0], k), dtype=np.int64)
         self.areas = np.zeros(k)
         self.perimeters = np.zeros(k)
-        self.unit_counts = tuple(np.zeros((n, k), dtype=np.int32) for _, n in unit_codes(graph))
-        self.unit_pieces = tuple(np.zeros(n, dtype=np.int64) for _, n in unit_codes(graph))
+        self._units = np.stack((graph.county_codes, graph.muni_codes + graph.n_counties), axis=1)
+        self.unit_counts = np.zeros((k, graph.n_counties + graph.n_munis), dtype=np.int32)
+        self.unit_pieces = np.zeros(graph.n_counties + graph.n_munis, dtype=np.int64)
         self.splits = None
         self.rows = None  # the KeptRow list of the config last read, keyed by _key
         self._key = None
         self._vote_rows = None  # rows of ``votes`` with that config's dem, and its rep
-        self._pp_terms = [0.0] * k  # each district's Polsby-Popper term
-        self._stale = np.ones(k, dtype=bool)  # districts moved since the last read
+        self._pp_terms = KeptSum([0.0] * k)  # each district's Polsby-Popper term
+        self._stale = set(range(k))  # districts moved since the last read
         self.apply(self.propose(plan, np.arange(k), np.arange(graph.n)))
 
-    def propose(self, plan: Plan, districts: np.ndarray, nodes: np.ndarray) -> TallyMove:
+    def propose(self, plan: Plan, districts: np.ndarray, nodes) -> TallyMove:
         """The move to ``plan``, which differs from this tally's plan only in
-        ``districts`` (ascending); ``nodes`` (ascending) are every node those
-        districts hold, in either plan. Leaves the tally unchanged;
+        ``districts`` (ascending); ``nodes`` are every node those districts
+        hold, in either plan: an ascending array, or their
+        :class:`~mapchain.graph.Region` (a ReCom step has gathered it), which
+        is gathered here when not given. Leaves the tally unchanged;
         ``splits`` is ``plan``'s split report, for the gate."""
-        local = np.searchsorted(districts, plan.assignment[nodes])
-        counts, pieces = [], []
-        for (codes, n_units), matrix, before in zip(
-            unit_codes(self.graph), self.unit_counts, self.unit_pieces
-        ):
-            new = unit_district_counts(codes, n_units, nodes, local, districts.size)
-            old = matrix[:, districts]
-            counts.append(new)
-            pieces.append(before + (new > 0).sum(axis=1) - (old > 0).sum(axis=1))
-        return TallyMove(plan, districts, nodes, local, tuple(counts), tuple(pieces),
-                         split_report(self.graph, plan, pieces))
+        graph, size = self.graph, districts.size
+        region = nodes if isinstance(nodes, Region) else None
+        if region is not None:
+            nodes = region.nodes
+        elif nodes.size < graph.n:
+            region = graph.neighbors.gather(nodes)
+        local = plan.assignment[nodes]
+        if size < plan.k:  # else ``districts`` are 0..k-1, the labels themselves
+            local = np.searchsorted(districts, local)
+        n_units = self.unit_pieces.size
+        keys = self._units[nodes] + (local * n_units)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=size * n_units).reshape(size, n_units)
+        pieces = self.unit_pieces + (counts > 0).sum(axis=0)
+        pieces -= (self.unit_counts[districts] > 0).sum(axis=0)
+        counties = graph.n_counties
+        splits = split_report(graph, plan, (pieces[:counties], pieces[counties:]))
+        return TallyMove(plan, districts, nodes, local, region, counts, pieces, splits)
 
     def apply(self, move: TallyMove) -> None:
         """Make this the tally of ``move.plan``, recounting only ``move.districts``."""
         graph, nodes, local, districts = self.graph, move.nodes, move.local, move.districts
         size = districts.size
         # one gather of every contest's votes, district by district (none is empty)
-        order = np.argsort(local, kind="stable")
+        order = label_order(local, size)
         starts = np.searchsorted(local[order], np.arange(size))
         self.votes[:, districts] = np.add.reduceat(graph.votes[:, nodes[order]], starts, axis=1)
         self.perimeters[districts], self.areas[districts] = district_geometry(
-            graph, move.plan.assignment, nodes, local, size
+            graph, nodes, local, size, move.region
         )
-        for matrix, counts in zip(self.unit_counts, move.unit_counts):
-            matrix[:, districts] = counts
+        self.unit_counts[districts] = move.unit_counts
         self.unit_pieces = move.unit_pieces
         self.splits = move.splits
-        self._stale[districts] = True
+        self._stale.update(districts.tolist())
         self.plan = move.plan
 
     def kept_rows(self, config: MetricsConfig) -> list:
@@ -416,12 +482,12 @@ class PlanTally:
             contests = [self.graph.elections.index(name) for name in config.contests]
             self._key = key
             self._vote_rows = (contests, [len(self.graph.elections) + c for c in contests])
-            k = self.plan.k
-            self.rows = [KeptRow(k, config.fractional_sigma) for _ in contests] + [KeptRow(k)]
-            self._stale[:] = True
-        stale = np.flatnonzero(self._stale)
-        districts = stale.tolist()
-        votes = self.votes[:, stale].tolist()
+            self.rows = None
+            self._stale.update(range(self.plan.k))
+        if not self._stale:
+            return self.rows
+        districts = sorted(self._stale)
+        votes = self.votes[:, districts].tolist()
         dem_rows, rep_rows = self._vote_rows
         dems = [votes[r] for r in dem_rows]
         reps = [votes[r] for r in rep_rows]
@@ -429,30 +495,38 @@ class PlanTally:
             totals = list(map(add, row_dem, row_rep))
             if 0 in totals:
                 raise errors.ZeroVotesDistrict(districts[totals.index(0)], contest)
-        perims = self.perimeters[stale]
-        if perims.size and perims.min() <= 0:
+        perims = self.perimeters[districts].tolist()
+        if min(perims) <= 0:
             require_positive_perimeters(self.perimeters)
-        with np.errstate(all="ignore"):
-            pp_terms = _FOUR_PI * self.areas[stale] / (perims * perims)
-        finite = np.isfinite(pp_terms)
-        if not finite.all():
+        pp_terms = [_FOUR_PI * area / squared if squared else math.inf
+                    for area, squared in zip(self.areas[districts].tolist(),
+                                             [p * p for p in perims])]
+        bad = [d for d, term in zip(districts, pp_terms) if not math.isfinite(term)]
+        if bad:
             raise errors.InvalidNodeData(
-                f"districts {stale[~finite].tolist()} have a Polsby-Popper term "
+                f"districts {bad} have a Polsby-Popper term "
                 "4*pi*area/perimeter^2 that is not finite; check area and perimeter inputs"
             )
         # the vote index row: each district's votes summed over the contests
         dems.append(list(map(sum, zip(*dems))))
         reps.append(list(map(sum, zip(*reps))))
-        for row, row_dem, row_rep in zip(self.rows, dems, reps):
-            row.update(districts, row_dem, row_rep)
-        for d, term in zip(districts, pp_terms.tolist()):
-            self._pp_terms[d] = term
-        self._stale[stale] = False
+        if self.rows is None or len(districts) == self.plan.k:
+            sigma = config.fractional_sigma
+            self.rows = [KeptRow(row_dem, row_rep, sigma) for row_dem, row_rep in
+                         zip(dems[:-1], reps[:-1])] + [KeptRow(dems[-1], reps[-1])]
+        else:
+            for row, row_dem, row_rep in zip(self.rows, dems, reps):
+                row.update(districts, row_dem, row_rep)
+        if len(districts) == self.plan.k:
+            self._pp_terms = KeptSum(pp_terms)
+        else:
+            self._pp_terms.replace(districts, pp_terms)
+        self._stale.clear()
         return self.rows
 
     def polsby_popper(self) -> float:
         """Unweighted district mean of 4*pi*area/perimeter^2, as of the last read."""
-        return math.fsum(self._pp_terms) / self.plan.k
+        return self._pp_terms.value() / self.plan.k
 
 
 def score_plan(

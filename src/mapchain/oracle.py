@@ -1,18 +1,23 @@
 """Brute-force ground truth for tiny instances.
 
 Exhaustive enumeration of contiguous balanced partitions (bitmask recursion,
-guarded to <= 24 nodes) and a deliberately naive reimplementation of every
-metric. Both exist solely to check the fast paths: the enumerator defines
-the reachable state space for the samplers, and ``naive_score`` shares no
-code with :mod:`mapchain.metrics`. The enumerator shares the samplers'
-population-balance rule (:func:`~mapchain.graph.within_window`), not their
-algorithms, so its catalog is exactly the set of plans the chain accepts.
+guarded to <= 24 nodes), of the spanning trees of a small induced subgraph
+and of the exact law of one balanced bipartition, and a deliberately naive
+reimplementation of every metric. All exist solely to check the fast paths:
+the enumerator defines the reachable state space for the samplers, the tree
+lists and the split law are what the tree kernel's draws must follow, and
+``naive_score`` shares no code with :mod:`mapchain.metrics`. The enumerator
+and the split law share the samplers' population-balance rule
+(:func:`~mapchain.graph.within_window`), not their algorithms, so the
+catalog is exactly the set of plans the chain accepts.
 """
 from __future__ import annotations
 
 import math
 import statistics
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -21,6 +26,7 @@ from .graph import Plan, PrecinctGraph, canonical_form, within_window
 from .metrics import MetricsConfig, MetricsReport
 
 MAX_ENUM_NODES = 24
+MAX_TREE_CANDIDATES = 200_000  # edge sets spanning_trees may try
 
 
 @dataclass(frozen=True)
@@ -147,6 +153,144 @@ def enumerate_partitions(graph: PrecinctGraph, k: int, tolerance: float) -> Part
         k=k,
         tolerance=float(tolerance),
     )
+
+
+def _induced_edges(graph: PrecinctGraph, subset) -> tuple:
+    """The ascending distinct nodes of ``subset`` and the edges between them,
+    as ``(a, b)`` node pairs with a < b, in ascending edge order."""
+    nodes = sorted({int(v) for v in subset})
+    inside = set(nodes)
+    edges = [(a, b) for a, b in zip(graph.edge_a.tolist(), graph.edge_b.tolist())
+             if a in inside and b in inside]
+    return nodes, edges
+
+
+def spanning_trees(graph: PrecinctGraph, subset) -> list:
+    """Every spanning tree of the subgraph induced on ``subset``, by brute
+    force: each set of ``len(subset) - 1`` induced edges that closes no cycle
+    (a union-find over the set) is one. A tree is a frozenset of its edges as
+    ``(a, b)`` node pairs, a < b. A disconnected subset has none. Raises
+    ``TooLarge`` when there are more than ``MAX_TREE_CANDIDATES`` edge sets
+    to try."""
+    nodes, edges = _induced_edges(graph, subset)
+    if math.comb(len(edges), len(nodes) - 1) > MAX_TREE_CANDIDATES:
+        raise errors.TooLarge(
+            f"{math.comb(len(edges), len(nodes) - 1)} edge sets exceed the tree "
+            f"enumeration guard ({MAX_TREE_CANDIDATES})"
+        )
+    trees = []
+    for chosen in combinations(edges, len(nodes) - 1):
+        root = {v: v for v in nodes}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for a, b in chosen:
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                break
+            root[ra] = rb
+        else:
+            trees.append(frozenset(chosen))
+    return trees
+
+
+def spanning_tree_count(graph: PrecinctGraph, subset) -> int:
+    """τ, the number of spanning trees of the subgraph induced on ``subset``,
+    by the matrix-tree theorem: the determinant of its Laplacian with the
+    first row and column removed, in exact integer (Bareiss) elimination."""
+    nodes, edges = _induced_edges(graph, subset)
+    local = {v: i for i, v in enumerate(nodes)}
+    size = len(nodes)
+    laplacian = [[0] * size for _ in range(size)]
+    for a, b in edges:
+        i, j = local[a], local[b]
+        laplacian[i][i] += 1
+        laplacian[j][j] += 1
+        laplacian[i][j] -= 1
+        laplacian[j][i] -= 1
+    minor = [row[1:] for row in laplacian[1:]]
+    sign, previous = 1, 1
+    for k in range(len(minor)):
+        pivot = next((i for i in range(k, len(minor)) if minor[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            minor[k], minor[pivot] = minor[pivot], minor[k]
+            sign = -sign
+        for i in range(k + 1, len(minor)):
+            for j in range(k + 1, len(minor)):
+                minor[i][j] = (minor[i][j] * minor[k][k] - minor[i][k] * minor[k][j]) // previous
+        previous = minor[k][k]
+    return sign * previous
+
+
+def bipartition_law(
+    graph: PrecinctGraph, subset, target_pops, tolerance: float, max_tree_retries: int
+) -> dict:
+    """The exact law of ``trees.bipartition_region(graph, subset, target_pops,
+    tolerance, rng, max_tree_retries)`` under a uniform tree method, as
+    ``{(part1, part2) or None: probability}`` with each part a tuple of
+    ascending nodes and exact ``Fraction`` probabilities.
+
+    One draw takes a spanning tree and a root, each uniform and independent,
+    as Wilson's walk gives them (:func:`spanning_trees` lists the trees).
+    A tree edge qualifies when the side away from the root and the side
+    with the root are within :func:`~mapchain.graph.within_window` of
+    ``(p1, p2)`` or of ``(p2, p1)``; one qualifying edge is taken uniformly,
+    and its parts are ordered to match the targets, the side away from the
+    root first where both orders match. A draw with no qualifying edge is
+    retried, up to ``max_tree_retries`` draws, after which the result is
+    ``None``: with ``q`` the chance that a draw has no qualifying edge, a
+    split's chance is its one-draw chance times ``(1 - q**R) / (1 - q)``.
+    """
+    nodes, _ = _induced_edges(graph, subset)
+    trees = spanning_trees(graph, nodes)
+    pops = {v: int(graph.populations[v]) for v in nodes}
+    total = sum(pops.values())
+    p1, p2 = (float(p) for p in target_pops)
+    weight = Fraction(1, len(trees) * len(nodes))
+    one_draw, stay = {}, Fraction(0)
+    for tree in trees:
+        around = {v: [] for v in nodes}
+        for a, b in tree:
+            around[a].append(b)
+            around[b].append(a)
+        sides = [_side(around, a, (a, b)) for a, b in sorted(tree)]  # a's side of each edge
+        for root in nodes:
+            splits = []
+            for side in sides:
+                # the side of the edge away from the root, and the root's side
+                away = tuple(v for v in nodes if (v in side) != (root in side))
+                rest = tuple(v for v in nodes if (v in side) == (root in side))
+                s = sum(pops[v] for v in away)
+                r = total - s
+                if within_window(s, p1, tolerance) and within_window(r, p2, tolerance):
+                    splits.append((away, rest))
+                elif within_window(s, p2, tolerance) and within_window(r, p1, tolerance):
+                    splits.append((rest, away))
+            if not splits:
+                stay += weight
+            for split in splits:
+                one_draw[split] = one_draw.get(split, Fraction(0)) + weight / len(splits)
+    scale = Fraction(max_tree_retries) if stay == 1 else (1 - stay**max_tree_retries) / (1 - stay)
+    law = {split: chance * scale for split, chance in one_draw.items()}
+    law[None] = stay**max_tree_retries
+    return law
+
+
+def _side(around: dict, start: int, cut: tuple) -> set:
+    """The nodes a tree reaches from ``start`` without crossing edge ``cut``."""
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for u in around[v]:
+            if u not in seen and {u, v} != set(cut):
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 def naive_score(graph: PrecinctGraph, plan: Plan, config: MetricsConfig) -> MetricsReport:

@@ -10,11 +10,12 @@ tree by Wilson's loop-erased random walk; ``mst`` draws the minimum spanning
 tree under i.i.d. random edge weights, which is faster on large regions but
 not uniform.
 
-A region's induced subgraph and its walk table are built in numpy from the
-graph's one neighbour index (``PrecinctGraph.neighbors``). Its connectivity
-is not checked up front: a disconnected subset raises ``DisconnectedSubset``
-from the first draw that meets it (see ``_Induced``, ``_wilson`` and
-``_random_mst``), so a connected one never pays for the check.
+A region's induced subgraph and its walk table are built in numpy from its
+slices of the graph's one neighbour index (``PrecinctGraph.neighbors``). Its
+connectivity is not checked up front: a disconnected subset raises
+``DisconnectedSubset`` from the first draw that meets it (see ``_Induced``,
+``_wilson`` and ``_random_mst``), so a connected one never pays for the
+check.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from operator import length_hint
 import numpy as np
 
 from . import errors
-from .graph import PrecinctGraph, concat_ranges, graph_components, window_bounds
+from .graph import PrecinctGraph, Region, graph_components, window_bounds
 
 TREE_METHODS = ("uniform", "mst")
 
@@ -132,16 +133,17 @@ def _not_connected(m: int) -> errors.DisconnectedSubset:
 
 
 class _Induced:
-    """Induced subgraph on a node subset, with local 0..m-1 indexing, gathered
-    from the graph's :class:`~mapchain.graph.NeighborIndex`.
+    """Induced subgraph on a node subset, with local 0..m-1 indexing, built
+    from the subset's :class:`~mapchain.graph.Region`: its gathered slices of
+    the graph's :class:`~mapchain.graph.NeighborIndex`, with each neighbour's
+    local id (-1 outside the subset), so a build is O(region).
 
     ``nodes`` is the subset, ascending and without repeats, in an int64
     array of its own: a subset given otherwise is sorted first, a strictly
     increasing one only copied; a subset that is not integers (floats, or a
-    boolean mask) raises ``ValueError``. Gathered neighbours map to local ids
-    (-1 outside the subset) through the neighbour index's n-sized
-    ``position`` array: the build writes its nodes' local ids into it, reads
-    the neighbours' and writes -1 back, so a build is O(region).
+    boolean mask) raises ``ValueError``. A caller that has already gathered
+    the subset passes its ``region`` (``NeighborIndex.gather``), whose nodes
+    are then kept as they are.
 
     Local node i's neighbours are ``nbr[first[i]:first[i] + deg[i]]``, in
     ascending local order; ``pops[i]`` is its population. ``edge_a`` <
@@ -161,30 +163,25 @@ class _Induced:
     __slots__ = ("nodes", "m", "pops", "edge_a", "edge_b", "nbr", "first", "deg", "rows",
                  "connected")
 
-    def __init__(self, graph: PrecinctGraph, subset):
-        nodes = np.array(subset, ndmin=1)  # a copy: the caller's may change
-        if nodes.size == 0:
-            raise errors.EmptyInput("empty node subset")
-        if nodes.dtype.kind not in "iu":
-            raise ValueError(f"node subset of dtype {nodes.dtype}: node ordinals are integers")
-        nodes = nodes.astype(np.int64, copy=False)
-        if nodes.size > 1 and not (nodes[1:] > nodes[:-1]).all():
-            nodes = np.unique(nodes)  # every internal caller passes its subset sorted
-        if nodes[0] < 0 or nodes[-1] >= graph.n:
-            bad = nodes[0] if nodes[0] < 0 else nodes[np.searchsorted(nodes, graph.n)]
-            raise ValueError(f"node ordinal {bad} outside 0..{graph.n - 1}")
-        self.nodes = nodes
+    def __init__(self, graph: PrecinctGraph, subset, region: "Region | None" = None):
+        if region is None:
+            nodes = np.array(subset, ndmin=1)  # a copy: the caller's may change
+            if nodes.size == 0:
+                raise errors.EmptyInput("empty node subset")
+            if nodes.dtype.kind not in "iu":
+                raise ValueError(f"node subset of dtype {nodes.dtype}: node ordinals are integers")
+            nodes = nodes.astype(np.int64, copy=False)
+            if nodes.size > 1 and not (nodes[1:] > nodes[:-1]).all():
+                nodes = np.unique(nodes)  # every internal caller passes its subset sorted
+            if nodes[0] < 0 or nodes[-1] >= graph.n:
+                bad = nodes[0] if nodes[0] < 0 else nodes[np.searchsorted(nodes, graph.n)]
+                raise ValueError(f"node ordinal {bad} outside 0..{graph.n - 1}")
+            region = graph.neighbors.gather(nodes)
+        self.nodes = nodes = region.nodes
         self.m = m = int(nodes.size)
-        index = graph.neighbors
-        width = index.degree[nodes]
-        far = index.nbrs[concat_ranges(index.start[nodes], width)]
-        position = index.position  # all -1 but during this gather
-        position[nodes] = np.arange(m)
-        local = position[far]
-        position[nodes] = -1
-        inside = local >= 0
-        near = np.arange(m).repeat(width)[inside]
-        nbr = local[inside]
+        inside = region.local >= 0
+        near = region.near[inside]
+        nbr = region.local[inside]
         upper = near < nbr
         self._set_adjacency(near[upper], nbr[upper], nbr, np.bincount(near, minlength=m))
         self.pops = graph.populations[nodes].tolist()

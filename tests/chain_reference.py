@@ -53,8 +53,8 @@ class MaskedInduced(_Induced):
     masking all edges, which keeps them in ascending edge order, with
     neighbour lists sorted from those edges."""
 
-    def __init__(self, graph, subset):
-        nodes = np.unique(np.asarray(subset, dtype=np.int64))
+    def __init__(self, graph, subset, region=None):
+        nodes = np.unique(np.asarray(subset, dtype=np.int64))  # ``region`` is not read
         self.nodes = nodes
         self.m = int(nodes.size)
         local_of = np.full(graph.n, -1, dtype=np.int64)

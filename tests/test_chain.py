@@ -18,6 +18,7 @@ from mapchain.chain import (
     ChainTrace,
     PairTable,
     adjacent_district_pairs,
+    district_members,
     random_tree_plan,
     recom_step,
     run_chain,
@@ -202,7 +203,7 @@ from mapchain.synth import band_plan, grid4_graph
 
 if not sys.flags.optimize:
     sys.exit("interpreter is not running with -O")
-apply, move = PlanTally.apply, PairTable.move
+apply, move, step = PlanTally.apply, PairTable.move, mapchain.chain.recom_step
 
 
 def unbalanced_split(graph, subset, *args, **kwargs):
@@ -226,12 +227,19 @@ def corrupted_move(table, plan, districts, nodes):
     table.keys = table.keys[1:]
 
 
+def corrupted_members(state, *args, **kwargs):
+    step(state, *args, **kwargs)
+    state.members[0] = state.members[0][1:]
+    return state
+
+
 # (check, owner, attribute, corrupted version, steps, validate_every)
 CORRUPTIONS = (
     ("population window", mapchain.chain, "bipartition_region", unbalanced_split, 1, 1),
     ("tally", PlanTally, "apply", corrupted_apply, 10, 5),
     ("kept sum", PlanTally, "apply", corrupted_kept_sum, 10, 5),
     ("pair table", PairTable, "move", corrupted_move, 10, 5),
+    ("district members", mapchain.chain, "recom_step", corrupted_members, 1, 1),
 )
 for check, owner, attribute, corrupted, steps, validate_every in CORRUPTIONS:
     original = getattr(owner, attribute)
@@ -286,6 +294,12 @@ def test_kept_sum_check_survives_python_O(optimised_outcomes):
 def test_pair_table_check_survives_python_O(optimised_outcomes):
     assert optimised_outcomes["pair table"] == "raised", (
         "run_chain kept choosing pairs off a corrupted table"
+    )
+
+
+def test_district_members_check_survives_python_O(optimised_outcomes):
+    assert optimised_outcomes["district members"] == "raised", (
+        "run_chain kept merging districts off corrupted node lists"
     )
 
 
@@ -424,7 +438,8 @@ def test_pair_table_and_sliced_subgraph_keep_the_stream(case, pair_selection, tr
     with mock.patch.object(mapchain.chain, "PairTable", chain_reference.RecountedPairs), \
             mock.patch.object(mapchain.chain, "adjacent_district_pairs",
                               chain_reference.adjacent_district_pairs), \
-            mock.patch.object(mapchain.trees, "_Induced", chain_reference.MaskedInduced):
+            mock.patch.object(mapchain.trees, "_Induced", chain_reference.MaskedInduced), \
+            mock.patch.object(mapchain.chain, "_Induced", chain_reference.MaskedInduced):
         reference = run_chain(graph, seed_plan, 40, 0.5, gate, mcfg,
                               np.random.default_rng(seed), **options)
     assert trace.rows.tobytes() == reference.rows.tobytes()
@@ -482,6 +497,54 @@ def test_corrupt_kept_sum_raises_at_the_next_check(grid4, band4, mcfg2, monkeypa
             grid4, band4, 10, 0.01, PERMISSIVE, mcfg2,
             np.random.default_rng(0), validate_every=5,
         )
+
+
+def test_corrupt_exact_share_sum_raises_at_the_next_check(grid4, band4, mcfg2, monkeypatch):
+    # a kept row's exact share sum, off by 2**-44 (2**1030 units of 2**-1074),
+    # moves the mean-median; the check against a from-scratch score catches it
+    apply = PlanTally.apply
+
+    def corrupted(tally, move):
+        apply(tally, move)
+        if tally.rows is not None and tally.rows[0].shares.units is not None:
+            tally.rows[0].shares.total += 1 << 1030
+
+    monkeypatch.setattr(PlanTally, "apply", corrupted)
+    with pytest.raises(errors.ChainInvariantViolated, match="step 4: the tally"):
+        run_chain(
+            grid4, band4, 10, 0.01, PERMISSIVE, mcfg2,
+            np.random.default_rng(0), validate_every=5,
+        )
+
+
+def test_corrupt_district_members_raise_at_the_next_check(grid4, band4, mcfg2, monkeypatch):
+    # district 0 loses a node from its list just before the check at step 4,
+    # so no other kept structure has read the corrupted list yet
+    real_step, calls = mapchain.chain.recom_step, []
+
+    def corrupted(state, *args, **kwargs):
+        real_step(state, *args, **kwargs)
+        calls.append(state.plan)
+        if len(calls) == 5:
+            state.members[0] = state.members[0][1:]
+        return state
+
+    monkeypatch.setattr(mapchain.chain, "recom_step", corrupted)
+    with pytest.raises(errors.ChainInvariantViolated, match="step 4: the district node lists"):
+        run_chain(
+            grid4, band4, 10, 0.01, PERMISSIVE, mcfg2, np.random.default_rng(0),
+            validate_every=5,
+        )
+
+
+def test_district_members_follow_the_plan(grid4, band4):
+    # a bare state counts its lists at its first step and keeps them in step
+    state = ChainState(plan=band4, rng=np.random.default_rng(3))
+    for _ in range(60):
+        recom_step(state, grid4, 0.01, PERMISSIVE)
+        assert all(map(np.array_equal, state.members, district_members(state.plan)))
+        assert [m.tolist() for m in state.members] == [
+            np.flatnonzero(state.plan.assignment == d).tolist() for d in range(state.plan.k)]
 
 
 def test_proposal_locality(grid4, band4):

@@ -455,6 +455,15 @@ def test_graph_components_match_union_find_on_a_permuted_grid():
     _assert_components_match_union_find(g.n, perm[g.edge_a[kept]], perm[g.edge_b[kept]])
 
 
+def test_graph_components_match_union_find_on_a_row_ordered_grid():
+    # ids in row order: one round hooks each node to its upper or left
+    # neighbour, so the pointer chains run up to rows + columns - 2 long
+    g = grid_graph(60, 60)
+    _assert_components_match_union_find(g.n, g.edge_a, g.edge_b)
+    kept = np.random.default_rng(5).random(g.n_edges) < 0.55  # many components
+    _assert_components_match_union_find(g.n, g.edge_a[kept], g.edge_b[kept])
+
+
 # --- the integer form of the population window
 
 

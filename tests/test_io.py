@@ -14,8 +14,8 @@ from io_reference import read_columns as reference_read_columns
 
 from mapchain import errors
 from mapchain.chain import run_chain
-from mapchain.constraints import ConstraintGate
-from mapchain.graph import canonical_form
+from mapchain.constraints import ConstraintGate, split_report
+from mapchain.graph import Plan, canonical_form
 from mapchain.io import (
     TRACE_COLUMNS,
     RunConfig,
@@ -32,7 +32,7 @@ from mapchain.io import (
     write_nodes,
     write_trace,
 )
-from mapchain.metrics import MetricsConfig
+from mapchain.metrics import MetricsConfig, score_plan
 from mapchain.synth import band_plan, grid4_graph, grid_graph
 
 GRID4 = os.path.join(os.path.dirname(__file__), "fixtures", "grid4")
@@ -297,6 +297,13 @@ def _outcome(read, path, required, rows_required):
         return type(e), str(e)
 
 
+def _stripped_reference_read_columns(path, required, rows_required):
+    """The ``csv`` reference with every cell stripped, as the column reader
+    returns its cells."""
+    header, columns = reference_read_columns(path, required, rows_required)
+    return header, {name: tuple(map(str.strip, cells)) for name, cells in columns.items()}
+
+
 @given(csv_files(), st.lists(st.sampled_from(["a", "b", "1"]), max_size=2), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_column_reader_matches_the_csv_reader(tmp_path_factory, data, required, rows_required):
@@ -305,8 +312,40 @@ def test_column_reader_matches_the_csv_reader(tmp_path_factory, data, required, 
     path = tmp_path_factory.getbasetemp() / "differential.csv"
     path.write_bytes(data)
     assert _outcome(_read_columns, path, required, rows_required) == _outcome(
-        reference_read_columns, path, required, rows_required
+        _stripped_reference_read_columns, path, required, rows_required
     )
+
+
+@pytest.mark.parametrize("cell", [" p1", "p1\t", "\x0bp1\x0c", "\x1cp1\x1f", "\u00a0p1\u2003"])
+@pytest.mark.parametrize("quoted", [False, True])
+def test_column_reader_strips_every_cell_once(tmp_path, cell, quoted):
+    # whitespace that str.strip removes, ASCII or not, on the split path and
+    # (quoted) through csv; the other cells hold none, so only the check for
+    # strippable bytes decides whether the split path strips
+    text = f'a,b\n"{cell}",x\n' if quoted else f"a,b\n{cell},x\n"
+    path = tmp_path / "cells.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _read_columns(path, ("a",)) == (["a", "b"], {"a": ("p1",), "b": ("x",)})
+
+
+def test_county_ids_differing_in_a_trailing_nul_are_two_counties(tmp_path):
+    # a numpy string array drops trailing NUL characters, so "C" and "C\x00"
+    # were coded as one county, split between the two districts
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text(
+        "precinct_id,population,county_id,muni_id,area,perimeter,E_D,E_R\n"
+        + "".join(f"p{i},1,{county},M,1.0,4.0,{i + 1},1\n"
+                  for i, county in enumerate(["C", "C", "C\x00", "C\x00"])),
+        encoding="utf-8",
+    )
+    edges = tmp_path / "edges.csv"
+    edges.write_text("src,dst\np0,p1\np1,p2\np2,p3\n", encoding="utf-8")
+    graph = read_graph(nodes, edges)
+    assert graph.county_names == ("C", "C\x00")
+    assert graph.county_codes.tolist() == [0, 0, 1, 1]
+    plan = Plan([0, 0, 1, 1], 2)
+    assert split_report(graph, plan).county_splits == 0
+    assert score_plan(graph, plan, MetricsConfig(("E",))).county_splits == 0
 
 
 _SIX = grid_graph(2, 3)  # precincts p0..p5
