@@ -19,10 +19,15 @@ per piece, the median over rounds of its microseconds per step:
 - ``tree_draws``: ``bipartition_region`` without the subgraph it builds:
   the tree draws and the cut search;
 - ``tally_propose``, ``gate``, ``tally_apply``: ``PlanTally.propose``,
-  ``gate_accept`` and ``PlanTally.apply``;
+  ``gate_accept`` and ``PlanTally.apply`` (which splits the two districts'
+  gathered votes by the labels ``propose`` read off the proposal, where the
+  checkout has that path, and regroups them by a sort otherwise);
 - ``pair_move``: ``PairTable.move``;
 - ``score_read``: ``score_plan`` reading a new plan's report off the
-  chain's tally (not the chain's first read, which builds every row);
+  chain's tally, where the read updates kept rows. The read that builds
+  them is in no piece: ``run_chain`` reads the seed's report before the
+  first step, where the checkout does that (``ChainTrace.seed_report``),
+  and the chain's first in-loop read builds them otherwise;
 - ``step_rest``: the rest of ``recom_step``: the region's nodes (a mask
   over all n nodes, or the merge of two kept district lists), the
   proposal's copy and the bookkeeping.
@@ -126,11 +131,9 @@ def _round(src: str) -> dict:
 
     run(CHAINS)  # warm up
     timers = Timers()
-    reads = [0]  # score_plan calls in this chain: one per new plan, all off the tally
 
-    def later_read(args):  # not the chain's first read, which builds every row
-        reads[0] += 1
-        return reads[0] > 1
+    def updating_read(args):  # not a read that builds the tally's kept rows
+        return args[3].rows is not None
 
     patches = [
         (chain, "adjacent_district_pairs", "pair_choice", None),
@@ -141,7 +144,7 @@ def _round(src: str) -> dict:
         (chain, "gate_accept", "gate", None),
         (metrics.PlanTally, "apply", "tally_apply", None),
         (chain.PairTable, "move", "pair_move", None),
-        (chain, "score_plan", "score_read", later_read),
+        (chain, "score_plan", "score_read", updating_read),
         (chain, "recom_step", "step_rest", None),
     ]
     originals = []
@@ -152,7 +155,6 @@ def _round(src: str) -> dict:
     digest = hashlib.sha256()
     try:
         for seed in range(CHAINS):
-            reads[0] = 0
             digest.update(run(seed).rows.tobytes())
     finally:
         for owner, name, original in originals:

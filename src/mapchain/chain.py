@@ -133,13 +133,15 @@ TRACE_DTYPE = np.dtype(
 
 @dataclass
 class ChainTrace:
-    """Per-step rows (a ``TRACE_DTYPE`` array) plus acceptance bookkeeping."""
+    """Per-step rows (a ``TRACE_DTYPE`` array) plus acceptance bookkeeping;
+    a chain's trace also holds its seed plan's report (``seed_report``)."""
 
     rows: np.ndarray
     proposed: int = 0
     accepted: int = 0
     rejected_by_constraint: int = 0
     rejected_no_cut: int = 0
+    seed_report: "MetricsReport | None" = None
 
     @classmethod
     def empty(cls, n: int) -> "ChainTrace":
@@ -343,13 +345,15 @@ def run_chain(
 
     The trace has exactly ``steps`` rows (steps=0 gives an empty trace);
     rejected steps repeat the current plan and its report, which is read
-    once per plan off the chain's ``PlanTally``. Every ``validate_every``
-    steps, contiguity, balance, the report (against a from-scratch
-    ``score_plan``), the pair table (against a count over all edges) and the
-    district node lists (against ``district_members``) are re-checked
-    (plans and tallies are right by construction; this is a sampled
-    belt-and-braces check that raises ``ChainInvariantViolated`` — set 1
-    for every step, 0 to disable).
+    once per plan off the chain's ``PlanTally``. The seed plan's report is
+    read off that tally before the first step (``trace.seed_report``); the
+    read builds the kept rows that every later read updates. Every
+    ``validate_every`` steps, contiguity, balance, the report (against a
+    from-scratch ``score_plan``), the pair table (against a count over all
+    edges) and the district node lists (against ``district_members``) are
+    re-checked (plans and tallies are right by construction; this is a
+    sampled belt-and-braces check that raises ``ChainInvariantViolated`` —
+    set 1 for every step, 0 to disable).
     Deterministic given the rng seed.
     """
     check_seed_plan(graph, seed_plan, tolerance, constraint_gate, rng)
@@ -357,6 +361,7 @@ def run_chain(
                        pairs=PairTable(graph, seed_plan, pair_selection),
                        members=district_members(seed_plan))
     trace = ChainTrace.empty(steps)
+    trace.seed_report = state.tally.report(metrics_config)
     scored, report = None, None
     for t in range(steps):
         before = state.accepted

@@ -164,8 +164,8 @@ def cmd_chain(cfg: RunConfig) -> int:
     traces = _run_chains(graph, plan, cfg, mcfg)
     burn = cfg.burn_in if cfg.burn_in >= 0 else estimate_burn_in(traces[0])
     combined = _concat_post_burn(traces, burn, cfg.thinning)
-    reference = score_plan(graph, plan, mcfg)
-    trace_path = _write_ensemble_outputs(cfg, combined, traces[0], reference)
+    # the seed's report, which chain 0 read off its tally before its first step
+    trace_path = _write_ensemble_outputs(cfg, combined, traces[0], traces[0].seed_report)
     print(f"chains={cfg.n_chains} steps={cfg.steps} burn_in={burn} thinning={cfg.thinning}")
     print(" ".join(f"{name}={getattr(combined, name)}" for name in COUNTERS))
     print(f"wrote {trace_path}")

@@ -58,8 +58,8 @@ def split_report(graph: PrecinctGraph, plan: Plan, pieces=None) -> SplitReport:
     county, muni = pieces
     split = county >= 2
     return SplitReport(
-        county_splits=int(split.sum()),
-        muni_splits=int((muni >= 2).sum()),
+        county_splits=int(np.count_nonzero(split)),
+        muni_splits=int(np.count_nonzero(muni >= 2)),
         per_district_county_penalty=int(county[split].sum()),
         pieces_count=int(county.sum()),
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, fields
+from itertools import chain
 from operator import add, truediv
 from typing import NamedTuple
 
@@ -234,51 +235,74 @@ def _index_votes(graph: PrecinctGraph, rows: np.ndarray, side: str) -> np.ndarra
 
 
 # every finite float is a whole number of units of 2**-1074, the smallest subnormal
-_UNIT = 1 << 1074
+_FLOAT_BITS = 1074
+# 0.5 * (1 + erf(z)) is a whole number of units of 2**-54: fl(1 + e) is one of
+# 2**-53 for every float e in [-1, 1] (e itself is, where |e| >= 1/2; the sum
+# is exact where it is below 1/2, and lies on a grid at least that fine
+# elsewhere), and halving is exact
+_SEAT_BITS = 54
+_SEAT_SCALE = 2.0**_SEAT_BITS
 
 
-def _units(x: float) -> int:
-    """The finite float ``x`` in units of 2**-1074, exactly."""
-    num, den = x.as_integer_ratio()  # den is 2**j, j <= 1074
-    return num << (1075 - den.bit_length())
+def _units(x: float, bits: int = _FLOAT_BITS) -> int:
+    """``x``, a whole number of units of 2**-``bits``, in those units, exactly;
+    below 1000 bits ``x`` lies in [0, 1], so ``x * 2**bits`` is a float with
+    no fraction."""
+    if bits < 1000:
+        return int(x * 2.0**bits)
+    num, den = x.as_integer_ratio()  # den is 2**j, j <= bits
+    return num << (bits + 1 - den.bit_length())
 
 
 class KeptSum:
     """``math.fsum`` of a list of finite floats (``terms``), kept under
     replacing a few of them.
 
-    The first :meth:`replace` also keeps every term as a whole number of
-    units of 2**-1074 (``units``) and their exact sum; from then on
+    Every term is a whole number of units of 2**-``bits``: any finite float
+    is at the default 1074 bits, and a caller that knows a coarser unit for
+    terms in [0, 1] (:class:`KeptRow` does for its shares and seat terms)
+    passes fewer, so that the integers stay small. Once :meth:`exact` has
+    run, the sum keeps every term in those units (``units``, as
+    :func:`_units` converts it) and their exact sum (``total``); from then on
     replacing a term changes that sum by the difference of two terms, and
     :meth:`value` divides it by the unit. Python's int division, like
     ``math.fsum``, rounds the exact value correctly (half to even), so the
     value is the same bit for bit, in O(1) instead of a pass over every term.
     A sum read once, as a from-scratch score reads it, never converts.
+    :meth:`replace` replaces terms; :meth:`KeptRow.update` does the same
+    inline, term by term.
     """
 
-    __slots__ = ("terms", "units", "total")
+    __slots__ = ("terms", "units", "total", "bits")
 
-    def __init__(self, terms: list):
+    def __init__(self, terms: list, bits: int = _FLOAT_BITS):
         self.terms = terms
         self.units = None
         self.total = 0
+        self.bits = bits
+
+    def exact(self) -> list:
+        """``units``, converted from ``terms`` at the first call."""
+        if self.units is None:
+            self.units = [_units(x, self.bits) for x in self.terms]
+            self.total = sum(self.units)
+        return self.units
 
     def replace(self, indices: list, values: list) -> None:
         """Make each term ``indices[j]`` ``values[j]``."""
-        terms, units = self.terms, self.units
-        if units is None:
-            self.units = units = list(map(_units, terms))
-            self.total = sum(units)
+        terms, units, bits = self.terms, self.exact(), self.bits
         total = self.total
         for i, x in zip(indices, values):
-            new = _units(x)
+            new = _units(x, bits)
             total += new - units[i]
             units[i] = new
             terms[i] = x
         self.total = total
 
     def value(self) -> float:
-        return math.fsum(self.terms) if self.units is None else self.total / _UNIT
+        if self.units is None:
+            return math.fsum(self.terms)
+        return self.total / (1 << self.bits)
 
 
 class KeptRow:
@@ -286,64 +310,92 @@ class KeptRow:
     contest, or the vote index) of a plan, kept under updates of a few
     districts.
 
-    Per district it keeps its share, twice each side's wasted votes (as
-    ``_efficiency_gap`` counts them) and its total votes; a row built with a
-    ``sigma`` (a contest's) also keeps the district's ``normal_cdf`` term for
-    fractional seats. Across districts it keeps the shares sorted
-    (``ranked``), from which seats, ties and the median are read, the
-    integer sums of the counts (``counts``), and the float sums of the
-    shares and of the seat terms, each a :class:`KeptSum`. A row is built from
-    every district's votes; :meth:`update` replaces a few districts' records.
+    Per district it keeps its share and twice each side's wasted votes (as
+    ``_efficiency_gap`` counts them); a row built with a ``sigma`` (a
+    contest's) also keeps the district's ``normal_cdf`` term for fractional
+    seats. Across districts it keeps the shares sorted (``ranked``), from
+    which the median is read, the number of shares above 0.5 (``above``) and
+    equal to it (``ties``), the integer sums of the wasted votes and the
+    row's vote total (``counts``; the total moves between a plan's districts
+    but does not change), and the float sums of the shares and of the seat
+    terms, each a :class:`KeptSum`. A row is built from every district's
+    votes, as a from-scratch score reads it once; :meth:`update` replaces a
+    few districts' records, converting each new float term to its sum's
+    units and moving the exact sums inline.
+
+    No district holds more than the row's vote total T (``counts[2]``), so a
+    share dem/total is 0 or at least 2**-b for T < 2**b: a whole number of
+    units of 2**-(b + 52), and b + 52 < 1000 for any sum of int64 vote
+    counts over fewer than 2**800 contests. Seat terms are whole numbers of
+    units of 2**-54 (``_SEAT_BITS``).
     """
 
-    __slots__ = ("shares", "ranked", "dem_wasted2", "rep_wasted2", "totals", "seat_terms",
-                 "sigma", "counts")
+    __slots__ = ("shares", "ranked", "above", "ties", "dem_wasted2", "rep_wasted2",
+                 "seat_terms", "sigma", "counts")
 
     def __init__(self, dems: list, reps: list, sigma: float | None = None):
         """The row of every district's votes ``dems`` and ``reps``, never both 0."""
-        self.totals = totals = list(map(add, dems, reps))
+        totals = list(map(add, dems, reps))
         shares = list(map(truediv, dems, totals))
-        self.ranked = sorted(shares)
+        self.ranked = ranked = sorted(shares)
+        low, high = bisect_left(ranked, 0.5), bisect_right(ranked, 0.5)
+        self.above, self.ties = len(ranked) - high, high - low
         self.dem_wasted2 = [d - r if d >= r else 2 * d for d, r in zip(dems, reps)]
         self.rep_wasted2 = [r - d if r >= d else 2 * r for d, r in zip(dems, reps)]
         self.counts = (sum(self.dem_wasted2), sum(self.rep_wasted2), sum(totals))
         self.sigma = sigma
         self.seat_terms = None if sigma is None else KeptSum(
-            [normal_cdf((share - 0.5) / sigma) for share in shares])
-        self.shares = KeptSum(shares)
+            [normal_cdf((share - 0.5) / sigma) for share in shares], _SEAT_BITS)
+        self.shares = KeptSum(shares, self.counts[2].bit_length() + 52)
 
     def update(self, districts: list, dems: list, reps: list) -> None:
         """Give ``districts`` the votes ``dems`` and ``reps``, never both 0."""
-        old_shares, ranked = self.shares.terms, self.ranked
-        dem_wasted2, rep_wasted2, totals = self.dem_wasted2, self.rep_wasted2, self.totals
-        dem_sum, rep_sum, total_sum = self.counts
-        shares = []
+        ranked, kept, seat_kept = self.ranked, self.shares, self.seat_terms
+        shares, share_units, share_total = kept.terms, kept.exact(), kept.total
+        share_scale = 2.0**kept.bits
+        if seat_kept is not None:
+            seats, seat_units, seat_total = seat_kept.terms, seat_kept.exact(), seat_kept.total
+            sigma = self.sigma
+        dem_wasted2, rep_wasted2 = self.dem_wasted2, self.rep_wasted2
+        dem_sum, rep_sum, total = self.counts
+        above, ties = self.above, self.ties
         for d, dem, rep in zip(districts, dems, reps):
-            del ranked[bisect_left(ranked, old_shares[d])]
+            old = shares[d]
+            del ranked[bisect_left(ranked, old)]
+            if old >= 0.5:
+                if old > 0.5:
+                    above -= 1
+                else:
+                    ties -= 1
             dw = dem - rep if dem >= rep else 2 * dem
             rw = rep - dem if rep >= dem else 2 * rep
-            total = dem + rep
             dem_sum += dw - dem_wasted2[d]
             rep_sum += rw - rep_wasted2[d]
-            total_sum += total - totals[d]
-            dem_wasted2[d], rep_wasted2[d], totals[d] = dw, rw, total
-            share = dem / total
+            dem_wasted2[d], rep_wasted2[d] = dw, rw
+            shares[d] = share = dem / (dem + rep)
             insort(ranked, share)
-            shares.append(share)
-        self.counts = dem_sum, rep_sum, total_sum
-        self.shares.replace(districts, shares)
-        if self.seat_terms is not None:
-            sigma = self.sigma
-            self.seat_terms.replace(districts, [normal_cdf((s - 0.5) / sigma) for s in shares])
+            if share >= 0.5:
+                if share > 0.5:
+                    above += 1
+                else:
+                    ties += 1
+            new = int(share * share_scale)  # _units, inline
+            share_total += new - share_units[d]
+            share_units[d] = new
+            if seat_kept is not None:
+                seats[d] = term = normal_cdf((share - 0.5) / sigma)
+                new = int(term * _SEAT_SCALE)
+                seat_total += new - seat_units[d]
+                seat_units[d] = new
+        self.counts = dem_sum, rep_sum, total
+        self.above, self.ties = above, ties
+        kept.total = share_total
+        if seat_kept is not None:
+            seat_kept.total = seat_total
 
     def seats(self) -> float:
         """Democratic seats: share > 0.5 wins outright, exact ties count 0.5."""
-        ranked = self.ranked
-        return len(ranked) - bisect_right(ranked, 0.5) + 0.5 * self.ties()
-
-    def ties(self) -> int:
-        """Districts of share exactly 0.5."""
-        return bisect_right(self.ranked, 0.5) - bisect_left(self.ranked, 0.5)
+        return self.above + 0.5 * self.ties
 
     def seats_fractional(self) -> float:
         """The sum of the ``normal_cdf`` terms (a row built with a sigma)."""
@@ -371,7 +423,7 @@ class TallyMove(NamedTuple):
     nodes: np.ndarray  # every node of ``districts``, ascending
     local: np.ndarray  # each node's position in ``districts``
     region: "Region | None"  # the nodes' Region, or None when they are every node
-    unit_counts: np.ndarray  # (len(districts), units) node counts: counties, then municipalities
+    unit_touch: np.ndarray  # (len(districts), units): the units each district touches
     unit_pieces: np.ndarray  # districts each unit touches, after the move
     splits: SplitReport
 
@@ -383,21 +435,25 @@ class PlanTally:
     Built once from a whole plan; :meth:`propose` and :meth:`apply` move it
     to a plan that differs only in a few districts (a ReCom step's two) by
     recounting those districts from their own nodes, so a step costs
-    O(region + k + units), not O(n). It holds, per district: dem and rep
+    O(region + k + units), not O(n). ``propose`` labels the nodes once with
+    their district's position among the moved ones, and ``apply`` sums by
+    those labels: two districts' votes as one split of the gathered block,
+    more by a sort and ``np.add.reduceat``. It holds, per district: dem and rep
     votes for every contest of the graph (``votes``, laid out as
     ``graph.votes``), area, and perimeter net of twice the shared boundary of
     its internal edges; per unit, counties first and then municipalities
-    (numbered after the counties), a dense int32 district x unit node-count
-    matrix (a district's counts are one row) and the number of districts each
-    unit touches.
+    (numbered after the counties), a dense boolean district x unit matrix of
+    the units each district touches (``unit_touch``, a district's units are
+    one row) and the number of districts each unit touches.
 
     For the config it last scored, :meth:`kept_rows` keeps a
     :class:`KeptRow` per contest, with the config's sigma, and one for their
     vote index, without; the tally also keeps each district's Polsby-Popper
     term. Only the districts moved since the last read are updated there, in
-    Python scalars, and every float sum is a :class:`KeptSum`, so a ReCom
-    step's read costs O(rows * log k); a new tally, or another config, builds
-    its rows from every district at once.
+    Python scalars, one pass over them per row, and every float sum is a
+    :class:`KeptSum`, so a ReCom step's read costs O(rows * log k); a new
+    tally, or another config, builds its rows from every district at once.
+    :meth:`report` assembles the report off the rows.
 
     Every report equals a from-scratch one bit for bit. Vote sums are
     integers. A float sum of a district is recomputed from its nodes and
@@ -412,10 +468,10 @@ class PlanTally:
         self.graph = graph
         self.plan = plan
         self.votes = np.zeros((graph.votes.shape[0], k), dtype=np.int64)
-        self.areas = np.zeros(k)
-        self.perimeters = np.zeros(k)
-        self._units = np.stack((graph.county_codes, graph.muni_codes + graph.n_counties), axis=1)
-        self.unit_counts = np.zeros((k, graph.n_counties + graph.n_munis), dtype=np.int32)
+        self._geometry = np.zeros((2, k))
+        self.perimeters, self.areas = self._geometry  # views: one gather reads both
+        self._munis = graph.muni_codes + graph.n_counties  # units: counties, then municipalities
+        self.unit_touch = np.zeros((k, graph.n_counties + graph.n_munis), dtype=bool)
         self.unit_pieces = np.zeros(graph.n_counties + graph.n_munis, dtype=np.int64)
         self.splits = None
         self.rows = None  # the KeptRow list of the config last read, keyed by _key
@@ -442,26 +498,30 @@ class PlanTally:
         if size < plan.k:  # else ``districts`` are 0..k-1, the labels themselves
             local = np.searchsorted(districts, local)
         n_units = self.unit_pieces.size
-        keys = self._units[nodes] + (local * n_units)[:, None]
-        counts = np.bincount(keys.ravel(), minlength=size * n_units).reshape(size, n_units)
-        pieces = self.unit_pieces + (counts > 0).sum(axis=0)
-        pieces -= (self.unit_counts[districts] > 0).sum(axis=0)
+        offset = local * n_units
+        keys = np.concatenate((graph.county_codes[nodes] + offset, self._munis[nodes] + offset))
+        touch = np.bincount(keys, minlength=size * n_units).reshape(size, n_units) > 0
+        pieces = self.unit_pieces + touch.sum(axis=0)
+        pieces -= self.unit_touch[districts].sum(axis=0)
         counties = graph.n_counties
         splits = split_report(graph, plan, (pieces[:counties], pieces[counties:]))
-        return TallyMove(plan, districts, nodes, local, region, counts, pieces, splits)
+        return TallyMove(plan, districts, nodes, local, region, touch, pieces, splits)
 
     def apply(self, move: TallyMove) -> None:
         """Make this the tally of ``move.plan``, recounting only ``move.districts``."""
         graph, nodes, local, districts = self.graph, move.nodes, move.local, move.districts
         size = districts.size
-        # one gather of every contest's votes, district by district (none is empty)
-        order = label_order(local, size)
-        starts = np.searchsorted(local[order], np.arange(size))
-        self.votes[:, districts] = np.add.reduceat(graph.votes[:, nodes[order]], starts, axis=1)
-        self.perimeters[districts], self.areas[districts] = district_geometry(
-            graph, nodes, local, size, move.region
-        )
-        self.unit_counts[districts] = move.unit_counts
+        # one gather of every contest's votes, summed district by district
+        if size == 2:  # a ReCom step's two: the labels split the gathered votes
+            block = graph.votes.take(nodes, axis=1)
+            self.votes[:, districts[0]] = block @ (1 - local)
+            self.votes[:, districts[1]] = block @ local
+        else:  # grouped by label (none is empty)
+            order = label_order(local, size)
+            starts = np.searchsorted(local[order], np.arange(size))
+            self.votes[:, districts] = np.add.reduceat(graph.votes[:, nodes[order]], starts, axis=1)
+        self._geometry[:, districts] = district_geometry(graph, nodes, local, size, move.region)
+        self.unit_touch[districts] = move.unit_touch
         self.unit_pieces = move.unit_pieces
         self.splits = move.splits
         self._stale.update(districts.tolist())
@@ -491,16 +551,16 @@ class PlanTally:
         dem_rows, rep_rows = self._vote_rows
         dems = [votes[r] for r in dem_rows]
         reps = [votes[r] for r in rep_rows]
-        for contest, row_dem, row_rep in zip(config.contests, dems, reps):
-            totals = list(map(add, row_dem, row_rep))
-            if 0 in totals:
-                raise errors.ZeroVotesDistrict(districts[totals.index(0)], contest)
-        perims = self.perimeters[districts].tolist()
+        if 0 in map(add, chain.from_iterable(dems), chain.from_iterable(reps)):
+            for contest, row_dem, row_rep in zip(config.contests, dems, reps):
+                totals = list(map(add, row_dem, row_rep))
+                if 0 in totals:
+                    raise errors.ZeroVotesDistrict(districts[totals.index(0)], contest)
+        perims, areas = self._geometry[:, districts].tolist()
         if min(perims) <= 0:
             require_positive_perimeters(self.perimeters)
         pp_terms = [_FOUR_PI * area / squared if squared else math.inf
-                    for area, squared in zip(self.areas[districts].tolist(),
-                                             [p * p for p in perims])]
+                    for area, squared in zip(areas, [p * p for p in perims])]
         bad = [d for d, term in zip(districts, pp_terms) if not math.isfinite(term)]
         if bad:
             raise errors.InvalidNodeData(
@@ -528,6 +588,30 @@ class PlanTally:
         """Unweighted district mean of 4*pi*area/perimeter^2, as of the last read."""
         return self._pp_terms.value() / self.plan.k
 
+    def report(self, config: MetricsConfig) -> MetricsReport:
+        """The report of this tally's plan under ``config``, read off its
+        kept rows (:meth:`kept_rows`): each contest metric is the mean over
+        the contest rows, by ``math.fsum``, and each index metric the index
+        row's own."""
+        *rows, index = self.kept_rows(config)
+        n = len(rows)
+        splits = self.splits
+        return MetricsReport(
+            seats_avg=math.fsum([row.seats() for row in rows]) / n,
+            seats_fractional=math.fsum([row.seats_fractional() for row in rows]) / n,
+            seats_index=index.seats(),
+            efficiency_gap=math.fsum([row.efficiency_gap() for row in rows]) / n,
+            mean_median=math.fsum([row.mean_median() for row in rows]) / n,
+            efficiency_gap_index=index.efficiency_gap(),
+            mean_median_index=index.mean_median(),
+            polsby_popper=self.polsby_popper(),
+            county_splits=splits.county_splits,
+            muni_splits=splits.muni_splits,
+            per_district_county_penalty=splits.per_district_county_penalty,
+            pieces_count=splits.pieces_count,
+            tie_districts=sum([row.ties for row in rows]) + index.ties,
+        )
+
 
 def score_plan(
     graph: PrecinctGraph, plan: Plan, config: MetricsConfig, tally: "PlanTally | None" = None
@@ -538,21 +622,4 @@ def score_plan(
         tally = PlanTally(graph, plan)
     elif tally.plan is not plan:
         raise ValueError("tally describes another plan")
-    *rows, index = tally.kept_rows(config)
-    n = len(rows)
-    splits = tally.splits
-    return MetricsReport(
-        seats_avg=math.fsum(row.seats() for row in rows) / n,
-        seats_fractional=math.fsum(row.seats_fractional() for row in rows) / n,
-        seats_index=index.seats(),
-        efficiency_gap=math.fsum(row.efficiency_gap() for row in rows) / n,
-        mean_median=math.fsum(row.mean_median() for row in rows) / n,
-        efficiency_gap_index=index.efficiency_gap(),
-        mean_median_index=index.mean_median(),
-        polsby_popper=tally.polsby_popper(),
-        county_splits=splits.county_splits,
-        muni_splits=splits.muni_splits,
-        per_district_county_penalty=splits.per_district_county_penalty,
-        pieces_count=splits.pieces_count,
-        tie_districts=sum(row.ties() for row in rows) + index.ties(),
-    )
+    return tally.report(config)

@@ -1,14 +1,18 @@
 import os
+import time
 
 import numpy as np
 import pytest
 
+from mapchain.chain import ChainState, random_tree_plan, recom_step
+from mapchain.constraints import ConstraintGate
 from mapchain.graph import (
     AdjacencyEdge,
     Contest,
     ElectionSet,
     PrecinctNode,
     build_graph,
+    canonical_form,
 )
 from mapchain.metrics import MetricsConfig
 from mapchain.oracle import enumerate_partitions
@@ -150,6 +154,32 @@ def catalog4(grid4):
 @pytest.fixture(scope="session")
 def band4():
     return band_plan(4, 4, 4)
+
+
+@pytest.fixture(scope="session")
+def chain4_run(grid4, band4):
+    """Criterion 01's run, which the kernel tests reuse: 50,000 ReCom steps
+    on the 4x4 grid at tolerance 0 (uniform pairs, no gate, seed 7) from the
+    band plan. The canonical form of the seed and of each step's plan, and
+    the seconds the steps took."""
+    t0 = time.perf_counter()
+    state = ChainState(plan=band4, rng=np.random.default_rng(7))
+    forms = [canonical_form(band4)]
+    for _ in range(50_000):
+        recom_step(state, grid4, 0.0, ConstraintGate.permissive())
+        forms.append(canonical_form(state.plan))
+    return forms, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def tree_plans4(grid4):
+    """Criterion 02's draws, which the tree-law test reuses: a 4-district
+    tree plan of the 4x4 grid at tolerance 0 from each of seeds 0..9,999
+    (``None`` where one fails), and the seconds they took."""
+    t0 = time.perf_counter()
+    plans = [random_tree_plan(grid4, 4, 0.0, np.random.default_rng(seed))
+             for seed in range(10_000)]
+    return plans, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from mapchain import errors
-from mapchain.chain import ChainState, random_tree_plan, recom_step, run_chain
+from mapchain.chain import run_chain
 from mapchain.cli import main as cli_main
 from mapchain.constraints import ConstraintGate, SplitReport, gate_accept
 from mapchain.diagnostics import autocorrelation, constraint_sweep, fit_line
-from mapchain.graph import Plan, canonical_form
+from mapchain.graph import Plan
 from mapchain.io import write_assignment, write_edges, write_nodes
 from mapchain.metrics import (
     MetricsConfig,
@@ -34,15 +34,12 @@ from conftest import make_path_graph, pathology_graph
 PERMISSIVE = ConstraintGate.permissive()
 
 
-def test_criterion_01_chain_covers_catalog(grid4, catalog4):
-    t0 = time.perf_counter()
-    state = ChainState(plan=band_plan(4, 4, 4), rng=np.random.default_rng(7))
-    visited = set()
-    steps = 50_000
-    for _ in range(steps):
-        recom_step(state, grid4, 0.0, PERMISSIVE)
-        visited.add(canonical_form(state.plan))
-    elapsed = time.perf_counter() - t0
+def test_criterion_01_chain_covers_catalog(catalog4, chain4_run):
+    # the run: 50,000 steps from the band plan, seed 7 (conftest's chain4_run)
+    forms, elapsed = chain4_run
+    steps = len(forms) - 1
+    visited = set(forms[1:])
+    assert steps == 50_000
     assert visited == catalog4.canon  # both directions at once
     assert elapsed < 30.0
     print(
@@ -51,16 +48,15 @@ def test_criterion_01_chain_covers_catalog(grid4, catalog4):
     )
 
 
-def test_criterion_02_tree_plans_all_valid(grid4, catalog4):
-    t0 = time.perf_counter()
+def test_criterion_02_tree_plans_all_valid(catalog4, tree_plans4):
+    # the draws: one plan from each of seeds 0..9,999 (conftest's tree_plans4)
+    plans, elapsed = tree_plans4
     draws = 10_000
     successes = 0
-    for seed in range(draws):
-        plan = random_tree_plan(grid4, 4, 0.0, np.random.default_rng(seed))
+    for plan in plans:
         assert plan is not None
         assert plan in catalog4
         successes += 1
-    elapsed = time.perf_counter() - t0
     assert successes == draws
     assert elapsed < 60.0
     print(

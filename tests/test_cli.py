@@ -575,6 +575,32 @@ def test_output_bytes_are_pinned(workdir, command, name, sha256):
     assert hashlib.sha256(written).hexdigest() == sha256
 
 
+def test_chain_reference_is_a_from_scratch_score_of_the_seed(workdir, monkeypatch):
+    # the histograms' reference line is chain 0's seed report, read off its
+    # tally before its first step: a from-scratch score of the seed, bit for bit
+    import mapchain.cli as cli
+    from mapchain.metrics import score_plan
+
+    seen = {}
+    run_chains, write_outputs = cli._run_chains, cli._write_ensemble_outputs
+
+    def chains(graph, plan, cfg, mcfg):
+        seen["scored"] = score_plan(graph, plan, mcfg)
+        return run_chains(graph, plan, cfg, mcfg)
+
+    def outputs(cfg, combined, raw_trace, reference):
+        seen["reference"] = reference
+        return write_outputs(cfg, combined, raw_trace, reference)
+
+    monkeypatch.setattr(cli, "_run_chains", chains)
+    monkeypatch.setattr(cli, "_write_ensemble_outputs", outputs)
+    assert main(["chain", "--config", CFG, "--set", "n_chains=2", "--set", "workers=1",
+                 "--set", "out_dir=out/reference"]) == 0
+    hexed = [tuple(v.hex() if isinstance(v, float) else v for v in fields_of.values())
+             for fields_of in (seen["reference"].as_dict(), seen["scored"].as_dict())]
+    assert hexed[0] == hexed[1]
+
+
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     # scipy.stats serves only the oracle's naive_score, and loading it takes
     # longer than loading the rest of the program

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mapchain import errors
 from mapchain.graph import AdjacencyEdge, Contest, ElectionSet, Plan, PrecinctNode, build_graph
 from mapchain.metrics import (
+    KeptSum,
     MetricsConfig,
     PlanTally,
     count_ties,
@@ -26,6 +27,7 @@ from mapchain.metrics import (
 from mapchain.synth import grid_graph
 
 import score_reference
+from test_graph import irregular_edges
 from conftest import (
     edges_of, make_path_graph, make_two_node_graph, nodes_of, pathology_graph,
 )
@@ -380,3 +382,100 @@ def test_score_plan_rejects_a_tally_of_another_plan(grid4, band4, mcfg2):
     relabelled = Plan(band4.k - 1 - band4.assignment, band4.k)
     with pytest.raises(ValueError, match="another plan"):
         score_plan(grid4, relabelled, mcfg2, PlanTally(grid4, band4))
+
+
+# votes a side per node: zero (voteless and Democrat-free districts), small
+# counts (shares of exactly 0.5), and counts large enough that a district's
+# total needs more than 32 bits, while the reference's float sums stay exact
+_VOTES = st.sampled_from([0, 0, 1, 2, 3, 2**33 + 1, 2**40])
+
+
+@st.composite
+def cut_moves(draw):
+    """A random connected graph with float geometry and random units; a plan;
+    and moves, each of which takes two districts and relabels their nodes by
+    a random cut labelling (0 for the lower district, 1 for the other, both
+    sides used), with a config to read after it. One config's sigma is small
+    enough that nearly every seat term is 0 or 1."""
+    n = draw(st.integers(4, 14))
+    pairs = draw(irregular_edges(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    touching = np.zeros(n)
+    shared = rng.uniform(0.05, 2.0, len(pairs))
+    for (a, b), s in zip(pairs, shared):
+        touching[a] += s
+        touching[b] += s
+    nodes = [PrecinctNode(f"p{i}", 1, f"C{draw(st.integers(0, 2))}", f"M{draw(st.integers(0, 3))}",
+                          rng.uniform(0.1, 3.0), touching[i] + rng.uniform(0.1, 3.0))
+             for i in range(n)]
+    contests = [Contest(name, np.array(draw(st.lists(_VOTES, min_size=n, max_size=n))),
+                        np.array(draw(st.lists(_VOTES, min_size=n, max_size=n))))
+                for name in "ABC"]
+    graph = build_graph(nodes, [AdjacencyEdge(a, b, s) for (a, b), s in zip(pairs, shared)],
+                        ElectionSet(contests))
+    k = draw(st.integers(2, n // 2))
+    assignment = np.array(draw(st.permutations(list(range(k)) + draw(
+        st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k)))))
+    configs = st.sampled_from([MetricsConfig(("A", "B")), MetricsConfig(("C", "A"), 0.3),
+                               MetricsConfig(("A", "B", "C"), 1e-3)])
+    moves = [(None, Plan(assignment, k), draw(configs))]
+    for _ in range(draw(st.integers(1, 8))):
+        districts = np.array(sorted(draw(st.sets(st.integers(0, k - 1), min_size=2, max_size=2))))
+        region = np.flatnonzero(np.isin(assignment, districts))
+        labels = np.array(draw(st.permutations([0, 1] + draw(st.lists(
+            st.integers(0, 1), min_size=region.size - 2, max_size=region.size - 2)))))
+        assignment = assignment.copy()
+        assignment[region] = districts[labels]
+        moves.append((districts, Plan(assignment, k), draw(configs)))
+    return graph, moves
+
+
+@given(cut_moves())
+@settings(max_examples=120, deadline=None)
+def test_kept_rows_match_the_reference_under_cut_moves(case):
+    # a ReCom-shaped move: two districts, their nodes' Region, and a read after
+    # each; every read equals the whole-plan reference, or names its voteless
+    # district, bit for bit
+    graph, moves = case
+    tally = None
+    for districts, plan, config in moves:
+        if tally is None:
+            tally = PlanTally(graph, plan)
+        else:
+            region = graph.neighbors.gather(np.flatnonzero(np.isin(plan.assignment, districts)))
+            tally.apply(tally.propose(plan, districts, region))
+        kept = _outcome(lambda: score_plan(graph, plan, config, tally))
+        assert kept == _outcome(lambda: score_reference.score_plan(graph, plan, config))
+
+
+_FLOATS = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True)
+
+
+@given(st.lists(_FLOATS, min_size=1, max_size=12),
+       st.lists(st.tuples(st.integers(0, 11), _FLOATS), max_size=12),
+       st.lists(st.sampled_from([5e-324, 2.5e-323, -5e-324, 2.0**-1022, 0.5, 1.0]), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_kept_sum_is_fsum_under_replacements(terms, replacements, tiny):
+    # subnormal terms and sums, sums that cancel, and huge terms: the kept
+    # value is math.fsum of the current terms, before and after it converts
+    terms = terms + tiny
+    kept = KeptSum(list(terms))
+    assert kept.value().hex() == math.fsum(terms).hex()
+    for i, x in replacements:
+        i %= len(terms)
+        terms[i] = x
+        kept.replace([i], [x])
+        assert kept.units is not None
+        assert kept.value().hex() == math.fsum(terms).hex()
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.integers(1, 2**63 - 1), st.integers(0, 2**63 - 1))
+@settings(max_examples=300, deadline=None)
+def test_kept_row_terms_are_whole_in_their_units(z, total, dem):
+    # the units a KeptRow keeps its sums in: a seat term is a whole number of
+    # 2**-54, and a share dem/total one of 2**-(b + 52) for totals below 2**b
+    term = normal_cdf(z)
+    assert 0.0 <= term <= 1.0 and (term * 2.0**54).is_integer()
+    share = min(dem, total) / total
+    assert (share * 2.0 ** (total.bit_length() + 52)).is_integer()
