@@ -46,8 +46,10 @@ class PairTable:
     them has an end among their nodes. :meth:`move` drops the entries that
     touch the two districts and re-reads the edges incident to their nodes,
     as the step's :class:`~mapchain.graph.Region` gathered them from the
-    graph's neighbour index, in whatever order it holds them. A step so
-    costs O(region + k), not O(n + m).
+    graph's neighbour index, in whatever order it holds them. A ``uniform``
+    move so costs O(region + k), not O(n + m). An ``edges`` move searches,
+    deletes from and merges the whole ``cross`` array, so it costs
+    O(region + cut edges).
     """
 
     def __init__(self, graph: PrecinctGraph, plan: Plan, pair_selection: str):

@@ -296,13 +296,11 @@ def _side(around: dict, start: int, cut: tuple) -> set:
 def naive_score(graph: PrecinctGraph, plan: Plan, config: MetricsConfig) -> MetricsReport:
     """Straight-line reimplementation of score_plan for differential tests.
 
-    Pure-python loops, ``statistics`` for mean/median, scipy's normal CDF:
-    nothing shared with the metrics module beyond the report container.
+    Pure-python loops, ``statistics`` for mean/median and for the normal CDF
+    (``NormalDist``, an erfc form): nothing shared with the metrics module
+    beyond the report container.
     """
-    # imported here: scipy.stats takes longer to load than the rest of
-    # mapchain, and no command scores through this reference
-    from scipy.stats import norm
-
+    cdf = statistics.NormalDist().cdf
     k = plan.k
     assign = [int(x) for x in plan.assignment]
 
@@ -329,9 +327,7 @@ def naive_score(graph: PrecinctGraph, plan: Plan, config: MetricsConfig) -> Metr
         return s
 
     def frac_of(shares):
-        return math.fsum(
-            float(norm.cdf((x - 0.5) / config.fractional_sigma)) for x in shares
-        )
+        return math.fsum(cdf((x - 0.5) / config.fractional_sigma) for x in shares)
 
     def eg_of(dem, rep, name):
         dem_wasted = []

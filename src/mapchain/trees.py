@@ -7,8 +7,9 @@ balanced connected parts.
 
 Two tree distributions are available. ``uniform`` draws a uniform spanning
 tree by Wilson's loop-erased random walk; ``mst`` draws the minimum spanning
-tree under i.i.d. random edge weights, which is faster on large regions but
-not uniform.
+tree under i.i.d. random edge weights, by Kruskal over Python lists: not
+uniform, and faster than Wilson's walk on a 100-node region but slower on a
+2,304-node one.
 
 A region's induced subgraph and its walk table are built in numpy from its
 slices of the graph's one neighbour index (``PrecinctGraph.neighbors``). Its
@@ -425,24 +426,37 @@ def _wilson(induced: _Induced, rng: np.random.Generator):
 
 def _random_mst(induced: _Induced, rng: np.random.Generator):
     """Minimum spanning tree under i.i.d. uniform edge weights, rooted at local
-    0. Raises ``DisconnectedSubset`` when the tree does not reach every node."""
-    # imported here: scipy serves only this method, and loading it costs more
-    # time and memory than the rest of the program
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
-
+    0: Kruskal over a union-find with path halving, then a breadth-first pass
+    that lists ``order`` as it reads it. Raises ``DisconnectedSubset`` when
+    fewer than m - 1 edges join the subset."""
     m = induced.m
-    weights = rng.random(induced.edge_a.size)
-    # csgraph drops zero entries; the smallest positive double keeps the order
-    weights[weights == 0.0] = np.nextafter(0.0, 1.0)
-    tree = minimum_spanning_tree(
-        coo_matrix((weights, (induced.edge_a, induced.edge_b)), shape=(m, m))
-    )
-    order, parent = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
-    if order.size < m:
+    ranked = np.argsort(rng.random(induced.edge_a.size), kind="stable")
+    up = list(range(m))
+    adj = [[] for _ in range(m)]
+    need = m - 1
+    for a, b in zip(induced.edge_a[ranked].tolist(), induced.edge_b[ranked].tolist()):
+        ra, rb = a, b
+        while (r := up[ra]) != ra:
+            up[ra] = ra = up[r]
+        while (r := up[rb]) != rb:
+            up[rb] = rb = up[r]
+        if ra != rb:
+            up[ra] = rb
+            adj[a].append(b)
+            adj[b].append(a)
+            need -= 1
+            if not need:
+                break
+    if need:
         raise _not_connected(m)
-    parent[0] = -1
-    return parent.tolist(), order.tolist()
+    parent = [-1] * m
+    order = [0]
+    for u in order:
+        for v in adj[u]:
+            if v != parent[u]:
+                parent[v] = u
+                order.append(v)
+    return parent, order
 
 
 def random_spanning_tree(

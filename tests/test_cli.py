@@ -553,24 +553,34 @@ def test_worker_pool_is_capped_at_the_cpu_count(workdir, monkeypatch):
     ).read_bytes()
 
 
-# sha256 of what the fixture config's chain and sweep runs write: every byte of
-# these files must stay as it is (trace.csv is pinned by its golden file)
+# sha256 of what the fixture config's chain, sweep and tree runs write, under
+# one ``--set`` field: every byte of these files must stay as it is (the
+# default chain's trace.csv is pinned by its golden file)
 _OUTPUT_SHA256 = [
-    ("chain", "hist_seats_avg.svg",
+    ("chain", "", "hist_seats_avg.svg",
      "51b7bca4689821c9749ee5d9a73d01e7b5b634fa691f0e36cfbcd5bf1908c2dd"),
-    ("chain", "hist_seats_index.svg",
+    ("chain", "", "hist_seats_index.svg",
      "391208acc8eb2248c0068a5b038706f02e2dc6b83193bb72cd630ee3add80a7d"),
-    ("chain", "summary.csv", "a12e13f95f2d825612dcfa4e25c4eca42c3c8548a3df4c5f154c17b879b724f7"),
-    ("chain", "acf.csv", "7c630947cc0e4bbe6efcf41dacb5f3c1bd4244ebb90911be5e048a6fd40c17d3"),
-    ("sweep", "sweep.csv", "7869882e0f387917c22388d3d1d3c22afccc051994200c965e0c5aa4bdbb2e3e"),
-    ("sweep", "sweep.svg", "c3b04c6d492cfb001e68a818c764e74e13983300432e6cf6c105bece17f9b41f"),
+    ("chain", "", "summary.csv",
+     "a12e13f95f2d825612dcfa4e25c4eca42c3c8548a3df4c5f154c17b879b724f7"),
+    ("chain", "", "acf.csv", "7c630947cc0e4bbe6efcf41dacb5f3c1bd4244ebb90911be5e048a6fd40c17d3"),
+    ("sweep", "", "sweep.csv", "7869882e0f387917c22388d3d1d3c22afccc051994200c965e0c5aa4bdbb2e3e"),
+    ("sweep", "", "sweep.svg", "c3b04c6d492cfb001e68a818c764e74e13983300432e6cf6c105bece17f9b41f"),
+    ("chain", "tree_method=mst", "trace.csv",
+     "3f0dd285a9a8a188eed8f0b4df3d02c9e43e7fa7d069a351cec66c848cad6ee8"),
+    ("tree", "tree_method=mst", "trace.csv",
+     "df02e5ac178466140717432f5bb07d243716cd053ad64a0eaff410dcc372001f"),
 ]
 
 
-@pytest.mark.parametrize("command, name, sha256", _OUTPUT_SHA256,
-                         ids=[f"{command}-{name}" for command, name, _ in _OUTPUT_SHA256])
-def test_output_bytes_are_pinned(workdir, command, name, sha256):
-    assert main([command, "--config", CFG, "--set", "out_dir=out/pinned"]) == 0
+@pytest.mark.parametrize(
+    "command, setting, name, sha256", _OUTPUT_SHA256,
+    ids=[f"{command}-{setting.split('=')[-1] + '-' if setting else ''}{name}"
+         for command, setting, name, _ in _OUTPUT_SHA256],
+)
+def test_output_bytes_are_pinned(workdir, command, setting, name, sha256):
+    settings = ["--set", setting] if setting else []
+    assert main([command, "--config", CFG, "--set", "out_dir=out/pinned", *settings]) == 0
     written = (workdir / "out" / "pinned" / name).read_bytes()
     assert hashlib.sha256(written).hexdigest() == sha256
 
@@ -601,39 +611,32 @@ def test_chain_reference_is_a_from_scratch_score_of_the_seed(workdir, monkeypatc
     assert hexed[0] == hexed[1]
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats serves only the oracle's naive_score, and loading it takes
-    # longer than loading the rest of the program
+def test_every_command_runs_without_scipy(workdir):
+    # numpy is the only runtime dependency: importing the CLI loads no scipy
+    # module, and once scipy is made unimportable chain and tree still run
+    # under both tree methods, score runs and the oracle's naive_score scores
     src = os.path.dirname(os.path.dirname(mapchain.__file__))
-    code = "import sys, mapchain.cli; print('scipy.stats' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "False\n"
-
-
-def test_only_tree_method_mst_loads_scipy(workdir):
-    # the uniform commands never load scipy, and run when it is missing;
-    # tree_method=mst imports it on its first draw
-    src = os.path.dirname(os.path.dirname(mapchain.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    scipy_loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-
-    def run(code):
-        return subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
-                              cwd=workdir, capture_output=True, text=True, check=True).stdout
-
-    assert run(f"import mapchain.cli\n{scipy_loaded}") == "[]\n"
-    assert run(
-        "sys.modules['scipy'] = None\n"
-        "from mapchain.cli import main\n"
-        f"print(main(['chain', '--config', {CFG!r}]), main(['tree', '--config', {CFG!r}]))"
-    ).splitlines()[-1] == "0 0"
-    assert run(
-        "from mapchain.cli import main\n"
-        f"code = main(['tree', '--config', {CFG!r}, '--set', 'tree_method=mst'])\n"
-        "print(code, 'scipy.sparse.csgraph' in sys.modules)"
-    ).splitlines()[-1] == "0 True"
+    code = f"""
+import sys
+import mapchain.cli
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+sys.modules['scipy'] = None
+from mapchain.cli import main
+from mapchain.io import read_assignment, read_graph
+from mapchain.metrics import MetricsConfig
+from mapchain.oracle import naive_score
+codes = [main([command, '--config', {CFG!r}, '--set', 'tree_method=' + method])
+         for command in ('chain', 'tree') for method in ('uniform', 'mst')]
+graph = read_graph('tests/fixtures/grid4/nodes.csv', 'tests/fixtures/grid4/edges.csv')
+plan, _ = read_assignment('tests/fixtures/grid4/assignment.csv', graph)
+report = naive_score(graph, plan, MetricsConfig(('PRES', 'SEN')))
+print(*codes, main(['score', '--config', {CFG!r}]), report.seats_avg >= 0)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         cwd=workdir, capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 0 0 0 0 True"
 
 
 def _append_column(path, name, value):

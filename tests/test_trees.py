@@ -249,7 +249,7 @@ def test_kernel_matches_scalar_reference_on_irregular_graphs(data):
     tolerance = data.draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]))
     method = data.draw(st.sampled_from(["uniform", "mst"]))
     induced = _Induced(g, subset)
-    draw_ref = ref.wilson if method == "uniform" else ref.kruskal
+    draw_ref = ref.wilson if method == "uniform" else ref.scipy_mst
 
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     tree = random_spanning_tree(g, subset, rng, method=method)
@@ -492,12 +492,15 @@ def test_wilson_matches_reference_above_the_table_degree(graph):
 
 
 def test_mst_matches_kruskal_on_grid():
+    # the package's Kruskal against scipy's minimum spanning tree
     g = grid_graph(48, 48)
     induced = _Induced(g, np.arange(g.n))
     for seed in range(30):
-        parent, order = _random_mst(induced, np.random.default_rng(seed))
-        expected, expected_root = ref.kruskal(induced, np.random.default_rng(seed))
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        parent, order = _random_mst(induced, rng)
+        expected, expected_root = ref.scipy_mst(induced, rng_ref)
         assert (parent, order[0]) == (expected.tolist(), expected_root)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_mst_keeps_a_zero_weight_edge():
@@ -506,7 +509,7 @@ def test_mst_keeps_a_zero_weight_edge():
     induced = _Induced(g, np.arange(g.n))
     for seed in range(5):
         parent, _ = _random_mst(induced, _rng_next_output_zero(seed))
-        expected, _ = ref.kruskal(induced, _rng_next_output_zero(seed))
+        expected, _ = ref.scipy_mst(induced, _rng_next_output_zero(seed))
         assert parent == expected.tolist()
         assert parent[1] == 0
 

@@ -1,18 +1,21 @@
 """Scalar reference kernels for ``mapchain.trees``.
 
 These are the straightforward versions of the tree kernel: Wilson's walk
-with one ``rng.integers(degree)`` call per step, Kruskal over union-find for
-``mst``, a per-edge loop for the balanced cut and mark propagation for cut
-subtrees. The library's list-and-batch kernel must draw the same trees, pick
-the same cuts and leave the generator in the same state. The walk table is
-built here one node at a time, from Python neighbour lists and ``itemgetter``
-picks; ``trees._Induced`` must build the same rows in numpy.
+with one ``rng.integers(degree)`` call per step, scipy's csgraph minimum
+spanning tree for ``mst``, a per-edge loop for the balanced cut and mark
+propagation for cut subtrees. The library's list-and-batch kernel must draw
+the same trees, pick the same cuts and leave the generator in the same
+state. The walk table is built here one node at a time, from Python
+neighbour lists and ``itemgetter`` picks; ``trees._Induced`` must build the
+same rows in numpy.
 """
 from __future__ import annotations
 
 from operator import itemgetter
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from mapchain.trees import _MASK, _WORD, Cut, SpanningTree
 
@@ -125,41 +128,19 @@ def wilson(induced, rng):
     return parent, root
 
 
-def kruskal(induced, rng):
+def scipy_mst(induced, rng):
+    """``mst`` by scipy's csgraph: the minimum spanning tree under the same
+    ``rng.random`` edge weights, rooted at local 0."""
     m = induced.m
     weights = rng.random(induced.edge_a.size)
-    order = np.argsort(weights, kind="stable")
-    uf = np.arange(m, dtype=np.int64)
-
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = int(uf[x])
-        return x
-
-    adj: list = [[] for _ in range(m)]
-    taken = 0
-    for idx in order:
-        a, b = int(induced.edge_a[idx]), int(induced.edge_b[idx])
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            uf[ra] = rb
-            adj[a].append(b)
-            adj[b].append(a)
-            taken += 1
-            if taken == m - 1:
-                break
-    parent = np.full(m, -1, dtype=np.int64)
-    seen = np.zeros(m, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                stack.append(v)
+    # csgraph drops zero entries; the smallest positive double keeps the order
+    weights[weights == 0.0] = np.nextafter(0.0, 1.0)
+    tree = minimum_spanning_tree(
+        coo_matrix((weights, (induced.edge_a, induced.edge_b)), shape=(m, m))
+    )
+    _, parent = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
+    parent = parent.astype(np.int64)
+    parent[0] = -1
     return parent, 0
 
 
@@ -197,7 +178,7 @@ def subtree_nodes(tree, child):
 
 
 def bipartition_region(graph, induced, target_pops, tolerance, rng, max_tree_retries, method):
-    draw = wilson if method == "uniform" else kruskal
+    draw = wilson if method == "uniform" else scipy_mst
     for _ in range(max_tree_retries):
         parent, root = draw(induced, rng)
         tree = finish_tree(induced, parent, root, graph.populations)
