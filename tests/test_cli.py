@@ -611,6 +611,17 @@ def test_chain_reference_is_a_from_scratch_score_of_the_seed(workdir, monkeypatc
     assert hexed[0] == hexed[1]
 
 
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats is no runtime dependency, and loading it takes longer than
+    # loading the rest of the program
+    src = os.path.dirname(os.path.dirname(mapchain.__file__))
+    code = "import sys, mapchain.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
+
+
 def test_every_command_runs_without_scipy(workdir):
     # numpy is the only runtime dependency: importing the CLI loads no scipy
     # module, and once scipy is made unimportable chain and tree still run
