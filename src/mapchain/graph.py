@@ -512,7 +512,7 @@ def _unit_codes(ids) -> tuple:
     drop trailing NUL characters and merge ``"A"`` with ``"A\\x00"``."""
     names = sorted(set(ids))
     code = dict(zip(names, range(len(names))))
-    return tuple(names), np.array(list(map(code.__getitem__, ids)), dtype=np.int64)
+    return tuple(names), np.fromiter(map(code.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
 def district_populations(graph: PrecinctGraph, plan: Plan) -> np.ndarray:

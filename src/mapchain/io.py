@@ -19,14 +19,20 @@ once):
 
 A plain file, such as mapchain writes (no quote, no lone CR, the same cell
 count on every line, no blank row), is split into columns at the positions
-of its comma and line-break bytes, and each column decoded once; a nodes.csv
-count column whose cells are all plain digits is read as numbers straight
-from those bytes. Any other file goes through ``csv``, which reads it the
-same way and reports its faults. Either way every cell is stripped of
-surrounding whitespace (``str.strip``) once, by the column reader, and the
-readers use the stripped cells; a split file is stripped only when it holds
-a byte that ``str.strip`` could remove: ASCII whitespace other than the line
-break, or any non-ASCII byte.
+of its comma and line-break bytes, in place (a line's last cell ends before
+the CR of a CRLF, so a CRLF file is not copied), and each column decoded
+once. Some numeric columns are read straight from those bytes instead, where
+every cell of the column is in range: nodes.csv's counts (1 to 18 ASCII
+digits), its area and perimeter and edges.csv's shared_perimeter
+(``digits[.digits]`` of at most 17 bytes whose digits M are at most 2**53,
+to exactly ``float()``'s value) and assignment.csv's districts (integers
+without a leading zero); any other column is decoded and converted cell by
+cell with ``int()`` or ``float()``. Any other file goes through ``csv``,
+which reads it the same way and reports its faults. Either way every cell
+is stripped of surrounding whitespace (``str.strip``) once, by the column
+reader, and the readers use the stripped cells; a split file is stripped
+only when it holds a byte that ``str.strip`` could remove: ASCII whitespace
+other than the line break, or any non-ASCII byte.
 
 The run configuration is a flat ``key = value`` UTF-8 text file, read as the
 CSV files are with one leading byte order mark dropped, whose keys match
@@ -66,14 +72,14 @@ from .trees import TREE_METHODS
 TRACE_COLUMNS = ("step", "accepted") + tuple(col for col, _ in TRACE_METRIC_FIELDS)
 
 
-def _read_columns(path, required, rows_required=False, integer=None) -> tuple:
+def _read_columns(path, required, rows_required=False, parse=None) -> tuple:
     """``(header, columns)`` of a CSV file, where ``columns`` maps each header
     name to the tuple of its cells, each stripped of surrounding whitespace.
 
     The file's bytes are split at their commas and line breaks when that
     reads them exactly as ``csv`` would (:func:`_split_columns`); there a
-    column whose name ``integer(name)`` accepts and whose every cell is 1 to
-    18 ASCII digits comes back as an int64 array instead. Any other file goes
+    column for which ``parse(name)`` names a byte parser comes back as the
+    array that parser makes of its cells, where it can. Any other file goes
     through ``csv`` (:func:`_csv_columns`), which alone reads quoted cells
     and reports faulty files. One leading UTF-8 byte order mark is dropped
     first. Raises ``MissingFile``, ``IngestError`` for a path that cannot be
@@ -88,7 +94,7 @@ def _read_columns(path, required, rows_required=False, integer=None) -> tuple:
     except OSError as e:
         raise errors.IngestError(f"{path}: cannot read ({e.strerror})") from None
     data = data.removeprefix(codecs.BOM_UTF8)  # as a spreadsheet's "CSV UTF-8" writes it
-    split = _split_columns(data, integer)
+    split = _split_columns(data, parse)
     header, columns = split if split else _csv_columns(path, data, rows_required)
     for name in required:
         if name not in header:
@@ -96,26 +102,25 @@ def _read_columns(path, required, rows_required=False, integer=None) -> tuple:
     return header, columns
 
 
-def _split_columns(data: bytes, integer=None):
+def _split_columns(data: bytes, parse=None):
     """``(header, columns)`` of the file contents ``data`` split at every
     comma and line break, or None where ``csv`` might read them otherwise:
-    bytes that are not UTF-8, hold a ``"`` or a CR outside a CRLF, have fewer
-    than two lines, a line whose cell count differs from the header's, a
-    line of more bytes than ``csv.field_size_limit()`` or a line whose first
-    cell is blank (``csv`` skips a line whose cells are all blank). Splitting
-    the rest matches ``csv``'s default dialect cell for cell: a comma or LF
-    byte never occurs inside a multi-byte UTF-8 character. A column is its
-    cells decoded once and stripped, or, where ``integer(name)``, their int64
-    values if every cell is 1 to 18 ASCII digits (:func:`_digit_cells`).
+    bytes that are not UTF-8, hold a ``"`` or a CR not followed by LF, have
+    fewer than two lines, a line whose cell count differs from the header's,
+    a line of more bytes than ``csv.field_size_limit()`` or a line whose
+    first cell is blank (``csv`` skips a line whose cells are all blank).
+    Splitting the rest matches ``csv``'s default dialect cell for cell: a
+    comma or LF byte never occurs inside a multi-byte UTF-8 character, and a
+    line's last cell ends before the CR of a CRLF, so LF, CRLF and mixed
+    files are all read in place. A column is its cells decoded once and
+    stripped, or the array that the byte parser ``parse(name)`` makes of
+    them (:func:`_digit_cells`, :func:`_decimal_cells`,
+    :func:`_label_cells`) where it does not return None.
     """
     try:
         data.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    if b"\r" in data:  # CRLF line breaks; a file with no CR skips the copy
-        data = data.replace(b"\r\n", b"\n")
-        if b"\r" in data:
-            return None
     if b'"' in data:
         return None
     if not data.endswith(b"\n"):  # so that every line, the last one too, ends in a line break
@@ -126,10 +131,16 @@ def _split_columns(data: bytes, integer=None):
     n = int(line_break.argmax()) + 1  # the header's cell count
     if ends.size < 2 * n or ends.size % n or not (line_break.reshape(-1, n) == line_break[:n]).all():
         return None
-    ends = ends.reshape(-1, n)
-    if np.diff(ends[:, -1], prepend=-1).max() - 1 > csv.field_size_limit():
+    line_ends = ends[n - 1::n]
+    if np.diff(line_ends, prepend=-1).max() - 1 > csv.field_size_limit():
         return None
-    header = [h.strip() for h in data[:ends[0, -1]].decode("utf-8").split(",")]
+    last_ends = line_ends[1:]
+    if b"\r" in data:  # a line's last cell ends before the CR of a CRLF; a lone CR goes to csv
+        crlf = buf[line_ends - 1] == ord("\r")
+        if np.count_nonzero(crlf) != np.count_nonzero(buf == ord("\r")):
+            return None
+        last_ends = last_ends - crlf[1:]
+    header = [h.strip() for h in data[:line_ends[0]].decode("utf-8").split(",")]
     if not header[0]:
         return None
     # no cell can change under str.strip unless some byte is ASCII whitespace
@@ -137,11 +148,15 @@ def _split_columns(data: bytes, integer=None):
     strip = not data.isascii() or any(byte in data for byte in _STRIPPABLE)
     columns = {}
     for j, name in enumerate(header):
-        # a data cell starts after the comma before it or the line break of the line before
-        cells = buf, (ends[1:, j - 1] if j else ends[:-1, -1]) + 1, ends[1:, j]
-        column = _digit_cells(*cells) if integer and integer(name) else None
+        # a data cell starts after the separator before it; each column's
+        # starts and ends are gathered into contiguous arrays once, for the
+        # passes over them
+        starts = ends[n - 1 + j:-1:n] + 1
+        stops = np.ascontiguousarray(ends[n + j::n] if j < n - 1 else last_ends)
+        parser = parse and parse(name)
+        column = parser(buf, starts, stops) if parser else None
         if column is None:
-            column = _decode_cells(*cells)
+            column = _decode_cells(buf, starts, stops)
             if strip:
                 column = tuple(map(str.strip, column))
             if j == 0 and not all(column):
@@ -155,30 +170,90 @@ _STRIPPABLE = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"  # the ASCII whitespace of str.stri
 
 def _decode_cells(buf, starts, ends) -> tuple:
     """The cells ``buf[starts[i]:ends[i]]`` as str: their bytes, each with the
-    separator after it (a column's cells all end alike), gathered, decoded
-    once and split once."""
+    separator before it (a column's cells all start alike: after a comma, or
+    after the LF of the line before), gathered, decoded once and split once."""
     lengths = ends - starts + 1
     # the steps from each gathered byte to the next, summed in place into their
     # positions: one position array at a time, where np.repeat needs three
     step = np.ones(lengths.sum(), dtype=np.intp)
-    step[0] = starts[0]
+    step[0] = starts[0] - 1
     step[np.cumsum(lengths[:-1])] = starts[1:] - ends[:-1]
     text = buf[np.cumsum(step, out=step)].tobytes().decode("utf-8")
-    return tuple(text[:-1].split(text[-1]))
+    return tuple(text[1:].split(text[0]))
+
+
+def _cell_digits(buf, starts, ends, most=18):
+    """``(values, scales)`` of the cells ``buf[starts[i]:ends[i]]`` if every
+    cell is 1 to ``most`` (at most 18) bytes of ASCII digits with at most one
+    "." between two of them; else None. ``values`` is the int64 integer of a
+    cell's digits, which 18 digits cannot overflow, and ``scales`` the count
+    of digits after its point (0 without one)."""
+    lengths = ends - starts
+    shortest, longest = int(lengths.min()), int(lengths.max())
+    if shortest < 1 or longest > most:
+        return None
+    values = np.zeros(lengths.size, dtype=np.int64)
+    scales = np.zeros(lengths.size, dtype=np.intp)
+    # a shorter cell's position runs before its start, at worst to a negative
+    # index (the buffer holds the longest cell), and its byte is masked below
+    position = ends - (longest + 1)
+    for k in range(longest, 0, -1):  # the k-th byte from each cell's end
+        position += 1
+        byte = buf[position]
+        if k > shortest:  # "0" before the start of a shorter cell
+            byte = np.where(lengths >= k, byte, np.uint8(ord("0")))
+        digits = byte - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+        if digits.max() <= 9:
+            values *= 10
+            values += digits
+            continue
+        point = byte == ord(".")
+        if (k == 1 or (lengths[point] == k).any() or scales[point].any()
+                or np.where(point, 0, digits).max() > 9):  # "5.", ".5", a second point
+            return None
+        scales[point] = k - 1
+        values = np.where(point, values, values * 10 + digits)
+    return values, scales
 
 
 def _digit_cells(buf, starts, ends):
     """The int64 values of the cells ``buf[starts[i]:ends[i]]`` if every cell
-    is 1 to 18 ASCII digits, which cannot overflow int64; else None."""
-    lengths = ends - starts
-    if lengths.min() < 1 or lengths.max() > 18:
+    is 1 to 18 ASCII digits; else None."""
+    parsed = _cell_digits(buf, starts, ends)
+    if parsed is None or parsed[1].any():
         return None
-    values = np.zeros(lengths.size, dtype=np.int64)
-    for k in range(lengths.max(), 0, -1):  # the k-th digit from each cell's end; 0 past its start
-        digits = np.where(lengths >= k, buf[ends - k] - np.uint8(ord("0")), 0)
-        if digits.max() > 9:  # a byte below "0" wraps past 9
-            return None
-        values = values * 10 + digits
+    return parsed[0]
+
+
+# 10**f for the at most 16 digits after the point of a 17-byte cell; every
+# 10**f up to f = 22 is an exact double
+_POWERS_OF_TEN = np.array([float(10**f) for f in range(17)])
+
+
+def _decimal_cells(buf, starts, ends):
+    """The float64 values of the cells ``buf[starts[i]:ends[i]]`` if every
+    cell is ``digits[.digits]`` of at most 17 bytes (:func:`_cell_digits`)
+    whose digits M are at most 2**53; else None. Both M and 10**f (f digits
+    after the point) are exact doubles there, so their correctly rounded
+    quotient is the double nearest the cell's decimal: what ``float(cell)``
+    returns, bit for bit (Clinger's fast path). A cell of 18 bytes has at
+    least 17 digits, which M rarely fits, so its column is left to
+    ``float()`` before any pass over it."""
+    parsed = _cell_digits(buf, starts, ends, most=17)
+    if parsed is None or parsed[0].max() > 2**53:
+        return None
+    values, scales = parsed
+    return values / _POWERS_OF_TEN[scales]
+
+
+def _label_cells(buf, starts, ends):
+    """The int64 values of the cells ``buf[starts[i]:ends[i]]`` if every cell
+    is an integer as ``str(int)`` writes it (digits without a leading zero,
+    or "0"), so that each value stands for one label, ``"7"`` and ``"07"``
+    never one value; else None."""
+    values = _digit_cells(buf, starts, ends)
+    if values is None or ((buf[starts] == ord("0")) & (ends - starts > 1)).any():
+        return None
     return values
 
 
@@ -229,9 +304,12 @@ def _raise_first(faults) -> None:
         raise min(faults, key=lambda fault: fault[:2])[2]
 
 
-def _is_count(name) -> bool:
-    """Whether nodes.csv's column ``name`` holds integers: population and votes."""
-    return name == "population" or name.endswith(("_D", "_R"))
+def _node_parser(name):
+    """The byte parser of nodes.csv's column ``name``: integers for population
+    and votes, decimals for area and perimeter, none for the rest."""
+    if name == "population" or name.endswith(("_D", "_R")):
+        return _digit_cells
+    return _decimal_cells if name in ("area", "perimeter") else None
 
 
 def read_nodes(path):
@@ -242,7 +320,7 @@ def read_nodes(path):
     Every ``<name>_D`` column must pair with ``<name>_R``; vote cells must
     be nonnegative integers.
     """
-    header, col = _read_columns(path, NODE_COLUMNS, rows_required=True, integer=_is_count)
+    header, col = _read_columns(path, NODE_COLUMNS, rows_required=True, parse=_node_parser)
     _require_once(path, header, [name for name in header
                                  if name in NODE_COLUMNS or name.endswith(("_D", "_R"))])
 
@@ -332,7 +410,7 @@ def read_edges(path, node_index: dict) -> tuple:
     (``DuplicateEdge``) or an unknown precinct (``DanglingEdge``), checked
     in that order within a row.
     """
-    header, col = _read_columns(path, ("src", "dst"))
+    header, col = _read_columns(path, ("src", "dst"), parse={"shared_perimeter": _decimal_cells}.get)
     _require_once(path, header, ("src", "dst", "shared_perimeter"))
     src, dst = col["src"], col["dst"]
     faults = []
@@ -340,7 +418,7 @@ def read_edges(path, node_index: dict) -> tuple:
     if raw_shared is None:  # an absent or blank shared_perimeter is 1
         shared = np.ones(len(src))
     else:
-        if "" in raw_shared:
+        if isinstance(raw_shared, tuple) and "" in raw_shared:
             raw_shared = [cell or "1" for cell in raw_shared]
         shared = _parse_column(path, "shared_perimeter", raw_shared, float, 0, faults)
     edge_a, edge_b = (_ordinals(node_index, ids) for ids in (src, dst))
@@ -383,7 +461,7 @@ def read_assignment(path, graph: PrecinctGraph):
     (``UnknownPrecinct``) or one an earlier row already assigned
     (``DuplicatePrecinctId``); then ``MissingPrecinct`` lists absent ones.
     """
-    header, col = _read_columns(path, ("precinct_id", "district"))
+    header, col = _read_columns(path, ("precinct_id", "district"), parse={"district": _label_cells}.get)
     _require_once(path, header, ("precinct_id", "district"))
     pids, labels = col["precinct_id"], col["district"]
     index = _ordinals(graph.node_index, pids)
@@ -403,10 +481,12 @@ def read_assignment(path, graph: PrecinctGraph):
             f"{path}: row {i + 2}: precinct {pids[i]!r} assigned twice"
         )))
     _raise_first(faults)
-    names = dict(enumerate(dict.fromkeys(labels)))
-    label_of = {name: label for label, name in names.items()}
+    if isinstance(labels, np.ndarray):  # each number stands for the one label str(number)
+        labels = labels.tolist()
+    label_of = dict(zip(dict.fromkeys(labels), range(len(labels))))  # first-appearance order
+    names = dict(enumerate(map(str, label_of)))
     assignment = np.full(graph.n, -1, dtype=np.int64)
-    assignment[index] = [label_of[name] for name in labels]
+    assignment[index] = np.fromiter(map(label_of.__getitem__, labels), np.int64, count=len(labels))
     missing = np.flatnonzero(assignment < 0)
     if missing.size:
         raise errors.MissingPrecinct(

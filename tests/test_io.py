@@ -19,7 +19,9 @@ from mapchain.graph import Plan, canonical_form
 from mapchain.io import (
     TRACE_COLUMNS,
     RunConfig,
+    _decimal_cells,
     _read_columns,
+    _split_columns,
     histogram_counts,
     read_assignment,
     read_config,
@@ -328,6 +330,94 @@ def test_column_reader_strips_every_cell_once(tmp_path, cell, quoted):
     assert _read_columns(path, ("a",)) == (["a", "b"], {"a": ("p1",), "b": ("x",)})
 
 
+def _bits(values):
+    """The IEEE-754 bits of each float in ``values``: -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _every_column_decimal(name):
+    return _decimal_cells
+
+
+# (cell, whether the byte path reads it): digits[.digits] of at most 17 bytes
+# whose digits M are at most 2**53, against the cells that it leaves to float()
+_DECIMAL_EDGES = [
+    ("0.0", True), ("007.50", True), ("5", True), ("123456789012345", True),
+    ("1.23456789012345", True), ("1234567890123456", True), ("9007199254740992", True),
+    ("9007199254740993", False), ("0.1234567890123456", False),
+    ("12345678901234567", False), ("1.2345678901234567", False),
+    ("5.", False), (".5", False), ("1.2.3", False), ("1e3", False), ("+1.5", False),
+    ("-0.0", False), ("1_0", False), (" 1.5", False), ("nan", False), ("inf", False),
+    ("", False),
+]
+_LINE_ENDS = {"LF": ["\n"], "CRLF": ["\r\n"], "mixed": ["\n", "\r\n"], "lone CR": ["\r"]}
+
+
+@pytest.mark.parametrize("cell, parsed", _DECIMAL_EDGES)
+@pytest.mark.parametrize("ends", sorted(_LINE_ENDS))
+@pytest.mark.parametrize("final_break", [True, False])
+def test_decimal_columns_match_the_csv_reader(tmp_path, cell, parsed, ends, final_break):
+    """A column parsed from its bytes holds float(cell) of the ``csv``
+    reference's cells, bit for bit; a column the byte path leaves (or a file
+    that csv reads) holds the reference's cells; errors match in class and
+    message. Column a has the cell mid-line, column b at each line's end."""
+    lines = ["a,b,c", f"{cell},1.5,3.0", f"0.25,{cell},3.0"]
+    breaks = _LINE_ENDS[ends]
+    text = "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+    path = tmp_path / "decimals.csv"
+    path.write_bytes((text if final_break else text.rstrip("\r\n")).encode("utf-8"))
+    got = _outcome(lambda *args: _read_columns(*args, parse=_every_column_decimal), path, (), True)
+    want = _outcome(_stripped_reference_read_columns, path, (), True)
+    assert isinstance(got[1], dict) and isinstance(want[1], dict)
+    assert got[0] == want[0]
+    for name, column in got[1].items():
+        if isinstance(column, np.ndarray):
+            assert column.dtype == np.float64
+            assert _bits(column) == _bits([float(c) for c in want[1][name]])
+        else:
+            assert column == want[1][name]
+    split = ends != "lone CR" and cell != ""  # csv reads a lone CR and a blank first cell
+    assert isinstance(got[1]["a"], np.ndarray) == isinstance(got[1]["b"], np.ndarray) == (
+        split and parsed)
+    assert isinstance(got[1]["c"], np.ndarray) == split
+
+
+@pytest.mark.parametrize("text", ["a\n1\r2\n", "a,b\n1\r,2\n", "a,b\r\n1,2\r\r\n", "a\n1\n2\r"])
+def test_a_lone_cr_is_a_line_break_as_csv_reads_it(tmp_path, text):
+    # the split path would keep these CRs inside a cell; csv ends a line there
+    path = tmp_path / "lone_cr.csv"
+    path.write_bytes(text.encode("ascii"))
+    assert _outcome(_read_columns, path, (), False) == _outcome(
+        _stripped_reference_read_columns, path, (), False
+    )
+
+
+@st.composite
+def plain_decimals(draw):
+    """Up to 17 digits after up to 3 leading zeros, with or without a point
+    anywhere among them (so also "5." and ".5")."""
+    digits = draw(st.text(alphabet="0123456789", min_size=1, max_size=17))
+    cell = "0" * draw(st.integers(0, 3)) + digits
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(cell)))
+        cell = cell[:at] + "." + cell[at:]
+    return cell
+
+
+@given(st.lists(st.one_of(plain_decimals(), st.floats(0, 1e20).map(repr)), min_size=1,
+                max_size=4),
+       st.sampled_from(["\n", "\r\n"]))
+@settings(max_examples=500, deadline=None)
+def test_decimal_cells_are_float_bit_for_bit_or_left_to_float(cells, line_break):
+    data = ("x" + line_break + "".join(cell + line_break for cell in cells)).encode("ascii")
+    header, columns = _split_columns(data, _every_column_decimal)
+    column = columns["x"]
+    if isinstance(column, np.ndarray):
+        assert _bits(column) == _bits([float(cell) for cell in cells])
+    else:
+        assert column == tuple(cells)
+
+
 def test_county_ids_differing_in_a_trailing_nul_are_two_counties(tmp_path):
     # a numpy string array drops trailing NUL characters, so "C" and "C\x00"
     # were coded as one county, split between the two districts
@@ -357,7 +447,7 @@ def edge_files(draw):
     """The text of an edges.csv over p0..p5 with faults planted in its rows:
     unknown precincts at either end, repeated pairs in either order, and bad
     and blank shared_perimeter cells; the column itself may be absent."""
-    number = st.sampled_from(["1", "0.5", " 2 ", "1e400", "-1"])
+    number = st.sampled_from(["1", "0.5", " 2 ", "1e400", "-1", "-0.0", "007.50", "5.", "0.1"])
     rows = draw(st.lists(st.lists(st.sampled_from(_SIX.precinct_ids), min_size=2, max_size=2)
                          .map(lambda pair: pair + ["1"]), max_size=6))
     for row in rows:
@@ -383,8 +473,11 @@ def edge_files(draw):
 @st.composite
 def assignment_files(draw):
     """The text of an assignment.csv over p0..p5 with faults planted in its
-    rows: unknown precincts, repeated ones and absent ones."""
-    rows = [[pid, draw(st.sampled_from(["A", "B", " C "]))]
+    rows: unknown precincts, repeated ones and absent ones. Its district
+    labels are words, numbers, or numbers some with leading zeros ("7" and
+    "07" are two districts)."""
+    labels = draw(st.sampled_from([["A", "B", " C "], ["0", "7", "12"], ["7", "07", "0"]]))
+    rows = [[pid, draw(st.sampled_from(labels))]
             for pid in draw(st.permutations(_SIX.precinct_ids))]
     for fault in draw(st.lists(st.sampled_from(["unknown", "repeat", "absent"]), max_size=3)):
         i = draw(st.integers(0, len(rows) - 1))
@@ -404,7 +497,8 @@ def _reader_outcome(read, path, *args):
     except errors.MapchainError as e:
         return type(e), str(e)
     if isinstance(result[0], np.ndarray):
-        return [(array.dtype, array.tolist()) for array in result]
+        return [(array.dtype, _bits(array) if array.dtype == np.float64 else array.tolist())
+                for array in result]
     plan, names = result
     return plan.k, plan.assignment.tolist(), names
 
@@ -450,8 +544,8 @@ def node_files(draw):
          "A_D", "A_R", "B_D", "B_R"])))
     ids = st.sampled_from(["p0", "p1", "\u00e91", "\u533a\u57df", "\u00df9"])
     cells = {"precinct_id": ids, "county_id": st.sampled_from(["C", "\u00c7"]),
-             "muni_id": st.just("M"), "area": st.sampled_from(["1.0", " 2.5", "3"]),
-             "perimeter": st.sampled_from(["4.0", "0.5"])}
+             "muni_id": st.just("M"), "area": st.sampled_from(["1.0", " 2.5", "3", "-0.0", ".5"]),
+             "perimeter": st.sampled_from(["4.0", "0.5", "0.1", "007.50", "1.2345678901234567"])}
     rows = [",".join(draw(cells.get(name, _INT_CELLS)) for name in header)
             for _ in range(draw(st.integers(1, 5)))]
     text = draw(st.sampled_from(["\n", "\r\n"])).join([",".join(header)] + rows)
@@ -465,8 +559,8 @@ def _nodes_outcome(read, path):
         columns, elections = read(path)
     except errors.MapchainError as e:
         return type(e), str(e)
-    plain = {name: (values.dtype, values.tolist()) if isinstance(values, np.ndarray) else values
-             for name, values in columns.items()}
+    plain = {name: (values.dtype, _bits(values) if values.dtype == np.float64 else values.tolist())
+             if isinstance(values, np.ndarray) else values for name, values in columns.items()}
     return plain, [(c.name, c.dem.dtype, c.dem.tolist(), c.rep.dtype, c.rep.tolist())
                    for c in elections]
 
